@@ -15,6 +15,8 @@
 // are informational only. The allocator metrics B/op and allocs/op are
 // deliberately omitted — they are tier-1 test material, not trajectory.
 // Benchmarks appearing on only one side are reported as added/removed.
+// Parsing drops the uniform -N GOMAXPROCS suffix go test appends on
+// multi-core hosts, so names match across hosts with different core counts.
 // Plain -cmp exits 0 regardless of deltas — it informs, the reader judges.
 // With -gate REGEXP (the `make bench-gate` mode) the comparison instead
 // exits 1 when any benchmark (or custom metric of a benchmark) matching the
@@ -99,7 +101,37 @@ func Parse(r io.Reader) (*File, error) {
 	if len(f.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found")
 	}
+	stripProcsSuffix(f.Benchmarks)
 	return f, nil
+}
+
+// stripProcsSuffix removes the "-N" GOMAXPROCS suffix that go test appends
+// to every benchmark name when GOMAXPROCS > 1 (BenchmarkFrontendExtract-2 →
+// BenchmarkFrontendExtract), so snapshots taken on hosts with different
+// core counts compare by name instead of reading as removed + added. The
+// suffix is dropped only when every name carries the same one: go test adds
+// it uniformly, while a sub-benchmark name that merely ends in digits (with
+// no suffix at GOMAXPROCS 1) does not repeat across the whole run.
+func stripProcsSuffix(bs []Benchmark) {
+	suffix := ""
+	for i, b := range bs {
+		cut := strings.LastIndexByte(b.Name, '-')
+		if cut < 0 {
+			return
+		}
+		n, err := strconv.Atoi(b.Name[cut+1:])
+		if err != nil || n < 2 || b.Name[cut+1:] != strconv.Itoa(n) {
+			return
+		}
+		if i == 0 {
+			suffix = b.Name[cut:]
+		} else if b.Name[cut:] != suffix {
+			return
+		}
+	}
+	for i := range bs {
+		bs[i].Name = strings.TrimSuffix(bs[i].Name, suffix)
+	}
 }
 
 func load(path string) (*File, error) {

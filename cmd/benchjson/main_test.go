@@ -30,7 +30,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("context not captured: %v", f.Context)
 	}
 	full := f.Benchmarks[0]
-	if full.Name != "BenchmarkStreamingExtract/full-4" || full.Iters != 2016 || full.NsPerOp != 572534 {
+	if full.Name != "BenchmarkStreamingExtract/full" || full.Iters != 2016 || full.NsPerOp != 572534 {
 		t.Fatalf("first benchmark misparsed: %+v", full)
 	}
 	if full.Metrics["allocs/op"] != 0 || full.Metrics["B/op"] != 0 {
@@ -180,5 +180,72 @@ func TestCompareGateRemoved(t *testing.T) {
 	regressed := Compare(&sb, oldF, newF, 10, regexp.MustCompile(`BenchmarkHot`))
 	if len(regressed) != 1 || regressed[0] != "BenchmarkHot-4 (removed)" {
 		t.Fatalf("gate regressions = %v, want removed BenchmarkHot-4", regressed)
+	}
+}
+
+// TestParseStripsProcsSuffix: the -N GOMAXPROCS suffix of a multi-core run
+// is dropped when every line carries it, so a suffixed run gates cleanly
+// against an unsuffixed baseline (no gated benchmark reads as removed),
+// while names whose digits are not a uniform suffix are kept verbatim.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	base, err := Parse(strings.NewReader(`BenchmarkFrontendExtract   6436   188473 ns/op
+BenchmarkStreamingExtract/streamer   296454   3850 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := Parse(strings.NewReader(`BenchmarkFrontendExtract-2   9735   190000 ns/op
+BenchmarkStreamingExtract/streamer-2   473443   3900 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"BenchmarkFrontendExtract", "BenchmarkStreamingExtract/streamer"} {
+		if head.Benchmarks[i].Name != want {
+			t.Fatalf("suffixed name %d parsed as %q, want %q", i, head.Benchmarks[i].Name, want)
+		}
+	}
+	var sb strings.Builder
+	gate := regexp.MustCompile(`BenchmarkFrontendExtract|BenchmarkStreamingExtract`)
+	if r := Compare(&sb, base, head, 25, gate); len(r) != 0 {
+		t.Fatalf("suffixed run vs unsuffixed baseline gated: %v\n%s", r, sb.String())
+	}
+	if strings.Contains(sb.String(), "removed") || strings.Contains(sb.String(), "added") {
+		t.Fatalf("names did not pair up:\n%s", sb.String())
+	}
+	// Mixed suffixes (a -cpu sweep) or a lone digit-ending sub-benchmark
+	// name among unsuffixed ones: nothing is stripped.
+	for _, out := range []string{
+		"BenchmarkA-2   10   5 ns/op\nBenchmarkA-4   10   4 ns/op\n",
+		"BenchmarkA   10   5 ns/op\nBenchmarkB/size-512   10   4 ns/op\n",
+	} {
+		f, err := Parse(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(strings.TrimSpace(out), "\n") {
+			if want := strings.Fields(line)[0]; f.Benchmarks[i].Name != want {
+				t.Fatalf("%q renamed to %q", want, f.Benchmarks[i].Name)
+			}
+		}
+	}
+}
+
+// TestParseSuffixedRegressionStillGates: normalising the suffix must not
+// disarm the gate — a suffixed run slower than the unsuffixed baseline
+// beyond -tol still fails it.
+func TestParseSuffixedRegressionStillGates(t *testing.T) {
+	base, err := Parse(strings.NewReader("BenchmarkFrontendExtract   6436   100000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := Parse(strings.NewReader("BenchmarkFrontendExtract-2   6436   130000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	r := Compare(&sb, base, head, 25, regexp.MustCompile(`BenchmarkFrontendExtract`))
+	if len(r) != 1 || r[0] != "BenchmarkFrontendExtract" {
+		t.Fatalf("+30%% at tol=25 gated as %v, want [BenchmarkFrontendExtract]:\n%s", r, sb.String())
 	}
 }

@@ -79,23 +79,29 @@
 // # Real-input FFT frontend
 //
 // The fingerprint frontend (internal/dsp) feeds real audio frames, so its
-// spectrum comes from rfftFixed: the FFTSize real samples are packed as an
-// FFTSize/2-point complex FFT (even samples real, odd imaginary) and the
-// half-spectra are unzipped in a split post-pass — about half the
+// spectrum comes from a real-input FFT: the FFTSize real samples are packed
+// as an FFTSize/2-point complex FFT (even samples real, odd imaginary) and
+// the half-spectra are unzipped in a split post-pass — about half the
 // butterflies and twiddle loads per frame of the full complex transform,
-// with the same 1/FFTSize output scaling. The per-frontend tables pin both
-// twiddle sets and the precomputed bit-reversal permutations. The hot path
-// fuses the post-pass: rfftPowerFixed squares each spectrum bin while it is
-// still in registers (bit-identical to squaring rfftFixed's output), and
-// log compression runs on an integer threshold table built from the float
-// reference itself, so logCompressFixed equals logCompress on every input —
-// the fused pipeline is byte-exact with the unfused one
-// (TestFrontendFusedEquivalence). Feature bytes match the old full-size-FFT
-// path within one least-significant step: the split post-pass rounds where
-// the discarded butterfly stage truncated. FFTFixed and FFTFloat remain as
-// reference transforms with error-bound tests, and Frontend.Cycles models
-// the halved butterfly count plus the post-pass
-// (hw.CyclesPerRFFTPostBin).
+// with the same 1/FFTSize output scaling. Each frame runs as one fused
+// kernel (Frontend.frameInto): the Hann window multiply happens inside the
+// bit-reversed gather, which also runs the first two butterfly stages (the
+// exact twiddles 1 and -i) in registers; the remaining stages run in
+// radix-2² pairs over interleaved {Re, Im} values with one rounding shift
+// per twiddle product; the unzip squares each bin while it is in registers;
+// and log compression is a (bit length, next 3 bits) bucket lookup plus at
+// most two integer threshold steps, from a table built against the float
+// reference itself. The fused kernel is byte-exact with the unfused
+// pipeline — rfftFixed, integer averaging, float logCompress
+// (TestFrontendFusedEquivalence, TestFrontendFFTSizeSweep over every FFT
+// size from 2 to 1024, FuzzFrontendFrame) — and ExtractInto and
+// dsp.Streamer share it, so streamed fingerprints stay exact too. Feature
+// bytes match the old full-size-FFT path within one least-significant
+// step: the split post-pass rounds where the discarded butterfly stage
+// truncated. FFTFixed, RFFTFixed and FFTFloat remain as reference
+// transforms with error-bound tests, and Frontend.Cycles models the halved
+// butterfly count plus the post-pass (hw.CyclesPerRFFTPostBin) — the
+// fusion changes host wall time only, never simulated cycles.
 //
 // # Streaming serving
 //

@@ -7,11 +7,12 @@
 //
 // The package provides a fixed-point radix-2 FFT (the kind that runs on
 // microcontrollers without an FPU), a real-input variant that packs the
-// samples into a half-size complex FFT plus a split post-pass (the hot-path
-// kernel — the audio frames are real, so half the butterflies of a full
-// complex transform are wasted on a zero imaginary part), a float64
-// reference FFT used to bound their error in tests, and the fingerprint
-// extractor.
+// samples into a half-size complex FFT plus a split post-pass (the audio
+// frames are real, so half the butterflies of a full complex transform are
+// wasted on a zero imaginary part), a float64 reference FFT used to bound
+// their error in tests, and the fingerprint extractor, whose per-frame hot
+// path runs the real-input transform as one fused kernel bit-identical to
+// the unfused one.
 package dsp
 
 import (
@@ -309,32 +310,143 @@ func rfftFixed(re, im []int32, half, full *twiddles) {
 	}
 }
 
-// rfftPowerFixed is rfftFixed fused with the spectral power computation:
-// instead of writing spectrum bins back into re/im, it writes pow[k] =
-// Re(X[k])² + Im(X[k])² for every bin, squaring each unzipped value while it
-// is still in registers. The arithmetic producing each Re/Im is kept in
-// lockstep with rfftFixed term for term (TestRFFTPowerMatchesRFFT pins
-// this), so the powers are bit-identical to squaring rfftFixed's output —
-// the fusion only skips the spectrum store and re-load. re/im are left
-// holding the packed half-size FFT (scratch, not a spectrum).
-func rfftPowerFixed(re, im []int32, half, full *twiddles, pow []uint64) {
-	m := len(re)
-	if m == 0 || len(im) != m || len(pow) < m || len(full.cos) < m || len(full.sin) < m {
-		panic("dsp: rfftPowerFixed operand lengths")
+// The frontend's fused per-frame kernel (Frontend.frameInto) runs the packed
+// real FFT on interleaved complex values — z[k] = {Re, Im} — so a butterfly
+// loads each operand through one index into one array instead of two
+// parallel arrays, and a radix-2² block keeps four operands and three
+// twiddles live in registers. Every value it produces is bit-identical to the split-array
+// path above (fftFixed + rfftFixed): the same Q15 products, the same
+// rounding, in the same per-value order (TestFrontendFusedEquivalence,
+// FuzzFrontendFrame).
+//
+// Rounding identity: the reference butterfly rounds the twiddle product to
+// Q15, converts it to int32 and then applies the stage's 1/2 scaling,
+// int32((x+16384)>>15)>>1. For frontend frames the int32 conversion is
+// lossless — windowed samples are below 2^14 per component and every
+// stage keeps the complex magnitude within that bound plus rounding, so
+// x>>15 stays below 2^16 — and floor(floor(x/2^15)/2) = floor(x/2^16), so
+// the fused butterflies compute the same value with a single
+// (x+16384)>>16.
+
+// fftStagePairs runs the generic butterfly stages (size 8 and up) of the
+// packed complex FFT over z, which already holds the output of stages 1 and
+// 2 (gatherFrame). stages[s] are the interleaved twiddles of stage s, half
+// size 4<<s. Consecutive stages are fused in pairs as radix-2² register
+// blocks: block quarters a, b, c, d see stage s on (a, b) and (c, d) with
+// twiddle t1[k], then stage s+1 on (a, c) with t2[k] and on (b, d) with
+// t2[h+k] — the same butterflies the two separate sweeps would run, each
+// value passing through memory once instead of twice. An odd stage count
+// ends with one plain radix-2 sweep. Every block bound derives from slice
+// lengths, so the function carries no bounds checks (make bce-check).
+func fftStagePairs(z [][2]int32, stages [][][2]int32) {
+	for ; len(stages) >= 2; stages = stages[2:] {
+		t1, t2 := stages[0], stages[1]
+		h := len(t1)
+		if h == 0 || len(t2) < h {
+			panic("dsp: fftStagePairs twiddle tables")
+		}
+		t2lo, t2hi := t2[:h], t2[h:]
+		if len(t2hi) < h {
+			panic("dsp: fftStagePairs twiddle tables")
+		}
+		t2hi = t2hi[:h]
+		for blk := z; len(blk) >= h; {
+			a := blk[:h]
+			blk = blk[h:]
+			if len(blk) < h {
+				break
+			}
+			b := blk[:h]
+			blk = blk[h:]
+			if len(blk) < h {
+				break
+			}
+			c := blk[:h]
+			blk = blk[h:]
+			if len(blk) < h {
+				break
+			}
+			d := blk[:h]
+			blk = blk[h:]
+			for k := 0; k < h; k++ {
+				ar, ai := int64(a[k][0]), int64(a[k][1])
+				br, bi := int64(b[k][0]), int64(b[k][1])
+				cr, ci := int64(c[k][0]), int64(c[k][1])
+				dr, di := int64(d[k][0]), int64(d[k][1])
+				// Stage s: (a, b) and (c, d), both with twiddle t1[k].
+				wr, wi := int64(t1[k][0]), int64(t1[k][1])
+				tr := (wr*br - wi*bi + 16384) >> 16
+				ti := (wr*bi + wi*br + 16384) >> 16
+				ar, ai = ar>>1, ai>>1
+				ar, ai, br, bi = ar+tr, ai+ti, ar-tr, ai-ti
+				tr = (wr*dr - wi*di + 16384) >> 16
+				ti = (wr*di + wi*dr + 16384) >> 16
+				cr, ci = cr>>1, ci>>1
+				cr, ci, dr, di = cr+tr, ci+ti, cr-tr, ci-ti
+				// Stage s+1: (a, c) with t2[k], (b, d) with t2[h+k].
+				wr, wi = int64(t2lo[k][0]), int64(t2lo[k][1])
+				tr = (wr*cr - wi*ci + 16384) >> 16
+				ti = (wr*ci + wi*cr + 16384) >> 16
+				ar, ai = ar>>1, ai>>1
+				a[k] = [2]int32{int32(ar + tr), int32(ai + ti)}
+				c[k] = [2]int32{int32(ar - tr), int32(ai - ti)}
+				wr, wi = int64(t2hi[k][0]), int64(t2hi[k][1])
+				tr = (wr*dr - wi*di + 16384) >> 16
+				ti = (wr*di + wi*dr + 16384) >> 16
+				br, bi = br>>1, bi>>1
+				b[k] = [2]int32{int32(br + tr), int32(bi + ti)}
+				d[k] = [2]int32{int32(br - tr), int32(bi - ti)}
+			}
+		}
 	}
-	im = im[:m]
-	pow = pow[:m]
-	cos, sin := full.cos[:m], full.sin[:m]
-	fftFixed(re, im, half)
+	if len(stages) == 1 {
+		t := stages[0]
+		h := len(t)
+		for blk := z; h > 0 && len(blk) >= h; {
+			a := blk[:h]
+			blk = blk[h:]
+			if len(blk) < h {
+				break
+			}
+			b := blk[:h]
+			blk = blk[h:]
+			for k := 0; k < h; k++ {
+				ar, ai := int64(a[k][0]), int64(a[k][1])
+				br, bi := int64(b[k][0]), int64(b[k][1])
+				wr, wi := int64(t[k][0]), int64(t[k][1])
+				tr := (wr*br - wi*bi + 16384) >> 16
+				ti := (wr*bi + wi*br + 16384) >> 16
+				ar, ai = ar>>1, ai>>1
+				a[k] = [2]int32{int32(ar + tr), int32(ai + ti)}
+				b[k] = [2]int32{int32(ar - tr), int32(ai - ti)}
+			}
+		}
+	}
+}
+
+// unzipPower is the real-FFT split post-pass of rfftFixed fused with the
+// spectral power: for the packed m-point transform z (m = len(pow)) it
+// writes pow[k] = Re(X[k])² + Im(X[k])² for bins 0..m-1 of the length-2m
+// real transform, squaring each unzipped value while it is in registers.
+// post[k] is the interleaved Q15 twiddle W_{2m}^k. The arithmetic producing
+// each Re/Im is rfftFixed's term for term (TestRFFTPowerMatchesRFFT), so the
+// powers are bit-identical to squaring its spectrum. The dual k/j induction
+// with the explicit j < m bound keeps the loop check-free (make bce-check).
+func unzipPower(z, post [][2]int32, pow []uint64) {
+	m := len(pow)
+	if m == 0 || len(z) < m || len(post) < m {
+		panic("dsp: unzipPower operand lengths")
+	}
+	z, post = z[:m], post[:m]
 	const rnd = 1 << 16
 	for k, j := 1, m-1; k < j && j < m; k, j = k+1, j-1 {
-		zrk, zik := int64(re[k]), int64(im[k])
-		zrj, zij := int64(re[j]), int64(im[j])
+		zrk, zik := int64(z[k][0]), int64(z[k][1])
+		zrj, zij := int64(z[j][0]), int64(z[j][1])
 		er2 := zrk + zrj
 		ei2 := zik - zij
 		or2 := zik + zij
 		oi2 := zrj - zrk
-		cw, sw := int64(cos[k]), int64(sin[k])
+		cw, sw := int64(post[k][0]), int64(post[k][1])
 		p1 := cw*or2 - sw*oi2
 		p2 := cw*oi2 + sw*or2
 		xr := int64(int32((er2<<15 + p1 + rnd) >> 17))
@@ -344,12 +456,11 @@ func rfftPowerFixed(re, im []int32, half, full *twiddles, pow []uint64) {
 		pow[k] = uint64(xr*xr + xi*xi)
 		pow[j] = uint64(yr*yr + yi*yi)
 	}
-	zr0, zi0 := int64(re[0]), int64(im[0])
-	x0 := int64(int32((zr0 + zi0 + 1) >> 1))
+	x0 := int64(int32((int64(z[0][0]) + int64(z[0][1]) + 1) >> 1))
 	pow[0] = uint64(x0 * x0)
 	if h := m / 2; h > 0 && h < m {
-		xr := int64(int32((int64(re[h]) + 1) >> 1))
-		xi := int64(int32((-int64(im[h]) + 1) >> 1))
+		xr := int64(int32((int64(z[h][0]) + 1) >> 1))
+		xi := int64(int32((-int64(z[h][1]) + 1) >> 1))
 		pow[h] = uint64(xr*xr + xi*xi)
 	}
 }

@@ -69,26 +69,38 @@ func (c FrontendConfig) validate() error {
 // Frontend extracts uint8 spectrogram fingerprints from PCM16 audio with
 // fixed-point arithmetic throughout, as a microcontroller build would. All
 // per-utterance state is preallocated at construction: the Q15 Hann window,
-// the FFT scratch, the twiddle tables (with bit-reversal permutations) for
-// the configured FFT size, and the feature bin sub-ranges of the
-// log-compression stage. ExtractInto is therefore allocation-free; a
-// frontend is cheap to keep per worker.
+// the FFT scratch, the twiddle and bit-reversal tables for the configured
+// FFT size, and the feature bin sub-ranges of the log-compression stage.
+// ExtractInto is therefore allocation-free; a frontend is cheap to keep per
+// worker.
 //
-// The spectrum comes from the real-input FFT (rfftFixed): the FFTSize real
-// samples run through an FFTSize/2-point complex FFT plus a split
-// post-pass, halving the butterfly and twiddle-load count per frame versus
-// the full complex transform the frontend originally used. The output
-// scale (1/FFTSize) is unchanged, so feature values match the old path
-// within the fixed-point rounding tolerance (the split post-pass rounds
-// where the discarded butterfly stage truncated — individual fingerprint
-// bytes may differ by a least-significant step, never more).
+// The spectrum comes from the real-input FFT: the FFTSize real samples run
+// through an FFTSize/2-point complex FFT plus a split post-pass, halving
+// the butterfly and twiddle-load count per frame versus the full complex
+// transform the frontend originally used. The output scale (1/FFTSize) is
+// unchanged, so feature values match the old path within the fixed-point
+// rounding tolerance (the split post-pass rounds where the discarded
+// butterfly stage truncated — individual fingerprint bytes may differ by a
+// least-significant step, never more). frameInto runs the whole chain as
+// one fused kernel whose output is byte-identical to the unfused pipeline
+// (rfftFixed, integer averaging, float logCompress).
 type Frontend struct {
-	cfg    FrontendConfig
-	window []int32  // Q15 Hann window
-	re, im []int32  // packed even/odd scratch, FFTSize/2 each
-	pow    []uint64 // fused per-bin spectral powers, FFTSize/2
-	twHalf *twiddles
-	twFull *twiddles
+	cfg FrontendConfig
+	// window is the Q15 Hann window zero-padded to FFTSize, so the gather
+	// can multiply every sample slot of the frame without a length test.
+	window []int32
+	// frame is the zeroed FFTSize staging buffer for frames that run past
+	// the end of the input; only its first WindowSamples are ever written.
+	frame []int16
+	z     [][2]int32 // packed complex FFT scratch, FFTSize/2 {Re, Im}
+	pow   []uint64   // fused per-bin spectral powers, FFTSize/2
+	// base[q] is the sample offset of the first input of gather block q:
+	// twice the bit-reversed block index (see gatherFrame).
+	base []int32
+	// stages are the interleaved twiddles of the generic butterfly stages
+	// (size 8 up to FFTSize/2); post holds W_FFTSize^k for the unzip.
+	stages [][][2]int32
+	post   [][2]int32
 	// binLo/binHi are the precomputed [lo, hi) spectrum sub-range of each
 	// feature (the final feature may cover fewer than AvgWidth bins).
 	binLo, binHi []int
@@ -101,21 +113,40 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		return nil, err
 	}
 	features := cfg.NumFeatures()
+	m := cfg.FFTSize / 2
+	half, full := twiddlesFor(m), twiddlesFor(cfg.FFTSize)
 	f := &Frontend{
 		cfg:    cfg,
-		window: make([]int32, cfg.WindowSamples),
-		re:     make([]int32, cfg.FFTSize/2),
-		im:     make([]int32, cfg.FFTSize/2),
-		pow:    make([]uint64, cfg.FFTSize/2),
-		twHalf: twiddlesFor(cfg.FFTSize / 2),
-		twFull: twiddlesFor(cfg.FFTSize),
+		window: make([]int32, cfg.FFTSize),
+		frame:  make([]int16, cfg.FFTSize),
+		z:      make([][2]int32, m),
+		pow:    make([]uint64, m),
+		base:   make([]int32, m/4),
+		post:   make([][2]int32, m),
 		binLo:  make([]int, features),
 		binHi:  make([]int, features),
 	}
-	for i := range f.window {
-		// Hann window in Q15.
-		w := 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(cfg.WindowSamples-1))
+	for i := range cfg.WindowSamples {
+		// Hann window in Q15; a one-sample window is its peak (the
+		// formula would divide by zero).
+		w := 1.0
+		if cfg.WindowSamples > 1 {
+			w = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(cfg.WindowSamples-1))
+		}
 		f.window[i] = int32(math.Round(w * 32767))
+	}
+	for q := range f.base {
+		f.base[q] = 2 * half.perm[4*q]
+	}
+	for s := range half.stageCos {
+		tw := make([][2]int32, len(half.stageCos[s]))
+		for k := range tw {
+			tw[k] = [2]int32{half.stageCos[s][k], half.stageSin[s][k]}
+		}
+		f.stages = append(f.stages, tw)
+	}
+	for k := range f.post {
+		f.post[k] = [2]int32{full.cos[k], full.sin[k]}
 	}
 	for feat := 0; feat < features; feat++ {
 		lo := feat * cfg.AvgWidth
@@ -160,44 +191,32 @@ func (f *Frontend) ExtractInto(dst []uint8, samples []int16) []uint8 {
 // beyond len(samples) are treated as zeros (the utterance-tail padding).
 // This is the shared per-frame kernel of ExtractInto and Streamer.Push, so
 // streamed fingerprints are bit-exact against full recomputation.
+//
+// The kernel is fused end to end: the window multiply happens inside the
+// bit-reversed gather, which also runs the first two butterfly stages in
+// registers (gatherFrame); the remaining stages run as radix-2² pairs
+// (fftStagePairs); the real-FFT unzip squares each bin while it is in
+// registers (unzipPower); and log compression is an integer table lookup
+// (logCompressFixed). The result is byte-identical to the unfused pipeline
+// — window pack, rfftFixed, integer averaging, float logCompress
+// (TestFrontendFusedEquivalence, FuzzFrontendFrame).
 func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
-	cfg := f.cfg
-	// Windowed frame in Q15, packed straight into the real-FFT layout:
-	// even samples into the real scratch, odd samples into the imaginary
-	// scratch, each at half its sample index. The window multiply covers
-	// the samples actually present; the packed tails (zero padding up to
-	// FFTSize) are cleared with branch-free memclr loops.
-	n := cfg.WindowSamples
-	if rem := len(samples) - start; rem < n {
-		n = rem
+	frame := f.frame
+	if n := len(frame); start <= len(samples)-n {
+		frame = samples[start : start+n]
+	} else {
+		// The frame runs past the end of the input: stage what is there
+		// through the zeroed scratch. The padded window is zero beyond
+		// WindowSamples, so only that span is ever written or cleared.
+		c := 0
+		if start < len(samples) {
+			c = copy(frame[:f.cfg.WindowSamples], samples[start:])
+		}
+		clear(frame[c:f.cfg.WindowSamples])
 	}
-	if n < 0 {
-		n = 0
-	}
-	for i := 0; i+1 < n; i += 2 {
-		f.re[i>>1] = int32((int64(samples[start+i]) * int64(f.window[i]) / 2) >> 15)
-		f.im[i>>1] = int32((int64(samples[start+i+1]) * int64(f.window[i+1]) / 2) >> 15)
-	}
-	if n&1 == 1 {
-		f.re[n>>1] = int32((int64(samples[start+n-1]) * int64(f.window[n-1]) / 2) >> 15)
-		f.im[n>>1] = 0
-	}
-	half := (n + 1) / 2
-	for i := range f.re[half:] {
-		f.re[half+i] = 0
-	}
-	half = n / 2
-	for i := range f.im[half:] {
-		f.im[half+i] = 0
-	}
-	// Fused post-pass: the real-FFT unzip squares each spectrum bin while
-	// it is in registers (rfftPowerFixed), so the bin-averaging loop below
-	// reads one power array instead of re-loading two spectrum arrays, and
-	// log compression runs on the integer threshold LUT — no float math on
-	// the hot path. Both halves are bit-exact with the unfused pipeline
-	// (TestFrontendFusedEquivalence): the powers are the same squares, and
-	// logCompressFixed equals logCompress on every uint64 by construction.
-	rfftPowerFixed(f.re, f.im, f.twHalf, f.twFull, f.pow)
+	gatherFrame(f.z, frame, f.window, f.base)
+	fftStagePairs(f.z, f.stages)
+	unzipPower(f.z, f.post, f.pow)
 	pw := f.pow
 	for feat := range f.binLo {
 		lo, hi := f.binLo[feat], f.binHi[feat]
@@ -210,6 +229,60 @@ func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 		}
 		avg := acc / uint64(hi-lo)
 		dst[feat] = logCompressFixed(avg)
+	}
+}
+
+// gatherFrame loads one FFTSize-sample frame into the packed complex FFT
+// scratch z (len FFTSize/2) in bit-reversed order, multiplying each sample
+// by the zero-padded Q15 window on the way in, and runs butterfly stages 1
+// and 2 — whose twiddles are the exact 1 and -i — in registers before the
+// single store. Sample 2j is Re and 2j+1 is Im of packed point j, with the
+// reference pack's rounding, int32(s·w/2)>>15 (the product fits in int32).
+//
+// With m = len(z), the four outputs 4q..4q+3 of block q are packed points
+// B, B+m/2, B+m/4 and B+3m/4 (B the (log2 m - 2)-bit reversal of q), so
+// their samples sit at one offset base[q] = 2B within each quarter of the
+// frame. Indices are masked with len(frame)-1 (a no-op on in-range values)
+// so the data-dependent loads carry no bounds checks (make bce-check).
+func gatherFrame(z [][2]int32, frame []int16, win []int32, base []int32) {
+	if len(win) < len(frame) || len(frame) < 2 {
+		panic("dsp: gatherFrame operand lengths")
+	}
+	win = win[:len(frame)]
+	mask := len(frame) - 1
+	if len(z) < 4 {
+		// FFTSize 2 and 4: the bit reversal is the identity, and FFTSize 4
+		// has the single stage-1 butterfly.
+		for p := range z {
+			i, j := (2*p)&mask, (2*p+1)&mask
+			z[p] = [2]int32{(int32(frame[i]) * win[i] / 2) >> 15, (int32(frame[j]) * win[j] / 2) >> 15}
+		}
+		if len(z) == 2 {
+			ar, ai := z[0][0]>>1, z[0][1]>>1
+			br, bi := z[1][0]>>1, z[1][1]>>1
+			z[0] = [2]int32{ar + br, ai + bi}
+			z[1] = [2]int32{ar - br, ai - bi}
+		}
+		return
+	}
+	qn := len(frame) / 4
+	for q, zz := 0, z; q < len(base) && len(zz) >= 4; q, zz = q+1, zz[4:] {
+		b := int(base[q])
+		i0, i1, i2, i3 := b&mask, (b+2*qn)&mask, (b+qn)&mask, (b+3*qn)&mask
+		j0, j1, j2, j3 := (i0+1)&mask, (i1+1)&mask, (i2+1)&mask, (i3+1)&mask
+		// Windowed inputs, pre-halved for stage 1.
+		r0, m0 := ((int32(frame[i0])*win[i0]/2)>>15)>>1, ((int32(frame[j0])*win[j0]/2)>>15)>>1
+		r1, m1 := ((int32(frame[i1])*win[i1]/2)>>15)>>1, ((int32(frame[j1])*win[j1]/2)>>15)>>1
+		r2, m2 := ((int32(frame[i2])*win[i2]/2)>>15)>>1, ((int32(frame[j2])*win[j2]/2)>>15)>>1
+		r3, m3 := ((int32(frame[i3])*win[i3]/2)>>15)>>1, ((int32(frame[j3])*win[j3]/2)>>15)>>1
+		// Stage 1 (W = 1) on (0, 1) and (2, 3), halved again for stage 2.
+		ar, ai, br, bi := (r0+r1)>>1, (m0+m1)>>1, (r0-r1)>>1, (m0-m1)>>1
+		cr, ci, dr, di := (r2+r3)>>1, (m2+m3)>>1, (r2-r3)>>1, (m2-m3)>>1
+		// Stage 2: W = 1 on (0, 2); W = -i on (1, 3) rotates d to (di, -dr).
+		zz[0] = [2]int32{ar + cr, ai + ci}
+		zz[1] = [2]int32{br + di, bi - dr}
+		zz[2] = [2]int32{ar - cr, ai - ci}
+		zz[3] = [2]int32{br - di, bi + dr}
 	}
 }
 
@@ -250,27 +323,47 @@ var logThresholds = func() *[256]uint64 {
 	return &t
 }()
 
-// logCompressFixed is logCompress as an integer threshold lookup: the bit
-// length of p brackets 8·log2(1+p) to within a few steps, and a short walk
-// over logThresholds lands on the exact byte. No floating point, ≤ 9
-// comparisons, bit-identical to the reference on every uint64.
+// logStart[key] is logCompressFixed of the smallest power in bucket key —
+// the number of logThresholds at or below it. The key of p is its
+// (bit length, next 3 bits) bucket: values below 16 are their own bucket;
+// above, s = bits.Len64(p)-4 and the key is 8·s + p>>s, where
+// p>>s ∈ [8, 16) carries the leading one and the three bits after it.
+// Keys are < 496.
+var logStart = func() *[512]uint8 {
+	var t [512]uint8
+	for key := range 496 {
+		lo := uint64(key)
+		if key >= 16 {
+			s := key>>3 - 1
+			lo = uint64(key-8*s) << uint(s)
+		}
+		v := 0
+		for v < 255 && logThresholds[v] <= lo {
+			v++
+		}
+		t[key] = uint8(v)
+	}
+	return &t
+}()
+
+// logCompressFixed is logCompress as an integer threshold lookup: the
+// (bit length, next 3 bits) bucket of p gives the byte of the bucket's
+// smallest power, and a walk over logThresholds lands on the exact byte.
+// A bucket spans at most a factor 9/8 in 1+p, i.e. 8·log2(9/8) < 2 output
+// steps, so the walk is two branch-free threshold comparisons (the borrow
+// of p - threshold is 0 exactly when p has reached it). No floating point,
+// bit-identical to the reference on every uint64
+// (TestLogCompressFixedMatches). The masked and uint8 indices make every
+// table access in-bounds by type, so no bounds checks (make bce-check).
 func logCompressFixed(p uint64) uint8 {
-	v := 8 * (bits.Len64(p) - 1)
-	if v < 0 {
-		v = 0
-	} else if v > 255 {
-		v = 255
-	}
-	// The uint8 index casts are provably lossless (v is bracket-clamped to
-	// [0,255]) and make every table access in-bounds by type alone, so the
-	// walk carries no bounds checks (make bce-check).
-	for v > 0 && p < logThresholds[uint8(v-1)] {
-		v--
-	}
-	for v < 255 && p >= logThresholds[uint8(v)] {
-		v++
-	}
-	return uint8(v)
+	s := max(bits.Len64(p)-4, 0)
+	v := uint(logStart[(s<<3+int(p>>uint(s)))&511])
+	_, b := bits.Sub64(p, logThresholds[uint8(v)], 0)
+	v += 1 - uint(b)
+	_, b = bits.Sub64(p, logThresholds[uint8(v)], 0)
+	v += 1 - uint(b)
+	// Only p = MaxUint64 reaches the 255 sentinel threshold and steps past.
+	return uint8(min(v, 255))
 }
 
 // Cycles returns the cost of one full fingerprint extraction on a simulated

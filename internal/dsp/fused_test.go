@@ -1,19 +1,25 @@
 package dsp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestRFFTPowerMatchesRFFT: the fused power post-pass must be bit-identical
-// to running rfftFixed and squaring its spectrum — the fusion only skips the
-// spectrum store/re-load, never the arithmetic. Randomized Q15-range inputs
-// over every packed size the frontend could configure.
+// TestRFFTPowerMatchesRFFT: the fused power post-pass (unzipPower) must be
+// bit-identical to running rfftFixed and squaring its spectrum — the fusion
+// only skips the spectrum store/re-load, never the arithmetic. Randomized
+// Q15-range inputs over every packed size the frontend could configure.
 func TestRFFTPowerMatchesRFFT(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
-	for _, m := range []int{2, 4, 8, 16, 64, 256, 512} {
+	for _, m := range []int{1, 2, 4, 8, 16, 64, 256, 512} {
 		half, full := twiddlesFor(m), twiddlesFor(2*m)
+		post := make([][2]int32, m)
+		for k := range post {
+			post[k] = [2]int32{full.cos[k], full.sin[k]}
+		}
 		for trial := 0; trial < 20; trial++ {
 			re := make([]int32, m)
 			im := make([]int32, m)
@@ -24,8 +30,13 @@ func TestRFFTPowerMatchesRFFT(t *testing.T) {
 			re2 := append([]int32(nil), re...)
 			im2 := append([]int32(nil), im...)
 			rfftFixed(re2, im2, half, full)
+			fftFixed(re, im, half)
+			z := make([][2]int32, m)
+			for k := range z {
+				z[k] = [2]int32{re[k], im[k]}
+			}
 			pow := make([]uint64, m)
-			rfftPowerFixed(re, im, half, full, pow)
+			unzipPower(z, post, pow)
 			for k := 0; k < m; k++ {
 				xr, xi := int64(re2[k]), int64(im2[k])
 				want := uint64(xr*xr + xi*xi)
@@ -38,9 +49,11 @@ func TestRFFTPowerMatchesRFFT(t *testing.T) {
 	}
 }
 
-// TestLogCompressFixedMatches: the integer threshold walk must equal the
+// TestLogCompressFixedMatches: the bucketed threshold lookup must equal the
 // float reference on every input class — randomized values across all
-// magnitudes, every threshold boundary ±1, and the extremes.
+// magnitudes, every threshold boundary ±1, every (bit length, next 3 bits)
+// bucket boundary ±1 (the last value of a bucket is where its two-step walk
+// is longest), and the extremes.
 func TestLogCompressFixedMatches(t *testing.T) {
 	check := func(p uint64) {
 		t.Helper()
@@ -48,17 +61,30 @@ func TestLogCompressFixedMatches(t *testing.T) {
 			t.Fatalf("logCompressFixed(%d) = %d, want %d", p, got, want)
 		}
 	}
+	around := func(p uint64) {
+		t.Helper()
+		if p > 0 {
+			check(p - 1)
+		}
+		check(p)
+		if p < math.MaxUint64 {
+			check(p + 1)
+		}
+	}
 	check(0)
 	check(1)
 	check(math.MaxUint64)
 	for v := 0; v < 256; v++ {
-		th := logThresholds[v]
-		if th > 0 {
-			check(th - 1)
-		}
-		check(th)
-		if th < math.MaxUint64 {
-			check(th + 1)
+		around(logThresholds[v])
+	}
+	// Bucket starts: every value below 16 is its own bucket; above, the
+	// buckets start at top<<s for the 4-bit prefixes top = 8..15.
+	for p := uint64(0); p < 16; p++ {
+		around(p)
+	}
+	for s := 1; s <= 60; s++ {
+		for top := uint64(8); top < 16; top++ {
+			around(top << s)
 		}
 	}
 	r := rand.New(rand.NewSource(72))
@@ -69,7 +95,7 @@ func TestLogCompressFixedMatches(t *testing.T) {
 
 // unfusedFrame recomputes one analysis frame the pre-fusion way — window
 // pack, rfftFixed spectrum, square/average in integers, float logCompress —
-// as the reference for TestFrontendFusedEquivalence.
+// as the reference for the fused frame kernel.
 func unfusedFrame(f *Frontend, dst []uint8, samples []int16, start int) {
 	cfg := f.cfg
 	re := make([]int32, cfg.FFTSize/2)
@@ -89,7 +115,7 @@ func unfusedFrame(f *Frontend, dst []uint8, samples []int16, start int) {
 			im[i>>1] = w
 		}
 	}
-	rfftFixed(re, im, f.twHalf, f.twFull)
+	rfftFixed(re, im, twiddlesFor(cfg.FFTSize/2), twiddlesFor(cfg.FFTSize))
 	for feat := range f.binLo {
 		lo, hi := f.binLo[feat], f.binHi[feat]
 		var acc uint64
@@ -101,10 +127,10 @@ func unfusedFrame(f *Frontend, dst []uint8, samples []int16, start int) {
 	}
 }
 
-// TestFrontendFusedEquivalence: the fused frontend hot path (rfftPowerFixed
-// + logCompressFixed) must produce byte-identical fingerprints to the
-// unfused pipeline it replaced, across randomized utterances including
-// short (zero-padded) and empty input.
+// TestFrontendFusedEquivalence: the fused frame kernel (gatherFrame,
+// fftStagePairs, unzipPower, logCompressFixed) must produce byte-identical
+// fingerprints to the unfused pipeline, across randomized utterances
+// including short (zero-padded) and empty input.
 func TestFrontendFusedEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	f, err := NewFrontend(DefaultFrontend())
@@ -132,4 +158,95 @@ func TestFrontendFusedEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sweepConfigs are frontend geometries over every FFT size from 2 to 1024,
+// each with an odd window below the FFT size and one equal to it: packed
+// FFTs of 1 and 2 points (no generic stage), and odd and even counts of
+// generic stages for the radix-2² pairing.
+func sweepConfigs() []FrontendConfig {
+	var cfgs []FrontendConfig
+	for n := 2; n <= 1024; n *= 2 {
+		for _, win := range []int{n - 1, n} {
+			cfgs = append(cfgs, FrontendConfig{
+				SampleRate:    16000,
+				WindowSamples: win,
+				StrideSamples: max(1, 2*win/3),
+				FFTSize:       n,
+				NumBins:       n / 2,
+				AvgWidth:      3,
+				NumFrames:     4,
+			})
+		}
+	}
+	return cfgs
+}
+
+// TestFrontendFFTSizeSweep: for every sweep geometry, ExtractInto must be
+// byte-identical to the unfused reference frame by frame on full-length,
+// zero-padded short and over-long input. (TestStreamerMatchesFullRecompute
+// runs the sweep geometries through the Streamer.)
+func TestFrontendFFTSizeSweep(t *testing.T) {
+	r := rand.New(rand.NewSource(74))
+	for _, cfg := range sweepConfigs() {
+		f, err := NewFrontend(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		features := cfg.NumFeatures()
+		utt := cfg.UtteranceSamples()
+		want := make([]uint8, features)
+		for _, n := range []int{utt, utt / 3, utt + cfg.FFTSize + 5} {
+			samples := randUtterance(r, n)
+			got := f.Extract(samples)
+			for frame := 0; frame < cfg.NumFrames; frame++ {
+				unfusedFrame(f, want, samples, frame*cfg.StrideSamples)
+				if !bytes.Equal(got[frame*features:(frame+1)*features], want) {
+					t.Fatalf("FFT %d window %d len %d frame %d: fused %v != unfused %v",
+						cfg.FFTSize, cfg.WindowSamples, n, frame, got[frame*features:(frame+1)*features], want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzFrontendFrame checks the fused frame kernel against the unfused
+// reference (unfusedFrame: rfftFixed, integer averaging, float logCompress)
+// on arbitrary PCM16 input (little-endian byte pairs, a trailing odd byte
+// ignored), at any start offset — including frames that run past the end
+// of the input — on the paper geometry and two sweep geometries with odd
+// and even generic stage counts. The checked-in corpus holds all-±32768,
+// silence, a single impulse, and odd-length inputs shorter than one window.
+func FuzzFrontendFrame(f *testing.F) {
+	geoms := []FrontendConfig{DefaultFrontend()}
+	for _, cfg := range sweepConfigs() {
+		if cfg.FFTSize == 64 && cfg.WindowSamples < 64 || cfg.FFTSize == 128 && cfg.WindowSamples == 128 {
+			geoms = append(geoms, cfg)
+		}
+	}
+	fes := make([]*Frontend, len(geoms))
+	for i, cfg := range geoms {
+		fe, err := NewFrontend(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		fes[i] = fe
+	}
+	f.Fuzz(func(t *testing.T, data []byte, start uint16, geom uint8) {
+		fe := fes[int(geom)%len(fes)]
+		samples := make([]int16, len(data)/2)
+		for i := range samples {
+			samples[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
+		}
+		// Offsets up to one FFT past the end cover every staging case.
+		off := int(start) % (len(samples) + fe.cfg.FFTSize + 1)
+		got := make([]uint8, fe.cfg.NumFeatures())
+		want := make([]uint8, fe.cfg.NumFeatures())
+		fe.frameInto(got, samples, off)
+		unfusedFrame(fe, want, samples, off)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("geometry %d, %d samples, start %d: fused %v != unfused %v",
+				int(geom)%len(fes), len(samples), off, got, want)
+		}
+	})
 }

@@ -7,14 +7,15 @@ import (
 )
 
 // streamerConfigs are the geometries the randomized equivalence test
-// exercises: the paper frontend, a small overlapping window, and a gapped
-// geometry (stride > window) that exercises the inter-window skip path.
+// exercises: the paper frontend, a small overlapping window, a gapped
+// geometry (stride > window) that exercises the inter-window skip path, and
+// the FFT-size sweep of TestFrontendFFTSizeSweep.
 func streamerConfigs() []FrontendConfig {
-	return []FrontendConfig{
+	return append([]FrontendConfig{
 		DefaultFrontend(),
 		{SampleRate: 4000, WindowSamples: 48, StrideSamples: 32, FFTSize: 64, NumBins: 32, AvgWidth: 5, NumFrames: 5},
 		{SampleRate: 4000, WindowSamples: 32, StrideSamples: 48, FFTSize: 32, NumBins: 16, AvgWidth: 3, NumFrames: 4},
-	}
+	}, sweepConfigs()...)
 }
 
 // TestStreamerMatchesFullRecompute is the PR-1 equivalence rule applied to
