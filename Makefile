@@ -4,7 +4,7 @@
 GO ?= go
 REV := $(shell git rev-parse --short HEAD)
 
-.PHONY: all help build test vet fmt-check docs-check examples-check bce-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke ci
+.PHONY: all help build test vet fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke ci
 
 all: build
 
@@ -16,6 +16,7 @@ help:
 	@echo "make docs-check  fail on undocumented exported identifiers (cmd/docscheck)"
 	@echo "make examples-check  build + vet the examples so they cannot rot silently"
 	@echo "make bce-check   fail if bounds checks reappear in the kernel hot loops (bce_clean.txt)"
+	@echo "make perfbench-check  vet + self-test the perfbench module (its own go.mod, consumes core's API)"
 	@echo "make bench       run hot-path + evaluation benchmarks (-benchmem)"
 	@echo "make bench-save  run benchmarks and save BENCH_<rev>.json (perf trajectory)"
 	@echo "make bench-cmp   diff two saved runs: make bench-cmp BASE=BENCH_a.json HEAD=BENCH_b.json"
@@ -25,7 +26,7 @@ help:
 	@echo "                 deleted or broken gated benchmarks without timing anything"
 	@echo "make chaos       fault-matrix chaos suite under -race -count=2 (netfront resilience gate)"
 	@echo "make slo-smoke   one-second open-loop load run against a live front end (zero protocol errors)"
-	@echo "make ci          tier-1 gate: build + vet + fmt-check + test + chaos + slo-smoke + bench-gate-smoke"
+	@echo "make ci          tier-1 gate: build + vet + fmt-check + test + perfbench-check + chaos + slo-smoke + bench-gate-smoke"
 
 build:
 	$(GO) build ./...
@@ -59,6 +60,14 @@ examples-check:
 bce-check:
 	$(GO) run ./cmd/bcecheck
 
+# The end-to-end benchmark driver is a separate module (perfbench/go.mod,
+# replace repro => ../), so `go build ./...` never compiles it. Vetting and
+# self-testing it here makes an API change in core that breaks the
+# benchmark fail CI instead of only the benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test .
+
 # Hot-path and evaluation benchmarks with allocation reporting.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -77,7 +86,11 @@ bench-cmp:
 # committed baseline snapshot (newest BENCH_*.json unless BASE= overrides);
 # a gated benchmark more than GATE_TOL% slower fails the target. The
 # tolerance is generous because shared CI hosts are noisy — tighten locally
-# with GATE_TOL=10.
+# with GATE_TOL=10. The lists below are alternations of benchmark names;
+# the -gate patterns anchor each name (^(list)(/|$)) so a gate covers
+# exactly the listed benchmarks and their sub-benchmarks, never a longer
+# name that merely starts with a listed one. The `go test -bench` selector
+# stays unanchored.
 GATE_DEFAULT_BENCHES ?= BenchmarkFFTFixed512|BenchmarkFrontendExtract|BenchmarkInterpreterInvoke|BenchmarkInvokeBatch|BenchmarkStreamingExtract|BenchmarkGEMMMicroKernel|BenchmarkNetServerThroughput|BenchmarkRegistryThroughput|BenchmarkRegistrySwapUnderLoad|BenchmarkRegistryDegraded
 GATE_TOL ?= 25
 # The SLO gate (ISSUE 10): BenchmarkServedTailLatency's median-of-3 p99
@@ -105,9 +118,9 @@ bench-gate:
 	scratch="$$(mktemp -d /tmp/bench_gate.XXXXXX)"; trap 'rm -rf "$$scratch"' EXIT; \
 	$(GO) test -run '^$$' -bench '$(GATE_BENCHES)' $(if $(GATE_BENCHTIME),-benchtime $(GATE_BENCHTIME)) -benchmem . > "$$scratch/out.txt" || { cat "$$scratch/out.txt"; echo "bench-gate: benchmark run failed"; exit 1; }; \
 	$(GO) run ./cmd/benchjson -save "$$scratch/head.json" < "$$scratch/out.txt"; \
-	$(GO) run ./cmd/benchjson -cmp -tol $(GATE_TOL) -gate '$(GATE_DEFAULT_BENCHES)' "$$base" "$$scratch/head.json"; \
-	$(GO) run ./cmd/benchjson -cmp -tol $(GATE_TIGHT_TOL) -gate '$(GATE_TIGHT_BENCHES)' "$$base" "$$scratch/head.json"; \
-	$(GO) run ./cmd/benchjson -cmp -tol $(GATE_SLO_TOL) -gate '$(GATE_SLO_BENCHES)' "$$base" "$$scratch/head.json"
+	$(GO) run ./cmd/benchjson -cmp -tol $(GATE_TOL) -gate '^($(GATE_DEFAULT_BENCHES))(/|$$)' "$$base" "$$scratch/head.json"; \
+	$(GO) run ./cmd/benchjson -cmp -tol $(GATE_TIGHT_TOL) -gate '^($(GATE_TIGHT_BENCHES))(/|$$)' "$$base" "$$scratch/head.json"; \
+	$(GO) run ./cmd/benchjson -cmp -tol $(GATE_SLO_TOL) -gate '^($(GATE_SLO_BENCHES))(/|$$)' "$$base" "$$scratch/head.json"
 
 # CI smoke form of the gate: one iteration per gated benchmark with an
 # effectively-infinite tolerance. Single-iteration timings are meaningless,
@@ -133,5 +146,5 @@ chaos:
 slo-smoke:
 	$(GO) test -run 'TestSLOSmoke' -count=1 .
 
-ci: build vet fmt-check docs-check examples-check bce-check test chaos slo-smoke bench-gate-smoke
+ci: build vet fmt-check docs-check examples-check bce-check perfbench-check test chaos slo-smoke bench-gate-smoke
 	@echo "ci: OK"

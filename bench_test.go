@@ -518,50 +518,9 @@ func BenchmarkGEMMMicroKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkInvokeBatchParallel measures the multi-core InvokeBatch fan-out:
-// the interpreter plans min(GOMAXPROCS, batch) shard contexts and fans
-// contiguous utterance spans across its persistent worker group. Run with
-// `-cpu 1,2,4` for the scaling sweep (the shards metric records the planned
-// parallelism per sub-run); at -cpu 1 the plan degenerates to the serial
-// loop, so the delta over BenchmarkInvokeBatch is pure fan-out overhead.
-func BenchmarkInvokeBatchParallel(b *testing.B) {
-	fixture(b)
-	for _, batch := range []int{8, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			model, err := tflm.BuildRandomTinyConv(1, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ip, err := tflm.NewInterpreter(model)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ip.PlanBatchParallel(batch, 0); err != nil {
-				b.Fatal(err)
-			}
-			defer ip.ReleaseBatch()
-			for j := 0; j < batch; j++ {
-				row := ip.BatchInput(j)
-				for i := range row {
-					row[i] = int8((i + 31*j) % 251)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ip.InvokeBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "utt/s")
-			b.ReportMetric(float64(ip.BatchParallelism()), "shards")
-		})
-	}
-}
-
 // BenchmarkBatchInference measures the concurrent serving path: a batch of
-// utterances fanned across core.Pipeline worker pools of increasing size.
+// utterances fanned by core.Server.RunBatch across worker pools of
+// increasing size.
 // The per-op time is for the whole batch; the utt/s metric is the
 // throughput figure, which should scale near-linearly with workers.
 func BenchmarkBatchInference(b *testing.B) {
@@ -578,14 +537,15 @@ func BenchmarkBatchInference(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p, err := core.NewPipeline(model, core.PipelineConfig{Workers: workers})
+			srv, err := core.NewServer(model, core.ServerConfig{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer srv.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := p.RunBatch(utts)
+				res := srv.RunBatch(utts)
 				for _, r := range res {
 					if r.Err != nil {
 						b.Fatal(r.Err)
@@ -1030,7 +990,7 @@ func BenchmarkStreamingServer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := srv.SubmitStream(stream, signal[:utt]); err != nil {
+	if _, err := stream.Submit(signal[:utt]); err != nil {
 		b.Fatal(err)
 	}
 	var tail []*core.Pending
@@ -1038,7 +998,7 @@ func BenchmarkStreamingServer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := utt + (i%((len(signal)-utt)/hop))*hop
-		tickets, err := srv.SubmitStream(stream, signal[off:off+hop])
+		tickets, err := stream.Submit(signal[off : off+hop])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -24,7 +24,7 @@
 // With -inproc the generator builds a benchmark tiny_conv model and serves
 // it from an in-process front end on a loopback listener (a registry-backed
 // one when -tenants is set, so DRR fairness and overload control are live);
-// -workers/-queue/-max-batch/-batch-parallel/-shards shape that server —
+// -workers/-queue/-max-batch/-shards shape that server —
 // the knobs the ARCHITECTURE.md tuning table sweeps.
 package main
 
@@ -54,11 +54,10 @@ type genConfig struct {
 	Inproc  bool
 
 	// In-process server shape (ignored with -addr).
-	Workers       int
-	Queue         int
-	MaxBatch      int
-	BatchParallel int
-	Shards        int
+	Workers  int
+	Queue    int
+	MaxBatch int
+	Shards   int
 
 	// Traffic shape.
 	Rate        float64
@@ -164,7 +163,7 @@ func (c genConfig) validate() (loadgen.Mix, []loadgen.TenantSpec, error) {
 	if c.Duration <= 0 && c.MaxArrivals <= 0 {
 		return loadgen.Mix{}, nil, usageError{"set -duration and/or -max-arrivals"}
 	}
-	if c.Workers < 0 || c.Queue < 0 || c.MaxBatch < 0 || c.BatchParallel < 0 || c.Shards < 0 {
+	if c.Workers < 0 || c.Queue < 0 || c.MaxBatch < 0 || c.Shards < 0 {
 		return loadgen.Mix{}, nil, usageError{"in-process server knobs must be >= 0"}
 	}
 	if c.Conns < 0 || c.BatchSize < 0 || c.StreamLen < 0 || c.Retries < 0 || c.HedgeMax < 0 {
@@ -194,10 +193,9 @@ func inprocServe(cfg genConfig, tenants []loadgen.TenantSpec) (string, func(), e
 		return "", nil, err
 	}
 	sc := core.ServerConfig{
-		Workers:       cfg.Workers,
-		Queue:         cfg.Queue,
-		MaxBatch:      cfg.MaxBatch,
-		BatchParallel: cfg.BatchParallel,
+		Workers:  cfg.Workers,
+		Queue:    cfg.Queue,
+		MaxBatch: cfg.MaxBatch,
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -343,7 +341,6 @@ func main() {
 	flag.IntVar(&cfg.Workers, "workers", 0, "in-process: workers per shard engine (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.Queue, "queue", 0, "in-process: engine queue depth (0 = 2x workers)")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "in-process: max utterances drained per worker wakeup (0 = default)")
-	flag.IntVar(&cfg.BatchParallel, "batch-parallel", 0, "in-process: cores per drained batch (0 = default)")
 	flag.IntVar(&cfg.Shards, "shards", 0, "in-process: shard engines per model (0 = 1)")
 	flag.Float64Var(&cfg.Rate, "rate", 200, "mean arrival rate, requests/second (Poisson)")
 	flag.DurationVar(&cfg.Duration, "duration", 5*time.Second, "schedule horizon (0 with -max-arrivals set)")

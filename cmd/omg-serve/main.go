@@ -66,17 +66,16 @@ import (
 // serveConfig is the parsed flag set, separated from flag.Parse so the
 // validation rules are table-testable.
 type serveConfig struct {
-	TCPAddr       string
-	UnixPath      string
-	Workers       int
-	Queue         int
-	MaxBatch      int
-	BatchParallel int
-	Shards        int
-	Models        string // raw -models spec: "name=mul:seed,..."
-	Tenants       string // raw -tenants spec: "name=weight:cap,..."
-	DefaultModel  string
-	Drain         time.Duration
+	TCPAddr      string
+	UnixPath     string
+	Workers      int
+	Queue        int
+	MaxBatch     int
+	Shards       int
+	Models       string // raw -models spec: "name=mul:seed,..."
+	Tenants      string // raw -tenants spec: "name=weight:cap,..."
+	DefaultModel string
+	Drain        time.Duration
 
 	NoBreaker        bool
 	BreakerThreshold int
@@ -103,8 +102,8 @@ func (c serveConfig) validate() (map[string]modelSpec, map[string]core.TenantCon
 	if c.TCPAddr == "" && c.UnixPath == "" {
 		return nil, nil, usageError{"nothing to listen on (set -tcp and/or -unix)"}
 	}
-	if c.Workers < 0 || c.Queue < 0 || c.MaxBatch < 0 || c.BatchParallel < 0 {
-		return nil, nil, usageError{"-workers, -queue, -max-batch, -batch-parallel must be >= 0"}
+	if c.Workers < 0 || c.Queue < 0 || c.MaxBatch < 0 {
+		return nil, nil, usageError{"-workers, -queue, -max-batch must be >= 0"}
 	}
 	if c.Shards < 0 {
 		return nil, nil, usageError{"-shards must be >= 0 (0 means 1)"}
@@ -208,7 +207,6 @@ func main() {
 	flag.IntVar(&cfg.Workers, "workers", 0, "workers per shard server (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.Queue, "queue", 0, "submission queue depth per shard (0 = 2×workers)")
 	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "max utterances per drained InvokeBatch (0 = default 8, 1 disables)")
-	flag.IntVar(&cfg.BatchParallel, "batch-parallel", 0, "intra-batch shard parallelism per worker (0 = serial)")
 	flag.IntVar(&cfg.Shards, "shards", 1, "shard servers per model (0 = 1)")
 	flag.StringVar(&cfg.Models, "models", "default=1:7", "served models as name=mul:seed,... (tiny_conv width multiplier and weight seed)")
 	flag.StringVar(&cfg.Tenants, "tenants", "", "tenant policies as name=weight:cap,... (DRR weight and queue cap; unnamed tenants get defaults)")
@@ -250,10 +248,9 @@ func main() {
 	reg, err := core.NewRegistry(models, core.RegistryConfig{
 		Shards: cfg.Shards,
 		Server: core.ServerConfig{
-			Workers:       cfg.Workers,
-			Queue:         cfg.Queue,
-			MaxBatch:      cfg.MaxBatch,
-			BatchParallel: cfg.BatchParallel,
+			Workers:  cfg.Workers,
+			Queue:    cfg.Queue,
+			MaxBatch: cfg.MaxBatch,
 		},
 		Tenants: tenants,
 		Breaker: core.BreakerConfig{

@@ -50,30 +50,24 @@
 // — each convolution replays its im2col program and runs the patch rows of
 // each utterance through the shared weight panels while they are
 // cache-hot, pure-copy reshapes alias away entirely, and softmax sweeps
-// all stacked rows at once. PlanBatchParallel additionally fans the batch
-// across min(GOMAXPROCS, batch) shard contexts: utterances are
-// independent, so each persistent shard worker (spawned once at plan time,
-// parked on a channel between calls) runs the whole node list over a
-// contiguous utterance span with its own im2col/SWAR/softmax scratch —
-// the zero-allocation invariant survives, and shard count 1 degenerates to
-// the serial loop. Spans execute cache-blocked: the node list sweeps a few
-// utterances at a time (sized at plan time so a tile's activation rows fit
-// well inside L1d) so producer output is consumed while still resident —
-// an iteration-order change only, bit-identical results, but it makes
-// batching a throughput win even on one core.
-// Output rows (BatchOutput) stay valid until the next
+// all stacked rows at once, with plan-owned im2col/SWAR/softmax scratch so
+// the zero-allocation invariant survives. The batch executes
+// cache-blocked: the node list sweeps a few utterances at a time (sized at
+// plan time so a tile's activation rows fit well inside L1d) so producer
+// output is consumed while still resident — an iteration-order change
+// only, bit-identical results, but it makes batching a throughput win even
+// on one core. Output rows (BatchOutput) stay valid until the next
 // InvokeBatch. Results are bit-exact with serial Invoke, and cycle
-// metering still charges every utterance's full simulated cost regardless
-// of host parallelism. core.ServerConfig.BatchParallel and
-// KWSApp.SetBatchParallel thread the knob through the serving layers
-// (default serial: the server pool already runs one worker per core).
+// metering still charges every utterance's full simulated cost. Host
+// parallelism comes from the serving layer's worker pool, one interpreter
+// per worker, not from inside a batch.
 //
 // Every optimized kernel has a scalar reference twin
 // (internal/tflm/op_ref.go) and is kept bit-exact against it by randomized
 // equivalence tests plus a fuzz suite for the SWAR dot product; new
 // operators must ship the same pair. The simulated-device cycle model
 // (NodeCycles, hw/cost.go) is untouched by all of this: host kernels are
-// fast, modeled hardware costs are calibrated — SWAR and fan-out change
+// fast, modeled hardware costs are calibrated — SWAR and batching change
 // wall time, never sim-cycles.
 //
 // # Real-input FFT frontend
@@ -108,11 +102,11 @@
 // internal/core.Server is the persistent host-throughput layer: long-lived
 // worker goroutines — each owning a private interpreter over a
 // weight-sharing tflm.Model.Clone plus a private zero-alloc DSP frontend —
-// fed by a buffered submission queue (Submit/TrySubmit for utterances,
-// OpenStream+SubmitStream for continuous audio, RunBatch for whole
-// batches). A full queue is the backpressure signal; Close drains in-flight
-// work. core.Pipeline survives as a thin compatibility wrapper. Experiment
-// E11 (omg-bench), BenchmarkBatchInference and BenchmarkServerThroughput
+// fed by a buffered submission queue (Submit, SubmitFuncDeadline and
+// TrySubmitFuncDeadline for utterances, OpenStream+Stream.Submit for
+// continuous audio, RunBatch for whole batches). A full queue is the
+// backpressure signal; Close drains in-flight work. Experiment E11
+// (omg-bench), BenchmarkBatchInference and BenchmarkServerThroughput
 // measure its scaling.
 //
 // Continuous audio goes through dsp.Streamer, the incremental face of the
@@ -127,8 +121,8 @@
 // of them through one planned InvokeBatch call, and submission tickets
 // recycle through a freelist (Pending.Release), keeping the steady-state
 // submission path allocation-free. Alongside ticket polling the server
-// offers a callback completion path — Server.SubmitFunc invokes its
-// callback on the completing worker, and Stream.OnResult delivers stream
+// offers a callback completion path — Server.SubmitFuncDeadline invokes
+// its callback on the completing worker, and Stream.OnResult delivers stream
 // results strictly in hop order through a per-stream sequencer — with a
 // drain-on-Close contract: every submission accepted before Close has
 // completed (ticket resolved, callback fired) by the time Close returns.

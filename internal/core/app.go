@@ -63,16 +63,7 @@ type KWSApp struct {
 	fpScratch []uint8
 	probs     []float64
 	res       QueryResult
-	// batchPar is the host-side shard parallelism QueryBatch's stacked
-	// InvokeBatch plans with (0/1 = serial). Purely a host optimization:
-	// the simulated enclave core is still charged every utterance's cycles.
-	batchPar int
 }
-
-// SetBatchParallel sets the host-side parallelism of QueryBatch's stacked
-// classification (tflm.PlanBatchParallel; p <= 1 keeps the serial plan).
-// Takes effect at the next Initialize, which is when the plan is built.
-func (a *KWSApp) SetBatchParallel(p int) { a.batchPar = p }
 
 // LaunchEnclave performs SANCTUARY setup+boot for the OMG image with the
 // vendor key pinned (preparation phase, first half). rng drives the
@@ -236,17 +227,7 @@ func (a *KWSApp) Initialize(resp *KeyResponse) error {
 		// non-int8 I/O) simply keep the serial per-utterance path —
 		// QueryBatch checks BatchCapacity before staging.
 		if perCall := a.utterancesPerSMC(); perCall > 1 {
-			par := a.batchPar
-			if par < 1 {
-				par = 1
-			}
-			_ = interp.PlanBatchParallel(perCall, par)
-		}
-		if a.interp != nil {
-			// Re-initialization (e.g. a model update) replaces the
-			// interpreter; retire the old one's batch shard workers
-			// deterministically instead of waiting on a GC cleanup.
-			a.interp.ReleaseBatch()
+			_ = interp.PlanBatch(perCall)
 		}
 		a.interp = interp
 		a.version = pkg.Version
@@ -459,9 +440,6 @@ func (a *KWSApp) Resume() error {
 // Teardown destroys the enclave; SANCTUARY scrubs the private region,
 // including the plaintext model bytes.
 func (a *KWSApp) Teardown() error {
-	if a.interp != nil {
-		a.interp.ReleaseBatch()
-		a.interp = nil
-	}
+	a.interp = nil
 	return a.enclave.Teardown()
 }

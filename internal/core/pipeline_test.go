@@ -26,7 +26,7 @@ func pipelineFixture(t testing.TB, n int) (*tflm.Model, [][]int16, []int) {
 }
 
 // serialResults classifies the batch on a single interpreter, the ground
-// truth the concurrent pipeline must reproduce utterance for utterance.
+// truth the concurrent server must reproduce utterance for utterance.
 func serialResults(t testing.TB, model *tflm.Model, utts [][]int16) []int {
 	t.Helper()
 	ip, err := tflm.NewInterpreter(model.Clone())
@@ -52,18 +52,21 @@ func serialResults(t testing.TB, model *tflm.Model, utts [][]int16) []int {
 	return out
 }
 
+// TestPipelineMatchesSerial: RunBatch must reproduce the serial
+// classification utterance for utterance, for every pool size.
 func TestPipelineMatchesSerial(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 24)
 	want := serialResults(t, model, utts)
 	for _, workers := range []int{1, 2, 4} {
-		p, err := NewPipeline(model, PipelineConfig{Workers: workers})
+		srv, err := NewServer(model, ServerConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Workers() != workers {
-			t.Fatalf("Workers() = %d, want %d", p.Workers(), workers)
+		if srv.Workers() != workers {
+			t.Fatalf("Workers() = %d, want %d", srv.Workers(), workers)
 		}
-		results := p.RunBatch(utts)
+		results := srv.RunBatch(utts)
+		srv.Close()
 		if len(results) != len(utts) {
 			t.Fatalf("got %d results for %d utterances", len(results), len(utts))
 		}
@@ -81,13 +84,16 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPipelineWithProbs: with WithProbs, every RunBatch result carries one
+// probability per class whose argmax is the label.
 func TestPipelineWithProbs(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 6)
-	p, err := NewPipeline(model, PipelineConfig{Workers: 2, WithProbs: true})
+	srv, err := NewServer(model, ServerConfig{Workers: 2, WithProbs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range p.RunBatch(utts) {
+	defer srv.Close()
+	for i, r := range srv.RunBatch(utts) {
 		if r.Err != nil {
 			t.Fatalf("utterance %d: %v", i, r.Err)
 		}
@@ -106,25 +112,30 @@ func TestPipelineWithProbs(t *testing.T) {
 	}
 }
 
+// TestPipelineEmptyBatchAndDefaults: the zero ServerConfig yields a usable
+// pool, and an empty batch returns no results.
 func TestPipelineEmptyBatchAndDefaults(t *testing.T) {
 	model, _, _ := pipelineFixture(t, 0)
-	p, err := NewPipeline(model, PipelineConfig{})
+	srv, err := NewServer(model, ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers() < 1 {
-		t.Fatalf("default pool size %d", p.Workers())
+	defer srv.Close()
+	if srv.Workers() < 1 {
+		t.Fatalf("default pool size %d", srv.Workers())
 	}
-	if res := p.RunBatch(nil); len(res) != 0 {
+	if res := srv.RunBatch(nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 }
 
+// TestPipelineRejectsIncompatibleModel: NewServer must refuse a model whose
+// input does not match the frontend's fingerprint geometry.
 func TestPipelineRejectsIncompatibleModel(t *testing.T) {
 	model, _, _ := pipelineFixture(t, 0)
 	small := dsp.DefaultFrontend()
 	small.NumFrames = 7 // fingerprint no longer matches the model input
-	if _, err := NewPipeline(model, PipelineConfig{Workers: 1, Frontend: small}); err == nil {
+	if _, err := NewServer(model, ServerConfig{Workers: 1, Frontend: small}); err == nil {
 		t.Fatal("expected incompatible-fingerprint error")
 	}
 }

@@ -500,8 +500,8 @@ func (r *Registry) TenantCounters(name string) TenantCounters {
 // Submit admits one utterance for (model, tenant): non-blocking admission
 // into the tenant's queue, weighted-fair dispatch to the model's current
 // shard set, fn invoked exactly once with the result (on a worker or
-// dispatcher goroutine — same contract as Server.SubmitFunc). Admission
-// failures are synchronous: ErrUnknownModel, ErrTenantBusy when the
+// dispatcher goroutine — same contract as Server.SubmitFuncDeadline).
+// Admission failures are synchronous: ErrUnknownModel, ErrTenantBusy when the
 // tenant's queue is at cap (the per-tenant BUSY, with a computed retry-after
 // via *TenantBusyError), ErrOverloaded when the queue-delay controller is
 // shedding this tenant for exceeding its fair share (*OverloadError, also

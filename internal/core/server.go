@@ -1,12 +1,13 @@
-// Persistent inference service: the streaming successor to the spawn-per-call
-// batch pipeline. A Server owns long-lived worker goroutines — each with a
-// private interpreter over a weight-sharing model clone, a private DSP
-// frontend and private scratch, exactly the pipeWorker state — fed by a
-// buffered submission queue. Submissions are utterances (Submit, the worker
-// runs extract+invoke) or continuous audio (SubmitStream over an open
-// Stream, whose incremental dsp.Streamer pays one FFT per hop and submits a
-// fingerprint-only job per completed window). Results are delivered through
-// per-submission tickets in submission order; the queue's bounded capacity
+// Persistent inference service: the host-throughput layer of the engine.
+// Where KWSApp runs one utterance at a time inside a simulated enclave, a
+// Server serves many utterances concurrently at host speed. It owns
+// long-lived worker goroutines — each with a private interpreter over a
+// weight-sharing model clone, a private DSP frontend and private scratch
+// (pipeWorker) — fed by a buffered submission queue. Submissions are
+// utterances (Submit, the callback forms and RunBatch; the worker runs
+// extract+invoke) or continuous audio (Stream.Submit over an open Stream,
+// whose incremental dsp.Streamer pays one FFT per hop and submits a
+// fingerprint-only job per completed window). The queue's bounded capacity
 // is the backpressure mechanism.
 package core
 
@@ -24,14 +25,14 @@ import (
 
 // ErrServerClosed is returned by submissions after Close. The contract is
 // deterministic: once Close has been called, every submission path — Submit,
-// TrySubmit, SubmitFunc, TrySubmitFunc, SubmitStream, RunBatch (per
+// SubmitFuncDeadline, TrySubmitFuncDeadline, Stream.Submit, RunBatch (per
 // utterance) — reports this error and never panics, regardless of how the
 // call races Close (sends hold a read-lock over the closed flag for the full
 // channel send, so the queue cannot close under them).
 var ErrServerClosed = errors.New("core: server closed")
 
-// ErrQueueFull is returned by TrySubmit when the submission queue is at
-// capacity — the caller is being backpressured.
+// ErrQueueFull is returned by TrySubmitFuncDeadline when the submission
+// queue is at capacity — the caller is being backpressured.
 var ErrQueueFull = errors.New("core: submission queue full")
 
 // ErrDeadlineExceeded completes a submission whose queue deadline passed
@@ -52,19 +53,13 @@ type ServerConfig struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
 	// Queue is the submission-queue depth; <= 0 means 2×Workers. A full
-	// queue blocks Submit and fails TrySubmit, bounding the memory a burst
-	// of submissions can pin.
+	// queue blocks Submit and fails TrySubmitFuncDeadline, bounding the
+	// memory a burst of submissions can pin.
 	Queue int
 	// MaxBatch caps how many queued utterances a worker drains into one
 	// planned tflm.InvokeBatch call when the queue is backed up (≥ 2
 	// pending). <= 0 means the default of 8; 1 disables batched draining.
 	MaxBatch int
-	// BatchParallel is the intra-batch shard parallelism of each worker's
-	// planned InvokeBatch (tflm.PlanBatchParallel). <= 0 means 1 — serial —
-	// because the pool already runs one worker per core; raising it only
-	// helps low-latency setups with fewer workers than cores that still
-	// want a drained batch classified across several cores.
-	BatchParallel int
 	// Frontend configures feature extraction; the zero value means
 	// dsp.DefaultFrontend().
 	Frontend dsp.FrontendConfig
@@ -76,6 +71,117 @@ type ServerConfig struct {
 // defaultMaxBatch is the queue-drain batching depth when the config leaves
 // MaxBatch unset.
 const defaultMaxBatch = 8
+
+// Result is the outcome of one utterance.
+type Result struct {
+	// Label is the argmax class, or -1 when Err is set.
+	Label int
+	// Probs holds dequantized class probabilities when requested.
+	Probs []float64
+	// Err reports a per-utterance failure; other utterances are unaffected.
+	Err error
+}
+
+// pipeWorker is one worker's private execution state.
+type pipeWorker struct {
+	fe *dsp.Frontend
+	ip *tflm.Interpreter
+	fp []uint8 // fingerprint scratch, reused across utterances
+	// batch is the job staging area for batched queue draining (nil when
+	// the worker runs strictly one utterance per interpreter call).
+	batch []job
+}
+
+// newPipeWorker builds one worker over a clone of model, validating that the
+// model input matches the frontend's fingerprint geometry. maxBatch > 1
+// additionally plans the interpreter's stacked InvokeBatch path, so the
+// worker can drain several queued utterances per interpreter call.
+func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*pipeWorker, error) {
+	ip, err := tflm.NewInterpreter(model.Clone())
+	if err != nil {
+		return nil, err
+	}
+	fe, err := dsp.NewFrontend(feCfg)
+	if err != nil {
+		return nil, err
+	}
+	in := ip.Input(0)
+	if in.Type != tflm.Int8 || in.NumElements() != feCfg.FingerprintLen() {
+		return nil, fmt.Errorf("core: model input %s incompatible with %d-feature fingerprint", in, feCfg.FingerprintLen())
+	}
+	w := &pipeWorker{fe: fe, ip: ip, fp: make([]uint8, feCfg.FingerprintLen())}
+	// Models the batched engine cannot plan (e.g. non-int8 or multi-tensor
+	// output) simply keep the one-utterance-per-call path; batching is an
+	// optimization, not a serving requirement.
+	if maxBatch > 1 && ip.PlanBatch(maxBatch) == nil {
+		w.batch = make([]job, 0, maxBatch)
+	}
+	return w, nil
+}
+
+// run executes one utterance on this worker's private state.
+func (w *pipeWorker) run(samples []int16, withProbs bool) Result {
+	w.fp = w.fe.ExtractInto(w.fp, samples)
+	return w.runFingerprint(w.fp, withProbs)
+}
+
+// runFingerprint invokes the model on an already extracted fingerprint (the
+// streaming path, where the Stream's incremental extractor produced it).
+func (w *pipeWorker) runFingerprint(fp []uint8, withProbs bool) Result {
+	in := w.ip.Input(0)
+	for i, f := range fp {
+		in.I8[i] = int8(int32(f) - 128)
+	}
+	if err := w.ip.Invoke(); err != nil {
+		return Result{Label: -1, Err: err}
+	}
+	out := w.ip.Output(0)
+	res := Result{Label: tflm.Argmax(out)}
+	if withProbs {
+		res.Probs = make([]float64, out.NumElements())
+		for i, q := range out.I8 {
+			res.Probs[i] = out.Quant.Dequantize(q)
+		}
+	}
+	return res
+}
+
+// runJobs classifies a drained batch of queued jobs through the planned
+// InvokeBatch path: each job's fingerprint (extracted here for utterance
+// jobs, precomputed for stream jobs) is staged into the interpreter's
+// stacked input slab, one InvokeBatch covers all of them, and the results
+// are written through the jobs' result pointers. Completion is signalled
+// per job, in order.
+func (w *pipeWorker) runJobs(jobs []job, withProbs bool) {
+	for j := range jobs {
+		fp := jobs[j].fp
+		if fp == nil {
+			w.fp = w.fe.ExtractInto(w.fp, jobs[j].samples)
+			fp = w.fp
+		}
+		in := w.ip.BatchInput(j)
+		for i, f := range fp {
+			in[i] = int8(int32(f) - 128)
+		}
+	}
+	err := w.ip.InvokeBatch(len(jobs))
+	outQ := w.ip.Output(0).Quant
+	for j := range jobs {
+		if err != nil {
+			*jobs[j].res = Result{Label: -1, Err: err}
+		} else {
+			out := w.ip.BatchOutput(j)
+			res := Result{Label: tflm.ArgmaxI8(out)}
+			if withProbs {
+				res.Probs = make([]float64, len(out))
+				for i, q := range out {
+					res.Probs[i] = outQ.Dequantize(q)
+				}
+			}
+			*jobs[j].res = res
+		}
+	}
+}
 
 // job is one unit of work on the queue. Exactly one of samples/fp describes
 // the input; the worker writes *res and then signals completion — through
@@ -95,7 +201,7 @@ type job struct {
 }
 
 // cbTicket is the callback-path counterpart of Pending: the worker writes
-// res, then either invokes fn directly (SubmitFunc) or hands the ticket to
+// res, then either invokes fn directly (the …FuncDeadline paths) or hands the ticket to
 // its stream's sequencer for in-hop-order delivery. Tickets recycle through
 // cbPool, so the steady-state callback submission path allocates nothing.
 type cbTicket struct {
@@ -166,8 +272,9 @@ func (q *seqDelivery) complete(t *cbTicket) {
 }
 
 // Server is the persistent serving layer. Construct with NewServer, submit
-// with Submit/TrySubmit/SubmitStream/RunBatch, and Close when done: Close
-// drains all queued work, then stops the workers.
+// with Submit, SubmitFuncDeadline, TrySubmitFuncDeadline, RunBatch or an
+// OpenStream'd Stream, and Close when done: Close drains all queued work,
+// then stops the workers.
 type Server struct {
 	workers   []*pipeWorker
 	feCfg     dsp.FrontendConfig
@@ -221,7 +328,7 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 		jobs:      make(chan job, queue),
 	}
 	for i := 0; i < n; i++ {
-		w, err := newPipeWorker(model, feCfg, maxBatch, cfg.BatchParallel)
+		w, err := newPipeWorker(model, feCfg, maxBatch)
 		if err != nil {
 			return nil, fmt.Errorf("core: server worker %d: %w", i, err)
 		}
@@ -409,10 +516,6 @@ func (s *Server) QueueDepth() int { return cap(s.jobs) }
 // exactly that.
 func (s *Server) LiveWorkers() int { return int(s.live.Load()) }
 
-// liveWorkers is the historical unexported spelling kept for the package's
-// own leak assertions.
-func (s *Server) liveWorkers() int { return s.LiveWorkers() }
-
 // send enqueues a job unless the server is closed. With block=false a full
 // queue returns ErrQueueFull instead of waiting.
 func (s *Server) send(j job, block bool) error {
@@ -445,8 +548,8 @@ type Pending struct {
 }
 
 // pendingPool recycles tickets (struct + completion channel) across
-// submissions; Submit/TrySubmit/SubmitStream draw from it and Release
-// returns to it.
+// submissions; Submit and Stream.Submit draw from it and Release returns
+// to it.
 var pendingPool = sync.Pool{New: func() any {
 	return &Pending{done: make(chan struct{}, 1)}
 }}
@@ -481,81 +584,48 @@ func (p *Pending) Release() {
 // returns its ticket. After Close it returns ErrServerClosed (never
 // panics); see ErrServerClosed for the full after-Close contract.
 func (s *Server) Submit(samples []int16) (*Pending, error) {
-	return s.SubmitDeadline(samples, time.Time{})
-}
-
-// SubmitDeadline is Submit with a queue deadline: if no worker has dequeued
-// the submission by deadline, it is shed at dequeue and its ticket resolves
-// with ErrDeadlineExceeded instead of occupying a worker. A zero deadline
-// means no deadline. The deadline bounds queue wait only — inference that
-// has already started is never abandoned.
-func (s *Server) SubmitDeadline(samples []int16, deadline time.Time) (*Pending, error) {
 	p := newPending()
-	if err := s.send(job{samples: samples, res: &p.res, done: p.done, deadline: deadline}, true); err != nil {
+	if err := s.send(job{samples: samples, res: &p.res, done: p.done}, true); err != nil {
 		pendingPool.Put(p)
 		return nil, err
 	}
 	return p, nil
 }
 
-// TrySubmit is Submit that fails with ErrQueueFull instead of blocking when
-// the queue is at capacity.
-func (s *Server) TrySubmit(samples []int16) (*Pending, error) {
-	p := newPending()
-	if err := s.send(job{samples: samples, res: &p.res, done: p.done}, false); err != nil {
-		pendingPool.Put(p)
-		return nil, err
-	}
-	return p, nil
-}
-
-// SubmitFunc enqueues one utterance, blocking while the queue is full, and
-// invokes fn exactly once with the result when a worker completes it. The
-// callback runs on a worker goroutine: it must not block for long (it stalls
-// that worker) and must not submit back into the same server (a full queue
-// would deadlock the pool). The Result — including Probs — is only valid for
-// the duration of the callback; copy what outlives it. Unlike ticket
-// submissions there is nothing to Release: the completion state recycles
-// internally, so the steady-state SubmitFunc path is allocation-free.
-func (s *Server) SubmitFunc(samples []int16, fn func(Result)) error {
-	t := newCbTicket(fn)
-	if err := s.send(job{samples: samples, res: &t.res, cb: t}, true); err != nil {
-		cbPool.Put(t)
-		return err
-	}
-	return nil
-}
-
-// SubmitFuncDeadline is SubmitFunc with a queue deadline (see
-// SubmitDeadline): it blocks while the queue is full, and a submission
-// still queued past deadline is shed at dequeue with ErrDeadlineExceeded.
-// This is the Registry dispatcher's submission path — fairness is decided
-// upstream by the admission layer, so backpressure here is blocking, not
-// BUSY.
+// SubmitFuncDeadline enqueues one utterance, blocking while the queue is
+// full, and invokes fn exactly once with the result when a worker completes
+// it. A nonzero deadline is a queue deadline: a submission still queued
+// past it is shed at dequeue and fn fires with ErrDeadlineExceeded instead
+// of occupying a worker; inference that has already started is never
+// abandoned. This is the Registry dispatcher's submission path — fairness
+// is decided upstream by the admission layer, so backpressure here is
+// blocking, not BUSY.
+//
+// The callback runs on a worker goroutine: it must not block for long (it
+// stalls that worker) and must not submit back into the same server (a full
+// queue would deadlock the pool). The Result — including Probs — is only
+// valid for the duration of the callback; copy what outlives it. There is
+// nothing to Release: the completion state recycles internally, so the
+// steady-state callback path is allocation-free.
 func (s *Server) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
-	t := newCbTicket(fn)
-	if err := s.send(job{samples: samples, res: &t.res, cb: t, deadline: deadline}, true); err != nil {
-		cbPool.Put(t)
-		return err
-	}
-	return nil
+	return s.submitFunc(samples, deadline, fn, true)
 }
 
-// TrySubmitFunc is SubmitFunc that fails with ErrQueueFull instead of
-// blocking when the queue is at capacity — the callback-path face of
-// backpressure (network front ends map it to an explicit BUSY reply).
-func (s *Server) TrySubmitFunc(samples []int16, fn func(Result)) error {
-	return s.TrySubmitFuncDeadline(samples, time.Time{}, fn)
-}
-
-// TrySubmitFuncDeadline is TrySubmitFunc with a queue deadline (see
-// SubmitDeadline): a submission still queued past deadline is shed at
-// dequeue and fn fires with a Result whose Err is ErrDeadlineExceeded. This
-// is the network front end's load-shedding path — stale requests stop
-// costing workers the moment the queue backs up past their patience.
+// TrySubmitFuncDeadline is SubmitFuncDeadline that fails with ErrQueueFull
+// instead of blocking when the queue is at capacity — the callback-path
+// face of backpressure, which network front ends map to an explicit BUSY
+// reply. Its deadline shedding is the front end's load-shedding path: stale
+// requests stop costing workers the moment the queue backs up past their
+// patience.
 func (s *Server) TrySubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
+	return s.submitFunc(samples, deadline, fn, false)
+}
+
+// submitFunc enqueues one callback job; block selects waiting over
+// ErrQueueFull on a full queue.
+func (s *Server) submitFunc(samples []int16, deadline time.Time, fn func(Result), block bool) error {
 	t := newCbTicket(fn)
-	if err := s.send(job{samples: samples, res: &t.res, cb: t, deadline: deadline}, false); err != nil {
+	if err := s.send(job{samples: samples, res: &t.res, cb: t, deadline: deadline}, block); err != nil {
 		cbPool.Put(t)
 		return err
 	}
@@ -563,9 +633,10 @@ func (s *Server) TrySubmitFuncDeadline(samples []int16, deadline time.Time, fn f
 }
 
 // RunBatch classifies every utterance and returns one Result per input, in
-// order — the Pipeline compatibility surface. The batch shares one results
-// slice and one completion channel, so the per-utterance hot path allocates
-// nothing beyond optional probabilities.
+// order. Utterances are distributed dynamically over the worker pool, so a
+// slow utterance never stalls the rest of the batch. The batch shares one
+// results slice and one completion channel, so the per-utterance hot path
+// allocates nothing beyond optional probabilities.
 func (s *Server) RunBatch(utts [][]int16) []Result {
 	results := make([]Result, len(utts))
 	done := make(chan struct{}, len(utts))
@@ -586,10 +657,10 @@ func (s *Server) RunBatch(utts [][]int16) []Result {
 // Close marks the server closed, drains all queued work, and waits for the
 // workers to exit. The drain contract: every submission accepted before
 // Close completes — tickets obtained before Close all resolve, and every
-// accepted callback (SubmitFunc, OnResult streams) has fired by the time
+// accepted callback (…FuncDeadline submissions, OnResult streams) has fired by the time
 // Close returns. Work never accepted (a send that observed the closed flag)
 // reports ErrServerClosed to its submitter instead; no accepted callback is
-// silently dropped. A SubmitStream racing Close either gets its remaining
+// silently dropped. A Stream.Submit racing Close either gets its remaining
 // hops in before the flag flips (they drain) or gets ErrServerClosed for
 // the rest of the chunk — it never deadlocks, because sends hold the
 // read-lock for the full channel send, so the queue cannot close under a
@@ -605,17 +676,11 @@ func (s *Server) Close() {
 	close(s.jobs)
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Retire any interpreter-level batch shard workers deterministically
-	// (they would otherwise linger until a GC cleanup collects the workers'
-	// interpreters).
-	for _, w := range s.workers {
-		w.ip.ReleaseBatch()
-	}
 }
 
-// streamScratchSlack is how many fingerprint buffers a Stream owns beyond
-// the server's queue depth: enough to keep the queue full while one
-// fingerprint is being assembled and others are on workers.
+// streamScratch is how many fingerprint buffers a Stream owns: the queue
+// depth plus one per worker plus one, enough to keep the queue full while
+// one fingerprint is being assembled and others are on workers.
 func (s *Server) streamScratch() int { return cap(s.jobs) + len(s.workers) + 1 }
 
 // Stream is one continuous audio source multiplexed onto a Server: it owns
@@ -655,14 +720,14 @@ func (s *Server) OpenStream() (*Stream, error) {
 // frame accounting).
 func (st *Stream) Streamer() *dsp.Streamer { return st.st }
 
-// Hops returns how many inference hops SubmitStream has submitted for this
-// stream so far — the difference across a SubmitStream call is how many
-// hops that call accepted. Like all Stream methods it is single-goroutine
+// Hops returns how many inference hops Submit has submitted for this stream
+// so far — the difference across a Submit call is how many hops that call
+// accepted. Like all Stream methods it is single-goroutine
 // state; concurrent callbacks do not change it.
 func (st *Stream) Hops() uint64 { return st.hops }
 
 // OnResult switches the stream from ticket polling to callback delivery:
-// every subsequent SubmitStream call submits its hops as callback jobs and
+// every subsequent Submit call submits its hops as callback jobs and
 // returns no tickets, and fn is invoked once per hop with the hop's sequence
 // number (0-based, counting every inference hop submitted since OpenStream)
 // and its Result. Callbacks for
@@ -675,10 +740,9 @@ func (st *Stream) Hops() uint64 { return st.hops }
 //
 // Drain contract: Server.Close processes every hop accepted before it, so
 // after Close returns every accepted hop's callback has fired. A fn of nil
-// panics; OnResult must be called before the first SubmitStream whose
-// callbacks it should receive and cannot be un-set (the stream is
-// single-goroutine state, so "before the next SubmitStream" is well
-// defined).
+// panics; OnResult must be called before the first Submit whose callbacks
+// it should receive and cannot be un-set (the stream is single-goroutine
+// state, so "before the next Submit" is well defined).
 func (st *Stream) OnResult(fn func(hop uint64, r Result)) {
 	if fn == nil {
 		panic("core: Stream.OnResult(nil)")
@@ -686,28 +750,18 @@ func (st *Stream) OnResult(fn func(hop uint64, r Result)) {
 	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]*cbTicket)}
 }
 
-// Submit advances the stream by chunk on the server that opened it — the
-// method form of Server.SubmitStream, so holders of a Stream obtained
-// through the Engine interface can submit without naming the concrete
-// server (Registry shards are parameterized over Engine).
+// Submit advances the stream by chunk on the server that opened it and
+// submits one inference per newly completed hop once the stream is warm (a
+// full fingerprint window observed), returning the tickets in hop order —
+// or, after OnResult, no tickets: each hop's result is then delivered
+// through the stream's callback in hop order. When all of the stream's
+// fingerprint buffers are in flight it waits for a worker to recycle one —
+// the streaming face of queue backpressure. On error (ErrServerClosed
+// mid-chunk) the already submitted hops are unaffected — their tickets are
+// returned/callbacks still fire — and the remainder of the chunk is
+// dropped; Submit never leaves a hop half-submitted.
 func (st *Stream) Submit(chunk []int16) ([]*Pending, error) {
-	return st.srv.SubmitStream(st, chunk)
-}
-
-// SubmitStream advances the stream by chunk and submits one inference per
-// newly completed hop once the stream is warm (a full fingerprint window
-// observed), returning the tickets in hop order — or, after Stream.OnResult,
-// no tickets: each hop's result is then delivered through the stream's
-// callback in hop order. When all of the stream's fingerprint buffers are in
-// flight it waits for a worker to recycle one — the streaming face of queue
-// backpressure. On error (ErrServerClosed mid-chunk) the already submitted
-// hops are unaffected — their tickets are returned/callbacks still fire —
-// and the remainder of the chunk is dropped; SubmitStream never leaves a
-// hop half-submitted.
-func (s *Server) SubmitStream(st *Stream, chunk []int16) ([]*Pending, error) {
-	if st.srv != s {
-		return nil, errors.New("core: stream belongs to a different server")
-	}
+	s := st.srv
 	var tickets []*Pending
 	for len(chunk) > 0 {
 		n := min(st.st.NeedSamples(), len(chunk))

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSubmitFuncMatchesSerial: callback submissions must classify exactly
@@ -24,7 +25,7 @@ func TestSubmitFuncMatchesSerial(t *testing.T) {
 		for i, u := range utts {
 			i := i
 			wg.Add(1)
-			if err := srv.SubmitFunc(u, func(r Result) {
+			if err := srv.SubmitFuncDeadline(u, time.Time{}, func(r Result) {
 				defer wg.Done()
 				fired[i].Add(1)
 				if r.Err != nil {
@@ -60,11 +61,11 @@ func TestTrySubmitFuncBackpressure(t *testing.T) {
 	}
 	var fired atomic.Int32
 	for i, u := range utts {
-		if err := srv.TrySubmitFunc(u, func(Result) { fired.Add(1) }); err != nil {
+		if err := srv.TrySubmitFuncDeadline(u, time.Time{}, func(Result) { fired.Add(1) }); err != nil {
 			t.Fatalf("submit %d within capacity: %v", i, err)
 		}
 	}
-	if err := srv.TrySubmitFunc(utts[0], func(Result) {}); !errors.Is(err, ErrQueueFull) {
+	if err := srv.TrySubmitFuncDeadline(utts[0], time.Time{}, func(Result) {}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit beyond capacity: err = %v, want ErrQueueFull", err)
 	}
 	srv.start()
@@ -93,7 +94,7 @@ func TestStreamOnResultOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []int
-	tickets, err := ref.SubmitStream(refStream, signal)
+	tickets, err := refStream.Submit(signal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestStreamOnResultOrdering(t *testing.T) {
 			if off+step > len(signal) {
 				step = len(signal) - off
 			}
-			ts, err := srv.SubmitStream(stream, signal[off:off+step])
+			ts, err := stream.Submit(signal[off : off+step])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,8 +195,8 @@ func TestSeqDeliveryReorders(t *testing.T) {
 	}
 }
 
-// TestServerCloseVsSubmitStream races Close against in-flight SubmitStream
-// callers (the ISSUE-flagged audit): every hop a SubmitStream call accepted
+// TestServerCloseVsSubmitStream races Close against in-flight Stream.Submit
+// callers: every hop a Stream.Submit call accepted
 // must fire its callback exactly once — all before Close returns — the
 // remainder of an interrupted chunk must surface ErrServerClosed, and
 // nothing may deadlock. Run with -race.
@@ -234,7 +235,7 @@ func TestServerCloseVsSubmitStream(t *testing.T) {
 				hopSamples := stream.Streamer().Frontend().Config().StrideSamples
 				for off := 0; off+hopSamples <= len(signal); off += hopSamples {
 					before := stream.hops
-					_, err := srv.SubmitStream(stream, signal[off:off+hopSamples])
+					_, err := stream.Submit(signal[off : off+hopSamples])
 					accepted[sid].Add(int64(stream.hops - before))
 					if err != nil {
 						if !errors.Is(err, ErrServerClosed) {
@@ -285,18 +286,18 @@ func TestSubmitFuncAllocFree(t *testing.T) {
 	fn := func(Result) { done <- struct{}{} }
 	// Warm the pools.
 	for i := 0; i < 8; i++ {
-		if err := srv.SubmitFunc(utts[0], fn); err != nil {
+		if err := srv.SubmitFuncDeadline(utts[0], time.Time{}, fn); err != nil {
 			t.Fatal(err)
 		}
 		<-done
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := srv.SubmitFunc(utts[0], fn); err != nil {
+		if err := srv.SubmitFuncDeadline(utts[0], time.Time{}, fn); err != nil {
 			t.Fatal(err)
 		}
 		<-done
 	})
 	if allocs > 0 {
-		t.Fatalf("SubmitFunc steady state allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("SubmitFuncDeadline steady state allocates %.1f objects/op, want 0", allocs)
 	}
 }

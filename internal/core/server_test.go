@@ -40,7 +40,7 @@ func TestServerSubmitOrdering(t *testing.T) {
 			}
 		}
 		srv.Close()
-		if n := srv.liveWorkers(); n != 0 {
+		if n := srv.LiveWorkers(); n != 0 {
 			t.Fatalf("workers=%d: %d worker goroutines alive after Close", workers, n)
 		}
 	}
@@ -89,9 +89,10 @@ func TestServerConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestServerBackpressure: with the workers not yet draining, TrySubmit must
-// accept exactly Queue submissions and then report ErrQueueFull; once the
-// workers start, everything queued resolves in order.
+// TestServerBackpressure: with the workers not yet draining, the queue
+// holds exactly Queue submissions and TrySubmitFuncDeadline then reports
+// ErrQueueFull without firing its callback; once the workers start,
+// everything queued resolves in order.
 func TestServerBackpressure(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 6)
 	want := serialResults(t, model, utts)
@@ -104,11 +105,12 @@ func TestServerBackpressure(t *testing.T) {
 	}
 	tickets := make([]*Pending, len(utts))
 	for i, u := range utts {
-		if tickets[i], err = srv.TrySubmit(u); err != nil {
+		if tickets[i], err = srv.Submit(u); err != nil {
 			t.Fatalf("submit %d within queue capacity: %v", i, err)
 		}
 	}
-	if _, err := srv.TrySubmit(utts[0]); !errors.Is(err, ErrQueueFull) {
+	rejected := func(Result) { t.Error("callback of a rejected submission fired") }
+	if err := srv.TrySubmitFuncDeadline(utts[0], time.Time{}, rejected); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit beyond capacity: err = %v, want ErrQueueFull", err)
 	}
 	srv.start()
@@ -118,7 +120,7 @@ func TestServerBackpressure(t *testing.T) {
 		}
 	}
 	srv.Close()
-	if n := srv.liveWorkers(); n != 0 {
+	if n := srv.LiveWorkers(); n != 0 {
 		t.Fatalf("%d worker goroutines alive after Close", n)
 	}
 }
@@ -148,14 +150,14 @@ func TestServerCloseDrains(t *testing.T) {
 	if _, err := srv.Submit(utts[0]); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrServerClosed", err)
 	}
-	if _, err := srv.TrySubmit(utts[0]); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("TrySubmit after Close: err = %v, want ErrServerClosed", err)
+	if err := srv.TrySubmitFuncDeadline(utts[0], time.Time{}, func(Result) {}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("TrySubmitFuncDeadline after Close: err = %v, want ErrServerClosed", err)
 	}
 	if res := srv.RunBatch(utts[:2]); res[0].Err == nil || res[1].Err == nil {
 		t.Fatal("RunBatch after Close did not error per utterance")
 	}
 	srv.Close() // idempotent
-	if n := srv.liveWorkers(); n != 0 {
+	if n := srv.LiveWorkers(); n != 0 {
 		t.Fatalf("%d worker goroutines alive after Close", n)
 	}
 }
@@ -188,7 +190,7 @@ func TestServerStreamMatchesWindows(t *testing.T) {
 		if off+step > len(signal) {
 			step = len(signal) - off
 		}
-		tickets, err := srv.SubmitStream(stream, signal[off:off+step])
+		tickets, err := stream.Submit(signal[off : off+step])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,28 +230,6 @@ func TestServerStreamMatchesWindows(t *testing.T) {
 	}
 	if stream.Streamer().Frames() < len(got) {
 		t.Fatal("frame accounting inconsistent with delivered results")
-	}
-}
-
-// TestServerStreamOwnership: streams are bound to their server.
-func TestServerStreamOwnership(t *testing.T) {
-	model, _, _ := pipelineFixture(t, 0)
-	a, err := NewServer(model, ServerConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewServer(model, ServerConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	stream, err := a.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.SubmitStream(stream, make([]int16, 16)); err == nil {
-		t.Fatal("foreign stream accepted")
 	}
 }
 
@@ -353,71 +333,6 @@ func TestServerMixedSubmitRunBatch(t *testing.T) {
 	}
 }
 
-// TestServerParallelBatchRace: with intra-batch shard parallelism enabled,
-// concurrent Submit and RunBatch load must stay correct and race-free (run
-// with -race): every drained batch fans across the worker interpreter's
-// shard goroutines while multiple server workers run concurrently.
-func TestServerParallelBatchRace(t *testing.T) {
-	model, utts, _ := pipelineFixture(t, 12)
-	want := serialResults(t, model, utts)
-	srv, err := NewServer(model, ServerConfig{Workers: 2, Queue: 6, MaxBatch: 6, BatchParallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range srv.workers {
-		if got := w.ip.BatchParallelism(); got != 2 {
-			t.Fatalf("worker interpreter BatchParallelism = %d, want 2", got)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 12)
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) { // Submit path
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				for i, u := range utts {
-					p, err := srv.Submit(u)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if r := p.Wait(); r.Err != nil || r.Label != want[i] {
-						errs <- fmt.Errorf("goroutine %d utterance %d: label %d err %v, want %d", g, i, r.Label, r.Err, want[i])
-						p.Release()
-						return
-					}
-					p.Release()
-				}
-			}
-		}(g)
-		wg.Add(1)
-		go func(g int) { // RunBatch path
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				for i, r := range srv.RunBatch(utts) {
-					if r.Err != nil || r.Label != want[i] {
-						errs <- fmt.Errorf("batch goroutine %d utterance %d: label %d err %v, want %d", g, i, r.Label, r.Err, want[i])
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	srv.Close()
-	// Close must also retire the interpreters' shard workers.
-	for _, w := range srv.workers {
-		if got := w.ip.BatchParallelism(); got != 0 {
-			t.Fatalf("shard workers alive after Close: BatchParallelism = %d", got)
-		}
-	}
-}
-
 // TestPendingRelease: released tickets recycle through the pool and a
 // reused ticket observes only its own submission's result.
 func TestPendingRelease(t *testing.T) {
@@ -496,7 +411,7 @@ func TestWorkerPanicInBatch(t *testing.T) {
 	defer srv.Close()
 	tickets := make([]*Pending, len(utts))
 	for i, u := range utts {
-		if tickets[i], err = srv.TrySubmit(u); err != nil {
+		if tickets[i], err = srv.Submit(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -529,23 +444,29 @@ func TestQueueDeadlineShedding(t *testing.T) {
 	}
 	defer srv.Close()
 	expired := time.Now().Add(-time.Millisecond)
-	stale := make([]*Pending, len(utts))
-	for i, u := range utts {
-		if stale[i], err = srv.SubmitDeadline(u, expired); err != nil {
+	results := make([]Result, len(utts)+1)
+	var wg sync.WaitGroup
+	submit := func(i int, u []int16, deadline time.Time) {
+		wg.Add(1)
+		if err := srv.SubmitFuncDeadline(u, deadline, func(r Result) {
+			results[i] = r
+			wg.Done()
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh, err := srv.SubmitDeadline(utts[0], time.Time{}) // no deadline
-	if err != nil {
-		t.Fatal(err)
+	for i, u := range utts {
+		submit(i, u, expired)
 	}
+	submit(len(utts), utts[0], time.Time{}) // no deadline
 	srv.start()
-	for i, p := range stale {
-		if r := p.Wait(); !errors.Is(r.Err, ErrDeadlineExceeded) {
+	wg.Wait()
+	for i, r := range results[:len(utts)] {
+		if !errors.Is(r.Err, ErrDeadlineExceeded) {
 			t.Fatalf("stale job %d: err = %v, want ErrDeadlineExceeded", i, r.Err)
 		}
 	}
-	if r := fresh.Wait(); r.Err != nil || r.Label != want[0] {
+	if r := results[len(utts)]; r.Err != nil || r.Label != want[0] {
 		t.Fatalf("undeadlined job swept up in shedding: %+v, want label %d", r, want[0])
 	}
 	if got := srv.Shed(); got != uint64(len(utts)) {
@@ -554,9 +475,9 @@ func TestQueueDeadlineShedding(t *testing.T) {
 }
 
 // TestSubmitAfterClose: every submission path must return ErrServerClosed
-// deterministically after Close — never panic, never hang — including the
-// callback and deadline variants (the netfront edge calls these on live
-// connections that race Close).
+// deterministically after Close — never panic, never hang, never fire a
+// callback — including the callback/deadline paths (the netfront edge calls
+// these on live connections that race Close).
 func TestSubmitAfterClose(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 2)
 	srv, err := NewServer(model, ServerConfig{Workers: 1})
@@ -571,24 +492,23 @@ func TestSubmitAfterClose(t *testing.T) {
 	if _, err := srv.Submit(utts[0]); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := srv.SubmitDeadline(utts[0], time.Now().Add(time.Second)); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("SubmitDeadline: %v", err)
+	fired := func(Result) { t.Error("callback of a rejected submission fired") }
+	for _, deadline := range []time.Time{{}, time.Now().Add(time.Second)} {
+		if err := srv.SubmitFuncDeadline(utts[0], deadline, fired); !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("SubmitFuncDeadline(deadline %v): %v", deadline, err)
+		}
+		if err := srv.TrySubmitFuncDeadline(utts[0], deadline, fired); !errors.Is(err, ErrServerClosed) {
+			t.Fatalf("TrySubmitFuncDeadline(deadline %v): %v", deadline, err)
+		}
 	}
-	if _, err := srv.TrySubmit(utts[0]); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("TrySubmit: %v", err)
-	}
-	if err := srv.SubmitFunc(utts[0], func(Result) {}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("SubmitFunc: %v", err)
-	}
-	if err := srv.TrySubmitFunc(utts[0], func(Result) {}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("TrySubmitFunc: %v", err)
-	}
-	if err := srv.TrySubmitFuncDeadline(utts[0], time.Time{}, func(Result) {}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("TrySubmitFuncDeadline: %v", err)
+	for i, r := range srv.RunBatch(utts) {
+		if !errors.Is(r.Err, ErrServerClosed) || r.Label != -1 {
+			t.Fatalf("RunBatch utterance %d: %+v", i, r)
+		}
 	}
 	// A long chunk guarantees at least one hop submission attempt.
-	if _, err := srv.SubmitStream(stream, utts[0]); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("SubmitStream: %v", err)
+	if _, err := stream.Submit(utts[0]); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Stream.Submit: %v", err)
 	}
 	srv.Close() // still idempotent with a stream open
 }

@@ -90,7 +90,7 @@ func TestStreamerFrameAccounting(t *testing.T) {
 }
 
 // TestStreamerNeedSamples: pushing exactly NeedSamples completes exactly one
-// frame, the invariant Server.SubmitStream relies on for per-hop submission.
+// frame, the invariant core.Stream.Submit relies on for per-hop submission.
 func TestStreamerNeedSamples(t *testing.T) {
 	for ci, cfg := range streamerConfigs() {
 		fe, err := NewFrontend(cfg)

@@ -102,14 +102,14 @@ func runE12(ctx *Ctx) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := srv.SubmitStream(stream, signal[:utt-hop]); err != nil {
+		if _, err := stream.Submit(signal[:utt-hop]); err != nil {
 			return nil, err
 		}
 		start = time.Now()
 		delivered := 0
 		var tail []*core.Pending
 		for h := 0; h < hops; h++ {
-			tickets, err := srv.SubmitStream(stream, signal[utt-hop+h*hop:utt+h*hop])
+			tickets, err := stream.Submit(signal[utt-hop+h*hop : utt+h*hop])
 			if err != nil {
 				return nil, err
 			}
@@ -243,7 +243,7 @@ func runE12(ctx *Ctx) (*Table, error) {
 		{"frontend: streamer (1 FFT/hop)", fmt.Sprintf("%.1f µs/hop", us(streamPerHop)), "-", "-", speed(fullPerHop, streamPerHop)},
 		{fmt.Sprintf("server: RunBatch ×%d workers", workers), fmt.Sprintf("%.1f µs/utt", us(batchPerUtt)),
 			"-", fmt.Sprintf("%.0f utt/s", perSec(batchPerUtt)), "1.00x"},
-		{fmt.Sprintf("server: SubmitStream ×%d workers", workers), fmt.Sprintf("%.1f µs/hop", us(streamSrvPerHop)),
+		{fmt.Sprintf("server: Stream.Submit ×%d workers", workers), fmt.Sprintf("%.1f µs/hop", us(streamSrvPerHop)),
 			"-", fmt.Sprintf("%.0f hop/s", perSec(streamSrvPerHop)), speed(batchPerUtt, streamSrvPerHop)},
 		{fmt.Sprintf("enclave: %d × Query (core held)", queries), fmt.Sprintf("%.2f ms/query", us(serialWall)/1000),
 			fmt.Sprintf("%.2f", us(serialSim)/1000), "-", "1.00x"},

@@ -13,8 +13,8 @@ func init() {
 	register(Experiment{ID: "E11", Title: "Host batch-inference throughput (pipeline scaling)", Run: runE11})
 }
 
-// runE11 measures the host-side serving path: core.Pipeline fanning a batch
-// of utterances across worker pools of increasing size. The paper's device
+// runE11 measures the host-side serving path: core.Server.RunBatch fanning
+// a batch of utterances across worker pools of increasing size. The paper's device
 // numbers are simulated elsewhere (E1/E2); this experiment characterizes
 // how fast the reproduction itself can serve traffic — the im2col/GEMM
 // kernels plus the zero-alloc DSP frontend under concurrency.
@@ -37,16 +37,16 @@ func runE11(ctx *Ctx) (*Table, error) {
 	var rows [][]string
 	var base float64
 	for _, workers := range []int{1, 2, 4} {
-		p, err := core.NewPipeline(model, core.PipelineConfig{Workers: workers})
+		srv, err := core.NewServer(model, core.ServerConfig{Workers: workers})
 		if err != nil {
 			return nil, err
 		}
 		// One warm-up pass settles lazy twiddle tables and scheduler state.
-		p.RunBatch(utts[:min(len(utts), 8)])
-		defer p.Close()
+		srv.RunBatch(utts[:min(len(utts), 8)])
+		defer srv.Close()
 		ctx.Logf("E11: %d workers, batch %d", workers, batch)
 		start := time.Now()
-		results := p.RunBatch(utts)
+		results := srv.RunBatch(utts)
 		elapsed := time.Since(start)
 		for i, r := range results {
 			if r.Err != nil {

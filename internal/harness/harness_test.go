@@ -15,8 +15,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 	ctx := NewCtx(true, nil)
 	exps := Experiments()
-	if len(exps) != 16 { // E1..E14, F1, F2
-		t.Fatalf("registered experiments = %d, want 16", len(exps))
+	if len(exps) != 15 { // E1..E12, E14, F1, F2
+		t.Fatalf("registered experiments = %d, want 15", len(exps))
 	}
 	for _, e := range exps {
 		e := e
@@ -116,7 +116,7 @@ func TestRegistryOrdering(t *testing.T) {
 	for _, e := range exps {
 		ids = append(ids, e.ID)
 	}
-	wantTail := []string{"E10", "E11", "E12", "E13", "E14", "F1", "F2"}
+	wantTail := []string{"E10", "E11", "E12", "E14", "F1", "F2"}
 	for i, w := range wantTail {
 		if ids[len(ids)-len(wantTail)+i] != w {
 			t.Fatalf("tail ordering = %v", ids)

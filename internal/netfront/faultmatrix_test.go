@@ -25,7 +25,7 @@ import (
 //   - the server keeps serving a concurrent healthy connection with
 //     bit-exact labels,
 //   - every submission the server accepts completes exactly once (counted
-//     through the direct SubmitFunc path),
+//     through the direct SubmitFuncDeadline path),
 //   - an injected worker panic mid-round is survived with the pool at full
 //     strength after, and
 //   - goroutine count returns to baseline once the round's clients are
@@ -136,7 +136,7 @@ func TestServerSurvivesFaultMatrix(t *testing.T) {
 			var completions atomic.Int32
 			done := make(chan struct{})
 			for i := 0; i < direct; i++ {
-				if err := srv.SubmitFunc(utts[i%len(utts)], func(core.Result) {
+				if err := srv.SubmitFuncDeadline(utts[i%len(utts)], time.Time{}, func(core.Result) {
 					if completions.Add(1) == direct {
 						close(done)
 					}

@@ -78,6 +78,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -364,8 +365,9 @@ const healthShardLen = 1 + 4 + 4 + 4 + 4 + 4 + 2 + 2
 // per model a length-prefixed name, u64 version, u16 shard count, and per
 // shard the fixed healthShardLen record (breaker state byte, rebuild
 // generation, consecutive failures, failure-rate in per-mille, trips,
-// rebuilds, configured and live workers). Rates are quantized to per-mille
-// on the wire; everything else round-trips exactly.
+// rebuilds, configured and live workers). Rates are rounded to per-mille
+// on the wire, so a decoded ack re-encodes to the same bytes; everything
+// else round-trips exactly.
 func AppendHealthAck(dst []byte, id uint32, health []core.ModelHealth) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(health)))
@@ -378,7 +380,7 @@ func AppendHealthAck(dst []byte, id uint32, health []core.ModelHealth) []byte {
 			dst = append(dst, byte(sh.State))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.Gen))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.ConsecutiveFailures))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.FailureRate*1000))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(math.Round(sh.FailureRate*1000)))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.Trips))
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(sh.Rebuilds))
 			dst = binary.LittleEndian.AppendUint16(dst, uint16(sh.Workers))

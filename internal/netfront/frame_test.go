@@ -2,6 +2,7 @@ package netfront
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -255,5 +256,30 @@ func TestHealthAckRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeHealthAck(append(b, 0)); err == nil {
 		t.Fatal("health ack with trailing garbage decoded without error")
+	}
+}
+
+// TestHealthAckRateReencodes pins the per-mille rate round trip: a decoded
+// health ack re-encodes to its own bytes for every rate a peer can send,
+// including those (1001‰ and up) whose float product rate·1000 lands just
+// below the integer.
+func TestHealthAckRateReencodes(t *testing.T) {
+	for _, permille := range []uint32{0, 1, 3, 250, 999, 1000, 1001, 1003, 123457, 1<<32 - 1} {
+		shard := make([]byte, healthShardLen)
+		binary.LittleEndian.PutUint32(shard[9:13], permille)
+		body := binary.LittleEndian.AppendUint32(nil, 5)
+		body = binary.LittleEndian.AppendUint16(body, 1)
+		body = binary.LittleEndian.AppendUint16(body, 1)
+		body = append(body, 'm')
+		body = binary.LittleEndian.AppendUint64(body, 2)
+		body = binary.LittleEndian.AppendUint16(body, 1)
+		body = append(body, shard...)
+		id, health, err := DecodeHealthAck(body)
+		if err != nil {
+			t.Fatalf("%d‰: %v", permille, err)
+		}
+		if re := AppendHealthAck(nil, id, health); !bytes.Equal(re, body) {
+			t.Fatalf("%d‰ re-encodes to %x, decoded from %x", permille, re, body)
+		}
 	}
 }

@@ -133,7 +133,7 @@ func TestNetRoundTripStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []int
-	tickets, err := direct.SubmitStream(ds, signal)
+	tickets, err := ds.Submit(signal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestNetBusy(t *testing.T) {
 	// Stall the single worker inside a callback, then fill the queue slot.
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	if err := srv.SubmitFunc(utts[0], func(core.Result) {
+	if err := srv.SubmitFuncDeadline(utts[0], time.Time{}, func(core.Result) {
 		close(entered)
 		<-release
 	}); err != nil {
@@ -310,7 +310,7 @@ func TestNetMixedConcurrentConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamWant []int
-	tickets, err := direct.SubmitStream(dstm, signal)
+	tickets, err := dstm.Submit(signal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package tflm
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Batched execution: PlanBatch sizes a stacked-utterance twin of the graph
 // once, and InvokeBatch runs up to that many utterances through one pass of
@@ -20,25 +16,13 @@ import (
 // Invoke) on this interpreter — copy what must outlive it. Results are
 // bit-exact with running each utterance through Invoke serially: the
 // batched kernels are the same kernels over stacked rows, and the batch
-// slabs are disjoint from the serial tensors.
-//
-// PlanBatchParallel additionally fans InvokeBatch across a persistent
-// shard-worker group: utterances are independent, so the batch splits into
-// contiguous utterance spans and each shard runs the whole node list over
-// its span. Every shard owns its own kernel scratch — im2col column slabs
-// (padding prefilled per conv node), SWAR packed-activation rows, softmax
-// staging — so the zero-allocation invariant survives; the stacked tensor
-// slabs are shared but each shard touches only its span's disjoint rows.
-// Workers are spawned once at plan time and parked on a channel between
-// calls (no per-call goroutine churn); the degenerate parallelism of 1 is
-// exactly the previous serial loop on shard 0. Cycle metering is untouched:
-// InvokeBatch charges b× the per-utterance node costs regardless of how
-// many host cores ran them — parallelism, like SWAR, is a host-side
-// optimization invisible to the simulated device.
+// slabs are disjoint from the serial tensors. The plan owns its kernel
+// scratch — im2col column slabs (padding prefilled per conv node), SWAR
+// packed-activation rows, softmax staging — so InvokeBatch allocates
+// nothing. Cycle metering charges b× the per-utterance node costs: batching,
+// like SWAR, is a host-side optimization invisible to the simulated device.
 
-// batchShard is one execution context of the batched plan: every kernel
-// scratch buffer a span sweep needs, so concurrent shards never share
-// mutable state beyond the (row-disjoint) tensor slabs.
+// batchShard is the kernel scratch a batched node sweep needs.
 type batchShard struct {
 	cols     [][]int8 // per conv node column slab, padding prefilled
 	gemmX    []uint64
@@ -46,24 +30,20 @@ type batchShard struct {
 	smProbs  []float64
 }
 
-// batchSpan is one unit of fan-out work: utterances [u0, u1).
-type batchSpan struct{ u0, u1 int }
-
 // batchPlan is the plan-time state of InvokeBatch.
 type batchPlan struct {
 	capB int
-	par  int // shard count; 1 = serial
 	// slabs[ti] holds capB stacked copies of tensor ti's storage (nil for
 	// constants and tensors the batched graph never touches). A pure-copy
 	// Reshape aliases its output slab to its input slab, so the copy
 	// disappears from the batched hot path.
 	slabs [][]int8
-	// runs[ni] executes node ni over utterances [u0, u1) with shard sc's
-	// scratch; nil runs means the whole plan fell back to per-utterance
-	// serial Invoke (exotic node or dtype in the graph).
-	runs   []func(sc *batchShard, u0, u1 int) error
-	ops    []OpCode // node opcodes, for error messages off the fast path
-	shards []*batchShard
+	// runs[ni] executes node ni over utterances [u0, u1) with sc's scratch;
+	// nil runs means the whole plan fell back to per-utterance serial
+	// Invoke (exotic node or dtype in the graph).
+	runs  []func(sc *batchShard, u0, u1 int) error
+	ops   []OpCode // node opcodes, for error messages off the fast path
+	shard *batchShard
 	// tileB is the cache-blocking tile: runSpan sweeps the node list over
 	// tileB utterances at a time so a tile's activation slab rows stay
 	// L1-resident from producer to consumer instead of streaming the whole
@@ -71,12 +51,6 @@ type batchPlan struct {
 	// per-utterance slab footprint; purely an iteration-order change, so
 	// results are bit-identical to the untiled sweep.
 	tileB int
-	// Persistent worker group (par > 1 only): workers park on work and
-	// answer on done; closing stop retires them.
-	work     chan batchSpan
-	done     chan error
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
 // colCopy is one replayed im2col transfer: col[dst:dst+n] = src[src:src+n].
@@ -164,29 +138,21 @@ func replayIm2col(prog []colCopy, col, src []int8, off int) {
 	}
 }
 
-// convColSpec records one conv node's per-shard column-slab requirement.
+// convColSpec records one conv node's column-slab requirement.
 type convColSpec struct {
 	length int
 	fill   int8
 }
 
 // PlanBatch prepares the interpreter to run up to maxB stacked utterances
-// per InvokeBatch call with the serial (single-shard) engine; see
-// PlanBatchParallel for the multi-core form.
-func (ip *Interpreter) PlanBatch(maxB int) error { return ip.PlanBatchParallel(maxB, 1) }
-
-// PlanBatchParallel prepares the interpreter to run up to maxB stacked
-// utterances per InvokeBatch call, fanned across parallel shard contexts
-// (parallel <= 0 means min(GOMAXPROCS, maxB)). It allocates the stacked
-// activation slabs, the per-shard kernel scratch, and — for parallelism
-// above 1 — the persistent worker goroutines now, so InvokeBatch performs
-// no heap allocation and no goroutine spawning. Planning again replaces the
-// previous plan (tickets into old slabs become stale; the old worker group
-// retires). The model's primary input and output must be int8; graphs with
-// nodes the batched engine cannot stack (float dtypes, pooling, dynamic
-// weights) keep a degraded single-shard plan that runs the serial engine
-// per utterance — same results, no stacked GEMM, no fan-out.
-func (ip *Interpreter) PlanBatchParallel(maxB, parallel int) error {
+// per InvokeBatch call. It allocates the stacked activation slabs and the
+// kernel scratch now, so InvokeBatch performs no heap allocation. Planning
+// again replaces the previous plan (tickets into old slabs become stale).
+// The model's primary input and output must be int8; graphs with nodes the
+// batched engine cannot stack (float dtypes, pooling, dynamic weights) keep
+// a degraded plan that runs the serial engine per utterance — same results,
+// no stacked GEMM.
+func (ip *Interpreter) PlanBatch(maxB int) error {
 	if maxB < 1 {
 		return fmt.Errorf("tflm: batch capacity %d < 1", maxB)
 	}
@@ -197,14 +163,7 @@ func (ip *Interpreter) PlanBatchParallel(maxB, parallel int) error {
 	if ip.Input(0).Type != Int8 || ip.Output(0).Type != Int8 {
 		return fmt.Errorf("tflm: PlanBatch needs int8 model I/O")
 	}
-	par := parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > maxB {
-		par = maxB
-	}
-	bp := &batchPlan{capB: maxB, par: par, slabs: make([][]int8, len(m.Tensors))}
+	bp := &batchPlan{capB: maxB, slabs: make([][]int8, len(m.Tensors))}
 	slab := func(ti int) []int8 {
 		t := m.Tensors[ti]
 		if t.IsConst || t.Type != Int8 {
@@ -244,7 +203,7 @@ func (ip *Interpreter) PlanBatchParallel(maxB, parallel int) error {
 					break
 				}
 				g, pr := cp.g, cp.pr
-				// Dedicated column slab per (shard, conv node), prefilled
+				// Dedicated column slab per conv node, prefilled
 				// with the node's padding zero point so the replayed copy
 				// program never has to re-fill padding. The slab holds one
 				// utterance: replay and GEMM interleave per utterance so
@@ -380,85 +339,23 @@ func (ip *Interpreter) PlanBatchParallel(maxB, parallel int) error {
 		for ni, n := range m.Nodes {
 			bp.ops[ni] = n.Op
 		}
-		bp.shards = make([]*batchShard, bp.par)
-		for s := range bp.shards {
-			sc := &batchShard{cols: make([][]int8, len(cols))}
-			for i, spec := range cols {
-				col := make([]int8, spec.length)
-				fillSlice(col, spec.fill)
-				sc.cols[i] = col
-			}
-			if maxGemmX > 0 {
-				sc.gemmX = make([]uint64, maxGemmX)
-			}
-			if maxDepth > 0 {
-				sc.smLogits = make([]float64, maxDepth)
-				sc.smProbs = make([]float64, maxDepth)
-			}
-			bp.shards[s] = sc
+		sc := &batchShard{cols: make([][]int8, len(cols))}
+		for i, spec := range cols {
+			col := make([]int8, spec.length)
+			fillSlice(col, spec.fill)
+			sc.cols[i] = col
 		}
-	} else {
-		// The serial fallback replays Invoke per utterance through the
-		// single tensor storage; it cannot shard.
-		bp.par = 1
+		if maxGemmX > 0 {
+			sc.gemmX = make([]uint64, maxGemmX)
+		}
+		if maxDepth > 0 {
+			sc.smLogits = make([]float64, maxDepth)
+			sc.smProbs = make([]float64, maxDepth)
+		}
+		bp.shard = sc
 	}
-	ip.releaseBatchPlan()
 	ip.batch = bp
-	if bp.par > 1 {
-		bp.startWorkers()
-		// Retire the worker group when the interpreter itself is dropped
-		// without a replacing plan. The cleanup must capture the plan, not
-		// the interpreter, or the interpreter would never be collected; the
-		// handle is stopped on replan/release so retired plans don't stay
-		// pinned by their own backstop.
-		c := runtime.AddCleanup(ip, func(old *batchPlan) { old.stopWorkers() }, bp)
-		ip.batchCleanup = &c
-	}
 	return nil
-}
-
-// releaseBatchPlan retires the current plan's workers and cancels its GC
-// cleanup backstop, dropping every reference the interpreter holds to it.
-func (ip *Interpreter) releaseBatchPlan() {
-	if ip.batch != nil {
-		ip.batch.stopWorkers()
-		ip.batch = nil
-	}
-	if ip.batchCleanup != nil {
-		ip.batchCleanup.Stop()
-		ip.batchCleanup = nil
-	}
-}
-
-// startWorkers launches the persistent shard workers (shards 1..par−1;
-// shard 0 always runs on the InvokeBatch caller). Workers hold no reference
-// to the interpreter — only to the plan — and park on the work channel
-// between calls.
-func (bp *batchPlan) startWorkers() {
-	bp.work = make(chan batchSpan)
-	bp.done = make(chan error, bp.par)
-	bp.stop = make(chan struct{})
-	for w := 1; w < bp.par; w++ {
-		sc := bp.shards[w]
-		go func() {
-			for {
-				select {
-				case <-bp.stop:
-					return
-				case sp := <-bp.work:
-					bp.done <- bp.runSpan(sc, sp.u0, sp.u1)
-				}
-			}
-		}()
-	}
-}
-
-// stopWorkers retires the worker group; safe to call repeatedly and on
-// serial plans.
-func (bp *batchPlan) stopWorkers() {
-	if bp.stop != nil {
-		bp.stopOnce.Do(func() { close(bp.stop) })
-	}
 }
 
 // batchTileBudget is the activation working set one cache-blocking tile may
@@ -494,13 +391,13 @@ func batchTile(slabs [][]int8, capB int) int {
 	return t
 }
 
-// runSpan executes every node over utterances [u0, u1) with sc's scratch,
-// cache-blocked: the node list sweeps tileB utterances at a time, so each
+// runSpan executes every node over utterances [u0, u1) with the plan's
+// scratch, cache-blocked: the node list sweeps tileB utterances at a time, so each
 // tile's activations are consumed while still resident instead of the whole
 // span streaming between producer and consumer nodes. Node order within a
 // tile is unchanged and tiles are disjoint, so the result is bit-identical
 // to the untiled sweep.
-func (bp *batchPlan) runSpan(sc *batchShard, u0, u1 int) error {
+func (bp *batchPlan) runSpan(u0, u1 int) error {
 	step := bp.tileB
 	if step <= 0 {
 		step = u1 - u0
@@ -511,19 +408,13 @@ func (bp *batchPlan) runSpan(sc *batchShard, u0, u1 int) error {
 			t1 = u1
 		}
 		for ni, run := range bp.runs {
-			if err := run(sc, t0, t1); err != nil {
+			if err := run(bp.shard, t0, t1); err != nil {
 				return fmt.Errorf("tflm: node %d (%v): %w", ni, bp.ops[ni], err)
 			}
 		}
 	}
 	return nil
 }
-
-// ReleaseBatch drops the batch plan and retires its worker group, if any.
-// Optional — a dropped interpreter's workers are retired by a GC cleanup —
-// but callers that own worker lifecycles (core.Server) release explicitly
-// so goroutine accounting is deterministic.
-func (ip *Interpreter) ReleaseBatch() { ip.releaseBatchPlan() }
 
 // BatchCapacity returns the planned stacked-utterance capacity (0 before
 // PlanBatch).
@@ -532,15 +423,6 @@ func (ip *Interpreter) BatchCapacity() int {
 		return 0
 	}
 	return ip.batch.capB
-}
-
-// BatchParallelism returns the planned shard count (0 before PlanBatch; 1
-// for serial plans, including the degraded fallback).
-func (ip *Interpreter) BatchParallelism() int {
-	if ip.batch == nil {
-		return 0
-	}
-	return ip.batch.par
 }
 
 // BatchInput returns utterance j's input row in the stacked plan; stage
@@ -558,12 +440,9 @@ func (ip *Interpreter) BatchOutput(j int) []int8 {
 }
 
 // InvokeBatch classifies the b staged utterances (1 ≤ b ≤ BatchCapacity)
-// in one pass over the graph, fanning contiguous utterance spans across the
-// planned shards when the plan is parallel (spans only as many shards as
-// there are utterances; a lone utterance never leaves the caller). Cycle
-// metering charges b× the per-utterance node costs — batching and host
-// parallelism are host-side optimizations; the simulated device still
-// performs every utterance's work.
+// in one pass over the graph. Cycle metering charges b× the per-utterance
+// node costs — batching is a host-side optimization; the simulated device
+// still performs every utterance's work.
 func (ip *Interpreter) InvokeBatch(b int) error {
 	bp := ip.batch
 	if bp == nil {
@@ -576,38 +455,7 @@ func (ip *Interpreter) InvokeBatch(b int) error {
 	if bp.runs == nil {
 		return ip.invokeBatchSerial(b)
 	}
-	p := bp.par
-	if p > b {
-		p = b
-	}
-	var err error
-	if p <= 1 {
-		err = bp.runSpan(bp.shards[0], 0, b)
-	} else {
-		// Balanced contiguous spans: the first b%p spans take one extra
-		// utterance. The caller keeps span 0 and collects the rest.
-		q, r := b/p, b%p
-		u1 := q
-		if r > 0 {
-			u1++
-		}
-		u := u1
-		for w := 1; w < p; w++ {
-			sz := q
-			if w < r {
-				sz++
-			}
-			bp.work <- batchSpan{u, u + sz}
-			u += sz
-		}
-		err = bp.runSpan(bp.shards[0], 0, u1)
-		for w := 1; w < p; w++ {
-			if e := <-bp.done; err == nil {
-				err = e
-			}
-		}
-	}
-	if err != nil {
+	if err := bp.runSpan(0, b); err != nil {
 		return err
 	}
 	if ip.meter != nil {

@@ -81,12 +81,12 @@ func buildRandomConvModel(t *testing.T, r *rand.Rand) *Model {
 }
 
 // TestInvokeBatchMatchesSerial: over randomized conv geometries (plus the
-// paper tiny_conv) and batch sizes including the degenerate B=1, the
-// stacked InvokeBatch must be bit-exact with running each utterance through
-// serial Invoke — which the kernel equivalence tests in turn pin to the
-// scalar reference kernels.
+// paper tiny_conv), planned capacities from 1 to 11 and every batch size up
+// to the capacity, the stacked InvokeBatch must be bit-exact with running
+// each utterance through serial Invoke — which the kernel equivalence tests
+// in turn pin to the scalar reference kernels.
 func TestInvokeBatchMatchesSerial(t *testing.T) {
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 16; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(9000 + trial)))
@@ -107,7 +107,7 @@ func TestInvokeBatchMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			maxB := 1 + r.Intn(9)
+			maxB := 1 + r.Intn(11)
 			if err := batched.PlanBatch(maxB); err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestInvokeBatchMatchesSerial(t *testing.T) {
 			}
 			inElems := serial.Input(0).NumElements()
 			outElems := serial.Output(0).NumElements()
-			for _, b := range []int{1, maxB} {
+			for b := 1; b <= maxB; b++ {
 				inputs := make([][]int8, b)
 				for j := 0; j < b; j++ {
 					inputs[j] = make([]int8, inElems)
@@ -220,59 +220,6 @@ func TestInvokeBatchTilingMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchTilingParallel: tiling composes with the sharded fan-out —
-// shard spans and tiles both leave odd tails, and the result must still be
-// bit-exact with the untiled single-shard sweep.
-func TestInvokeBatchTilingParallel(t *testing.T) {
-	model, err := BuildRandomTinyConv(1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const maxB = 11
-	tiled, err := NewInterpreter(model.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tiled.PlanBatchParallel(maxB, 3); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewInterpreter(model.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.PlanBatch(maxB); err != nil {
-		t.Fatal(err)
-	}
-	plain.batch.tileB = 0 // untiled reference sweep
-	tiled.batch.tileB = 3 // does not divide the 4/4/3 shard spans
-	r := rand.New(rand.NewSource(77))
-	outElems := tiled.Output(0).NumElements()
-	for j := 0; j < maxB; j++ {
-		row := tiled.BatchInput(j)
-		for i := range row {
-			row[i] = int8(r.Intn(256) - 128)
-		}
-		copy(plain.BatchInput(j), row)
-	}
-	for _, b := range []int{1, 2, maxB - 1, maxB} {
-		if err := tiled.InvokeBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.InvokeBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < b; j++ {
-			got, want := tiled.BatchOutput(j), plain.BatchOutput(j)
-			for i := 0; i < outElems; i++ {
-				if got[i] != want[i] {
-					t.Fatalf("b=%d utterance %d output %d: tiled-parallel %d != untiled %d",
-						b, j, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestBatchTile: the tile sizer respects its floor (2, the GEMM row
 // pairing), its cap (the plan capacity), counts aliased slabs once, and
 // degrades to the capacity when there are no slabs to measure.
@@ -328,7 +275,8 @@ func TestInvokeBatchValidation(t *testing.T) {
 }
 
 // TestInvokeBatchZeroAlloc: like Invoke, the planned batched path must not
-// touch the heap.
+// touch the heap, whether the batch fills the plan, leaves a partial tile
+// or is a lone utterance.
 func TestInvokeBatchZeroAlloc(t *testing.T) {
 	model, err := BuildRandomTinyConv(1, 7)
 	if err != nil {
@@ -338,22 +286,24 @@ func TestInvokeBatchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batch = 8
-	if err := ip.PlanBatch(batch); err != nil {
+	const capB = 8
+	if err := ip.PlanBatch(capB); err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < batch; j++ {
+	for j := 0; j < capB; j++ {
 		row := ip.BatchInput(j)
 		for i := range row {
 			row[i] = int8((i + j) % 251)
 		}
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := ip.InvokeBatch(batch); err != nil {
-			t.Fatal(err)
+	for _, batch := range []int{capB, capB - 1, 1} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := ip.InvokeBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("InvokeBatch(%d) allocates %v times per run, want 0", batch, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("InvokeBatch allocates %v times per run, want 0", allocs)
 	}
 }

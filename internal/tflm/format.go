@@ -28,6 +28,12 @@ const (
 	formatVersion = 1
 )
 
+// maxTensorElements bounds the element count Decode accepts per tensor. A
+// keyword-spotting model's largest tensor is tens of thousands of elements;
+// the bound keeps a hostile shape from wrapping its int element count or
+// making NewInterpreter plan a multi-gigabyte arena.
+const maxTensorElements = 1 << 24
+
 // Encode serializes the model.
 func Encode(m *Model) ([]byte, error) {
 	if err := m.Validate(); err != nil {
@@ -135,8 +141,16 @@ func decodeTensor(rd *reader) (*Tensor, error) {
 	if nDims > 8 {
 		return nil, errors.New("tflm: tensor rank implausible")
 	}
+	elems := 1
 	for i := 0; i < nDims; i++ {
-		t.Shape = append(t.Shape, int(rd.u32()))
+		d := int(rd.u32())
+		// Both factors are at most maxTensorElements, so the product
+		// cannot overflow before the comparison.
+		if d > maxTensorElements || elems*d > maxTensorElements {
+			return nil, fmt.Errorf("tflm: tensor %q exceeds %d elements", t.Name, maxTensorElements)
+		}
+		elems *= d
+		t.Shape = append(t.Shape, d)
 	}
 	if flags&2 != 0 {
 		t.Quant = &QuantParams{

@@ -2,7 +2,6 @@ package tflm
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/hw"
 )
@@ -46,12 +45,8 @@ type Interpreter struct {
 	gemmX    []uint64 // SWAR packed-activation rows for gemmInt8Requant
 	smLogits []float64
 	smProbs  []float64
-	// batch is the optional stacked-utterance plan built by PlanBatch, and
-	// batchCleanup the GC backstop that retires its worker group; the
-	// handle is stopped and replaced on replan so retired plans (and their
-	// slabs) do not stay pinned for the interpreter's lifetime.
-	batch        *batchPlan
-	batchCleanup *runtime.Cleanup
+	// batch is the optional stacked-utterance plan built by PlanBatch.
+	batch *batchPlan
 }
 
 // Per-node prep records stashed by prepNodes for reuse by PlanBatch.
