@@ -4,7 +4,7 @@
 GO ?= go
 REV := $(shell git rev-parse --short HEAD)
 
-.PHONY: all help build test vet fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke ci
+.PHONY: all help build test vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke ci
 
 all: build
 
@@ -12,6 +12,7 @@ help:
 	@echo "make build       compile all packages"
 	@echo "make test        run the test suite"
 	@echo "make vet         go vet"
+	@echo "make vet-cross   go vet the kernel packages for arm64 (the non-AVX2 fallback must compile)"
 	@echo "make fmt-check   fail if gofmt would change anything"
 	@echo "make docs-check  fail on undocumented exported identifiers (cmd/docscheck)"
 	@echo "make examples-check  build + vet the examples so they cannot rot silently"
@@ -21,12 +22,14 @@ help:
 	@echo "make bench-save  run benchmarks and save BENCH_<rev>.json (perf trajectory)"
 	@echo "make bench-cmp   diff two saved runs: make bench-cmp BASE=BENCH_a.json HEAD=BENCH_b.json"
 	@echo "make bench-gate  rerun the hot-path benchmarks and fail if any regressed >GATE_TOL% (default 25)"
-	@echo "                 against the committed baseline (BASE=..., default: newest BENCH_*.json)"
+	@echo "                 against the committed baseline (BASE=..., default: BENCH_<rev>.json of the"
+	@echo "                 nearest ancestor of HEAD)"
 	@echo "make bench-gate-smoke  one-iteration bench-gate (-benchtime 1x, huge tolerance): catches"
 	@echo "                 deleted or broken gated benchmarks without timing anything"
 	@echo "make chaos       fault-matrix chaos suite under -race -count=2 (netfront resilience gate)"
 	@echo "make slo-smoke   one-second open-loop load run against a live front end (zero protocol errors)"
-	@echo "make ci          tier-1 gate: build + vet + fmt-check + test + perfbench-check + chaos + slo-smoke + bench-gate-smoke"
+	@echo "make ci          tier-1 gate: build + vet + vet-cross + fmt-check + docs/examples/bce checks + test"
+	@echo "                 + perfbench-check + chaos + slo-smoke + bench-gate-smoke"
 
 build:
 	$(GO) build ./...
@@ -36,6 +39,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The kernel packages carry amd64 assembly (the AVX2 GEMM micro-kernel) with
+# a pure-Go fallback for every other GOARCH, including the paper's ARM
+# target. An amd64 build never compiles the fallback files, so vet them for
+# arm64 too; amd64 `go vet` already checks the assembly frame layouts.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./internal/tflm ./internal/dsp
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -83,7 +93,9 @@ bench-cmp:
 	$(GO) run ./cmd/benchjson -cmp $(BASE) $(HEAD)
 
 # Regression gate for the hot benchmarks: rerun them and diff against the
-# committed baseline snapshot (newest BENCH_*.json unless BASE= overrides);
+# committed baseline snapshot (unless BASE= overrides: the BENCH_<rev>.json
+# whose <rev> is the nearest ancestor of HEAD in `git log` order — file
+# mtimes are checkout order in a fresh clone, not history order);
 # a gated benchmark more than GATE_TOL% slower fails the target. The
 # tolerance is generous because shared CI hosts are noisy — tighten locally
 # with GATE_TOL=10. The lists below are alternations of benchmark names;
@@ -112,7 +124,14 @@ GATE_TIGHT_TOL ?= 12
 GATE_BENCHTIME ?=
 bench-gate:
 	@set -e; base="$(BASE)"; \
-	if [ -z "$$base" ]; then base="$$(ls -t BENCH_*.json 2>/dev/null | head -1)"; fi; \
+	if [ -z "$$base" ]; then \
+		for h in $$(git log --format=%H HEAD); do \
+			for f in BENCH_*.json; do \
+				[ -e "$$f" ] || continue; r="$${f#BENCH_}"; r="$${r%.json}"; \
+				case "$$h" in "$$r"*) base="$$f"; break 2;; esac; \
+			done; \
+		done; \
+	fi; \
 	test -n "$$base" || { echo "bench-gate: no BENCH_*.json baseline found (run make bench-save)"; exit 2; }; \
 	echo "bench-gate: baseline $$base"; \
 	scratch="$$(mktemp -d /tmp/bench_gate.XXXXXX)"; trap 'rm -rf "$$scratch"' EXIT; \
@@ -146,5 +165,5 @@ chaos:
 slo-smoke:
 	$(GO) test -run 'TestSLOSmoke' -count=1 .
 
-ci: build vet fmt-check docs-check examples-check bce-check perfbench-check test chaos slo-smoke bench-gate-smoke
+ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test chaos slo-smoke bench-gate-smoke
 	@echo "ci: OK"

@@ -1,7 +1,8 @@
 package repro
 
 // One benchmark (or benchmark group) per table/figure/claim of the paper's
-// evaluation, mirroring the experiment index in DESIGN.md:
+// evaluation, mirroring the experiment index of internal/harness
+// (go run ./cmd/omg-bench -list):
 //
 //	Table I / E1  BenchmarkTable1QueryPlain, BenchmarkTable1QueryOMG
 //	E2            derived from the sim-ms metrics of the E1 benchmarks

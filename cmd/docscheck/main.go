@@ -10,10 +10,15 @@
 //   - exported fields of exported structs and exported interface methods
 //     need a comment attached to the field/method or sharing its line.
 //
+// It also fails on a dangling markdown reference: a comment in any Go file
+// that names a local .md file (ARCHITECTURE.md, perfbench/README.md) which
+// exists neither relative to the module root nor to the file's directory.
+//
 // Usage: docscheck [package dirs]; default is the audited engine surface
-// (internal/core, internal/tflm, internal/dsp, internal/netfront). Exits
-// non-zero listing every violation, so a PR cannot silently add
-// undocumented API.
+// (internal/core, internal/tflm, internal/dsp, internal/netfront). The
+// markdown check always covers every Go file of the module. Exits non-zero listing
+// every violation, so a PR cannot silently add undocumented API or point
+// readers at a document that does not exist.
 package main
 
 import (
@@ -22,8 +27,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -45,6 +53,11 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = defaultDirs
 	}
+	mdFiles, err := moduleGoFiles(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
 	violations := 0
 	for _, dir := range dirs {
 		v, err := checkDir(dir)
@@ -54,8 +67,13 @@ func main() {
 		}
 		violations += v
 	}
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: %d undocumented exported identifiers\n", violations)
+	dangling, err := checkMarkdownRefs(".", mdFiles, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
+	if violations > 0 || dangling > 0 {
+		fmt.Fprintf(os.Stderr, "docscheck: %d undocumented exported identifiers, %d dangling .md references\n", violations, dangling)
 		os.Exit(1)
 	}
 }
@@ -180,4 +198,70 @@ func checkFields(typeName string, fields *ast.FieldList, kind string, report fun
 			}
 		}
 	}
+}
+
+// mdRef matches a markdown file name or slash-separated path in a comment.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// checkMarkdownRefs reports, to w, every .md file named in a comment of the
+// given Go files that exists neither under root nor next to the file, and
+// returns the count. URLs (a match starting with "//") are not local
+// references and are skipped.
+func checkMarkdownRefs(root string, files []string, w io.Writer) (int, error) {
+	bad := 0
+	for _, path := range files {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return bad, err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, loc := range mdRef.FindAllStringIndex(c.Text, -1) {
+					ref := c.Text[loc[0]:loc[1]]
+					if strings.HasPrefix(ref, "//") {
+						continue
+					}
+					if fileExists(filepath.Join(root, ref)) || fileExists(filepath.Join(filepath.Dir(path), ref)) {
+						continue
+					}
+					fmt.Fprintf(w, "%s: dangling markdown reference %s\n", fset.Position(c.Pos()+token.Pos(loc[0])), ref)
+					bad++
+				}
+			}
+		}
+	}
+	return bad, nil
+}
+
+func fileExists(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && !fi.IsDir()
+}
+
+// moduleGoFiles lists every .go file of the module rooted at root, skipping
+// hidden directories, testdata and nested modules (perfbench has its own
+// go.mod).
+func moduleGoFiles(root string) ([]string, error) {
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			name := d.Name()
+			if strings.HasPrefix(name, ".") || name == "testdata" || fileExists(filepath.Join(path, "go.mod")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	return files, err
 }

@@ -1,6 +1,6 @@
 // Command omg-bench regenerates every table, figure and numeric claim of
 // the paper's evaluation. Without flags it runs all experiments at full
-// size and renders text tables; -md emits EXPERIMENTS.md-ready markdown.
+// size and renders text tables; -md emits markdown tables.
 //
 // Usage:
 //

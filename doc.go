@@ -7,8 +7,9 @@
 // OMG three-phase protocol, a network serving edge, and HE/SMPC baselines.
 // ARCHITECTURE.md is the onboarding entry point — the data-flow map, the
 // ownership and bit-exactness rules, and the metering stance in one place.
-// README.md has the package map, DESIGN.md the design rationale;
-// cmd/omg-bench regenerates every number in EXPERIMENTS.md.
+// ARCHITECTURE.md also holds the design rationale and the kernel tiers;
+// perfbench/README.md documents the end-to-end benchmark and its per-layer
+// metrics, and cmd/omg-bench regenerates every table of the evaluation.
 //
 // The benchmarks in this package (bench_test.go) cover every table and
 // figure of the paper's evaluation; run them with
@@ -20,10 +21,18 @@
 // The engine's linear-algebra hot path is an im2col+GEMM pipeline
 // (internal/tflm/gemm.go): convolutions replay a plan-compiled im2col copy
 // program into a zero-point-prefilled column slab (padding handling and
-// clip arithmetic ran once at prep time) and run a SWAR int8×int8→int32
-// GEMM with per-filter zero-point corrections bias[oc] − inZP·Σw[oc]
-// folded into the accumulator seeds. The SWAR kernel (internal/tflm/
-// swar.go) biases both operands to unsigned bytes and packs three depth
+// clip arithmetic ran once at prep time) and run an int8×int8→int32 GEMM
+// with per-filter zero-point corrections bias[oc] − inZP·Σw[oc] folded into
+// the accumulator seeds. The MAC kernel is chosen from the hardware at prep
+// time, and prep builds only that kernel's weight image. On amd64 CPUs with
+// AVX2 it is an assembly micro-kernel (internal/tflm/gemm_avx2_amd64.s):
+// VPMOVSXBW widens 16 activations to int16, VPMADDWD multiplies them
+// against one filter's int16 weights and adds pairs into int32 lanes —
+// which cannot saturate on int8 operands, |pair| ≤ 2·128² — and wrapping
+// VPADDD accumulates eight filters at once; weights are packed once into
+// 8-filter × 16-depth panels zero-padded to that grid. Everywhere else,
+// including the paper's ARM target, the portable SWAR kernel (internal/
+// tflm/swar.go) runs: it biases both operands to unsigned bytes and packs three depth
 // positions per uint64 at 21-bit lane spacing — activations ascending,
 // weights reversed — so one 64-bit multiply carries a three-term dot
 // product in bits 42..62 with provably no cross-lane carries; raw products
@@ -33,8 +42,9 @@
 // 4-filter interleaved panels of packed words (packPanels); the
 // requantization constants are likewise hoisted. Every intermediate is an
 // exact integer, so results equal the scalar reference's wrapped int32
-// accumulation modulo 2^32 — bit-exact, including the −128·−128 corner,
-// which the checked-in fuzz corpus (FuzzSWARDot) pins. The depthwise
+// accumulation modulo 2^32 — bit-exact on both kernels, including the
+// −128·−128 corner, which the checked-in fuzz corpora (FuzzSWARDot,
+// FuzzGEMMKernel) pin. The depthwise
 // interior rides the same primitive when its reduction axis is contiguous
 // (single input channel). Interpreters prep every node at construction, so
 // Invoke is allocation-free. The inner loops are additionally restructured
@@ -50,7 +60,7 @@
 // — each convolution replays its im2col program and runs the patch rows of
 // each utterance through the shared weight panels while they are
 // cache-hot, pure-copy reshapes alias away entirely, and softmax sweeps
-// all stacked rows at once, with plan-owned im2col/SWAR/softmax scratch so
+// all stacked rows at once, with plan-owned im2col/GEMM/softmax scratch so
 // the zero-allocation invariant survives. The batch executes
 // cache-blocked: the node list sweeps a few utterances at a time (sized at
 // plan time so a tile's activation rows fit well inside L1d) so producer
@@ -64,11 +74,12 @@
 //
 // Every optimized kernel has a scalar reference twin
 // (internal/tflm/op_ref.go) and is kept bit-exact against it by randomized
-// equivalence tests plus a fuzz suite for the SWAR dot product; new
-// operators must ship the same pair. The simulated-device cycle model
-// (NodeCycles, hw/cost.go) is untouched by all of this: host kernels are
-// fast, modeled hardware costs are calibrated — SWAR and batching change
-// wall time, never sim-cycles.
+// equivalence tests, which run both GEMM kernels in one binary, plus fuzz
+// suites for the SWAR dot product and the GEMM kernels; new operators must
+// ship the same pair. The simulated-device cycle model (NodeCycles,
+// hw/cost.go) is untouched by all of this: host kernels are fast, modeled
+// hardware costs are calibrated — SWAR, AVX2 and batching change wall
+// time, never sim-cycles.
 //
 // # Real-input FFT frontend
 //

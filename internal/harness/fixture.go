@@ -44,7 +44,7 @@ func (c *Ctx) fixture() (*Fixture, error) {
 		cfg := train.DefaultPipeline()
 		if c.Quick {
 			// Smaller corpus and budget, but still enough to land a usable
-			// operating point (the full config is used for EXPERIMENTS.md).
+			// operating point (the full config is the non-quick run).
 			cfg.Spec = speechcmd.DatasetSpec{Speakers: 32, TakesPerLabel: 2}
 			cfg.Train.Epochs = 8
 		}

@@ -1,7 +1,7 @@
 // Package harness regenerates every table, figure and numeric claim of the
-// paper's evaluation (§VI) plus the ablations DESIGN.md commits to. Each
+// paper's evaluation (§VI) plus the reproduction's own ablations. Each
 // experiment produces a table with paper-reported values alongside measured
-// ones; cmd/omg-bench renders them and EXPERIMENTS.md archives them.
+// ones; cmd/omg-bench renders them as text or, with -md, as markdown.
 package harness
 
 import (
@@ -45,7 +45,7 @@ func (t *Table) Render(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Markdown renders the table as GitHub-flavored markdown (EXPERIMENTS.md).
+// Markdown renders the table as GitHub-flavored markdown (omg-bench -md).
 func (t *Table) Markdown() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)

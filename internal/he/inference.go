@@ -36,7 +36,7 @@ type Report struct {
 // decrypt–apply–re-encrypt round trip through the client, as in early
 // interactive HE inference systems. (The client thereby sees post-conv
 // activations — the model-privacy weakness of this construction is part of
-// why the paper's TEE approach wins; see DESIGN.md.)
+// why the paper's TEE approach wins.)
 type Engine struct {
 	sk   *PrivateKey
 	spec *intnet.Spec

@@ -361,6 +361,11 @@ func DecodeHello(body []byte) (id uint32, tenant, model string, err error) {
 // u32 trips | u32 rebuilds | u16 workers | u16 live.
 const healthShardLen = 1 + 4 + 4 + 4 + 4 + 4 + 2 + 2
 
+// healthModelMinLen is the smallest wire size of one model record in a
+// FrameHealthAck body: u16 name length, an empty name, u64 version, u16
+// shard count, no shards.
+const healthModelMinLen = 2 + 8 + 2
+
 // AppendHealthAck appends a FrameHealthAck body: id, u16 model count, then
 // per model a length-prefixed name, u64 version, u16 shard count, and per
 // shard the fixed healthShardLen record (breaker state byte, rebuild
@@ -402,7 +407,9 @@ func DecodeHealthAck(body []byte) (uint32, []core.ModelHealth, error) {
 	}
 	nm := int(binary.LittleEndian.Uint16(rest[0:2]))
 	rest = rest[2:]
-	health := make([]core.ModelHealth, 0, nm)
+	// The count is untrusted: reserve no more records than the remaining
+	// bytes could hold, so a short body cannot reserve 65535 of them.
+	health := make([]core.ModelHealth, 0, min(nm, len(rest)/healthModelMinLen))
 	for m := 0; m < nm; m++ {
 		if len(rest) < 2 {
 			return 0, nil, fmt.Errorf("%w: health model lacks name length", ErrMalformedFrame)

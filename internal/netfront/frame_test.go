@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -256,6 +257,26 @@ func TestHealthAckRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeHealthAck(append(b, 0)); err == nil {
 		t.Fatal("health ack with trailing garbage decoded without error")
+	}
+}
+
+// TestHealthAckLyingModelCount: a 6-byte body claiming 65535 model records
+// is malformed, and decoding it must not reserve space for the claimed
+// records (the capacity is capped by what the remaining bytes can hold).
+func TestHealthAckLyingModelCount(t *testing.T) {
+	body := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(nil, 12), 0xFFFF)
+	if _, _, err := DecodeHealthAck(body); !errors.Is(err, ErrMalformedFrame) {
+		t.Fatalf("DecodeHealthAck(lying count) err = %v, want ErrMalformedFrame", err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_, _, _ = DecodeHealthAck(body)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1024 {
+		t.Fatalf("decoding a 6-byte lying health ack allocates %d B per call", per)
 	}
 }
 

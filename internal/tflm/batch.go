@@ -17,10 +17,11 @@ import "fmt"
 // bit-exact with running each utterance through Invoke serially: the
 // batched kernels are the same kernels over stacked rows, and the batch
 // slabs are disjoint from the serial tensors. The plan owns its kernel
-// scratch — im2col column slabs (padding prefilled per conv node), SWAR
-// packed-activation rows, softmax staging — so InvokeBatch allocates
-// nothing. Cycle metering charges b× the per-utterance node costs: batching,
-// like SWAR, is a host-side optimization invisible to the simulated device.
+// scratch — im2col column slabs (padding prefilled per conv node), GEMM
+// row scratch, softmax staging — so InvokeBatch allocates nothing. Cycle
+// metering charges b× the per-utterance node costs: batching, like the
+// SWAR and AVX2 kernels, is a host-side optimization invisible to the
+// simulated device.
 
 // batchShard is the kernel scratch a batched node sweep needs.
 type batchShard struct {
@@ -360,7 +361,7 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 
 // batchTileBudget is the activation working set one cache-blocking tile may
 // occupy, in bytes. It deliberately undershoots a typical 32 KiB L1d: the
-// packed weight panels, the column slab rows and the SWAR scratch stream
+// packed weight panels, the column slab rows and the GEMM row scratch stream
 // through the same cache while a tile is in flight.
 const batchTileBudget = 16 << 10
 

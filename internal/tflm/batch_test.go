@@ -89,59 +89,61 @@ func TestInvokeBatchMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(9000 + trial)))
-			var model *Model
-			if trial == 0 {
-				var err error
-				if model, err = BuildRandomTinyConv(1, 7); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				model = buildRandomConvModel(t, r)
-			}
-			batched, err := NewInterpreter(model.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := NewInterpreter(model.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			maxB := 1 + r.Intn(11)
-			if err := batched.PlanBatch(maxB); err != nil {
-				t.Fatal(err)
-			}
-			if bc := batched.BatchCapacity(); bc != maxB {
-				t.Fatalf("BatchCapacity = %d, want %d", bc, maxB)
-			}
-			inElems := serial.Input(0).NumElements()
-			outElems := serial.Output(0).NumElements()
-			for b := 1; b <= maxB; b++ {
-				inputs := make([][]int8, b)
-				for j := 0; j < b; j++ {
-					inputs[j] = make([]int8, inElems)
-					for i := range inputs[j] {
-						inputs[j][i] = int8(r.Intn(256) - 128)
-					}
-					copy(batched.BatchInput(j), inputs[j])
-				}
-				if err := batched.InvokeBatch(b); err != nil {
-					t.Fatal(err)
-				}
-				for j := 0; j < b; j++ {
-					copy(serial.Input(0).I8, inputs[j])
-					if err := serial.Invoke(); err != nil {
+			forEachGEMMKernel(t, func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(9000 + trial)))
+				var model *Model
+				if trial == 0 {
+					var err error
+					if model, err = BuildRandomTinyConv(1, 7); err != nil {
 						t.Fatal(err)
 					}
-					got := batched.BatchOutput(j)
-					for i := 0; i < outElems; i++ {
-						if got[i] != serial.Output(0).I8[i] {
-							t.Fatalf("B=%d utterance %d output %d: batched %d != serial %d",
-								b, j, i, got[i], serial.Output(0).I8[i])
+				} else {
+					model = buildRandomConvModel(t, r)
+				}
+				batched, err := NewInterpreter(model.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial, err := NewInterpreter(model.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxB := 1 + r.Intn(11)
+				if err := batched.PlanBatch(maxB); err != nil {
+					t.Fatal(err)
+				}
+				if bc := batched.BatchCapacity(); bc != maxB {
+					t.Fatalf("BatchCapacity = %d, want %d", bc, maxB)
+				}
+				inElems := serial.Input(0).NumElements()
+				outElems := serial.Output(0).NumElements()
+				for b := 1; b <= maxB; b++ {
+					inputs := make([][]int8, b)
+					for j := 0; j < b; j++ {
+						inputs[j] = make([]int8, inElems)
+						for i := range inputs[j] {
+							inputs[j][i] = int8(r.Intn(256) - 128)
+						}
+						copy(batched.BatchInput(j), inputs[j])
+					}
+					if err := batched.InvokeBatch(b); err != nil {
+						t.Fatal(err)
+					}
+					for j := 0; j < b; j++ {
+						copy(serial.Input(0).I8, inputs[j])
+						if err := serial.Invoke(); err != nil {
+							t.Fatal(err)
+						}
+						got := batched.BatchOutput(j)
+						for i := 0; i < outElems; i++ {
+							if got[i] != serial.Output(0).I8[i] {
+								t.Fatalf("B=%d utterance %d output %d: batched %d != serial %d",
+									b, j, i, got[i], serial.Output(0).I8[i])
+							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -155,67 +157,69 @@ func TestInvokeBatchTilingMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(4200 + trial)))
-			var model *Model
-			if trial == 0 {
-				var err error
-				if model, err = BuildRandomTinyConv(1, 7); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				model = buildRandomConvModel(t, r)
-			}
-			batched, err := NewInterpreter(model.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := NewInterpreter(model.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			maxB := 5 + r.Intn(8)
-			if err := batched.PlanBatch(maxB); err != nil {
-				t.Fatal(err)
-			}
-			if batched.batch.runs == nil {
-				t.Skip("degraded serial fallback: no tiling to exercise")
-			}
-			if tb := batched.batch.tileB; tb < 2 || tb > maxB {
-				t.Fatalf("planned tileB = %d outside [2, %d]", tb, maxB)
-			}
-			inElems := serial.Input(0).NumElements()
-			outElems := serial.Output(0).NumElements()
-			// Stage maxB utterances once and precompute the serial truth.
-			want := make([][]int8, maxB)
-			for j := 0; j < maxB; j++ {
-				row := batched.BatchInput(j)
-				for i := range row {
-					row[i] = int8(r.Intn(256) - 128)
-				}
-				copy(serial.Input(0).I8, row)
-				if err := serial.Invoke(); err != nil {
-					t.Fatal(err)
-				}
-				want[j] = append([]int8(nil), serial.Output(0).I8[:outElems]...)
-			}
-			_ = inElems
-			for _, tile := range []int{0, 1, 2, 3, maxB - 1, maxB, maxB + 3} {
-				batched.batch.tileB = tile
-				for _, b := range []int{1, maxB - 1, maxB} {
-					if err := batched.InvokeBatch(b); err != nil {
-						t.Fatalf("tile=%d b=%d: %v", tile, b, err)
+			forEachGEMMKernel(t, func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(4200 + trial)))
+				var model *Model
+				if trial == 0 {
+					var err error
+					if model, err = BuildRandomTinyConv(1, 7); err != nil {
+						t.Fatal(err)
 					}
-					for j := 0; j < b; j++ {
-						got := batched.BatchOutput(j)
-						for i := 0; i < outElems; i++ {
-							if got[i] != want[j][i] {
-								t.Fatalf("tile=%d b=%d utterance %d output %d: batched %d != serial %d",
-									tile, b, j, i, got[i], want[j][i])
+				} else {
+					model = buildRandomConvModel(t, r)
+				}
+				batched, err := NewInterpreter(model.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial, err := NewInterpreter(model.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxB := 5 + r.Intn(8)
+				if err := batched.PlanBatch(maxB); err != nil {
+					t.Fatal(err)
+				}
+				if batched.batch.runs == nil {
+					t.Skip("degraded serial fallback: no tiling to exercise")
+				}
+				if tb := batched.batch.tileB; tb < 2 || tb > maxB {
+					t.Fatalf("planned tileB = %d outside [2, %d]", tb, maxB)
+				}
+				inElems := serial.Input(0).NumElements()
+				outElems := serial.Output(0).NumElements()
+				// Stage maxB utterances once and precompute the serial truth.
+				want := make([][]int8, maxB)
+				for j := 0; j < maxB; j++ {
+					row := batched.BatchInput(j)
+					for i := range row {
+						row[i] = int8(r.Intn(256) - 128)
+					}
+					copy(serial.Input(0).I8, row)
+					if err := serial.Invoke(); err != nil {
+						t.Fatal(err)
+					}
+					want[j] = append([]int8(nil), serial.Output(0).I8[:outElems]...)
+				}
+				_ = inElems
+				for _, tile := range []int{0, 1, 2, 3, maxB - 1, maxB, maxB + 3} {
+					batched.batch.tileB = tile
+					for _, b := range []int{1, maxB - 1, maxB} {
+						if err := batched.InvokeBatch(b); err != nil {
+							t.Fatalf("tile=%d b=%d: %v", tile, b, err)
+						}
+						for j := 0; j < b; j++ {
+							got := batched.BatchOutput(j)
+							for i := 0; i < outElems; i++ {
+								if got[i] != want[j][i] {
+									t.Fatalf("tile=%d b=%d utterance %d output %d: batched %d != serial %d",
+										tile, b, j, i, got[i], want[j][i])
+								}
 							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -278,32 +282,34 @@ func TestInvokeBatchValidation(t *testing.T) {
 // touch the heap, whether the batch fills the plan, leaves a partial tile
 // or is a lone utterance.
 func TestInvokeBatchZeroAlloc(t *testing.T) {
-	model, err := BuildRandomTinyConv(1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := NewInterpreter(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const capB = 8
-	if err := ip.PlanBatch(capB); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < capB; j++ {
-		row := ip.BatchInput(j)
-		for i := range row {
-			row[i] = int8((i + j) % 251)
+	forEachGEMMKernel(t, func(t *testing.T) {
+		model, err := BuildRandomTinyConv(1, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, batch := range []int{capB, capB - 1, 1} {
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := ip.InvokeBatch(batch); err != nil {
-				t.Fatal(err)
+		ip, err := NewInterpreter(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const capB = 8
+		if err := ip.PlanBatch(capB); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < capB; j++ {
+			row := ip.BatchInput(j)
+			for i := range row {
+				row[i] = int8((i + j) % 251)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("InvokeBatch(%d) allocates %v times per run, want 0", batch, allocs)
 		}
-	}
+		for _, batch := range []int{capB, capB - 1, 1} {
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := ip.InvokeBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("InvokeBatch(%d) allocates %v times per run, want 0", batch, allocs)
+			}
+		}
+	})
 }

@@ -1,12 +1,18 @@
 package tflm
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Optimized linear-algebra hot path: Conv2D and FullyConnected are lowered
 // onto one blocked GEMM primitive over im2col-packed patches. The packer
 // absorbs all padding handling (border patches are filled with the input
 // zero point, interior rows are contiguous copies), so the MAC loops carry
-// no bounds checks or zero-point subtractions. Per-filter zero-point
+// no bounds checks or zero-point subtractions. The MAC kernel is picked
+// from the hardware at prep time (useAVX2): an AVX2 assembly micro-kernel
+// on amd64 hosts that have it, the portable SWAR kernel everywhere else.
+// Per-filter zero-point
 // corrections acc0[oc] = bias[oc] - inZP·Σw[oc] are precomputed once, which
 // is exact because int32 accumulation is associative modulo 2^32.
 //
@@ -53,8 +59,7 @@ func resolveConvGeom(in, w, out *Tensor, p Conv2DParams) (convGeom, error) {
 // linearPrep carries the plan-time constants of one int8 linear op: the
 // requantization multiplier, the clamp range, the per-output-channel
 // accumulator seeds with bias and zero-point correction folded in, and the
-// weight matrix repacked into N-blocked interleaved panels for the
-// register-blocked GEMM micro-kernel.
+// weight matrix repacked into the panel image of the GEMM micro-kernel.
 type linearPrep struct {
 	mult       QuantizedMultiplier
 	outZP      int32
@@ -62,17 +67,24 @@ type linearPrep struct {
 	inZP       int32
 	acc0       []int32
 	activation Activation
-	// n, k is the weight matrix geometry; kg = ceil(k/3) is the packed SWAR
-	// group count. panels holds ceil(n/4) panels of kg four-lane groups of
-	// reversed-lane weight words (panel p, group g, lane j packs filter
-	// 4p+j's depths 3g..3g+2 per swar.go) — the [gemmPanel]uint64 element
-	// type keeps one group's four words a single provably-in-range access
-	// for the micro-kernel. seeds is the SWAR-corrected accumulator seed
-	// acc0 − 128·Σw padded to the panel grid so the epilogue indexes whole
-	// quads unguarded.
-	n, k, kg int
-	panels   [][gemmPanel]uint64
-	seeds    []int32
+	// n, k is the weight matrix geometry. Prep builds exactly one weight
+	// image, for the kernel useAVX2 selects:
+	//   - AVX2 (wq != nil): kb = ceil(k/16) depth blocks; wq holds
+	//     ceil(n/8) panels of kb blocks of eight filters' 16 int16 weights
+	//     (packPanelsAVX2), zero-padded past n and k.
+	//   - SWAR (wq == nil): kg = ceil(k/3) packed groups; panels holds
+	//     ceil(n/4) panels of kg four-lane groups of reversed-lane weight
+	//     words (panel p, group g, lane j packs filter 4p+j's depths
+	//     3g..3g+2 per swar.go) — the [gemmPanel]uint64 element type keeps
+	//     one group's four words a single provably-in-range access for the
+	//     micro-kernel.
+	// seeds is the kernel's accumulator seed padded to its panel grid so
+	// the epilogue indexes whole panels unguarded: acc0 itself for AVX2,
+	// the SWAR-corrected acc0 − 128·Σw for SWAR.
+	n, k, kg, kb int
+	panels       [][gemmPanel]uint64
+	wq           []int16
+	seeds        []int32
 	// Requantization constants hoisted out of QuantizedMultiplier.Apply:
 	// acc<<lsh, saturating-rounding-doubling-high-multiply by rqMult, then
 	// rounding divide by 2^rsh with the mask/threshold precomputed. The
@@ -118,9 +130,24 @@ func (pr *linearPrep) prepRequant() {
 	pr.rqThr = pr.rqMask >> 1
 }
 
-// gemmPanel is the output-channel blocking factor of the packed weight
-// layout and the micro-kernel.
+// gemmPanel is the output-channel blocking factor of the SWAR weight
+// layout and micro-kernel.
 const gemmPanel = 4
+
+// avx2Panel and avx2Depth are the filter and depth blocking of the AVX2
+// weight image: dot8AVX2 keeps one ymm accumulator per filter of a panel
+// and consumes 16 int8 activations (one VPMOVSXBW) per depth block.
+const (
+	avx2Panel = 8
+	avx2Depth = 16
+)
+
+// useAVX2 selects the weight image, and with it the GEMM kernel, that
+// prepLinearInt8 builds: true when the CPU and OS support AVX2
+// (cpuHasAVX2), which is never the case off amd64. It is read only at prep
+// time, so a prepped op keeps its kernel; tests flip it to run both kernels
+// in one binary.
+var useAVX2 = cpuHasAVX2()
 
 // packPanels repacks an n×k row-major weight matrix into gemmPanel-blocked
 // interleaved SWAR panels: within a panel the gemmPanel filters' packed
@@ -148,9 +175,29 @@ func packPanels(w []int8, n, k int) [][gemmPanel]uint64 {
 	return panels
 }
 
+// packPanelsAVX2 repacks an n×k row-major weight matrix into the AVX2
+// panel image: filter o's depth i sits at
+// wq[((o/8·kb + i/16)·8 + o%8)·16 + i%16], so one panel's eight filters of
+// one 16-depth block are 128 contiguous int16 weights — the 256 bytes one
+// dot8AVX2 loop iteration reads. Padding filters (≥ n) and depths (≥ k)
+// hold zero weights, so the tails add exact zeros.
+func packPanelsAVX2(w []int8, n, k int) []int16 {
+	kb := (k + avx2Depth - 1) / avx2Depth
+	nPanels := (n + avx2Panel - 1) / avx2Panel
+	wq := make([]int16, nPanels*kb*avx2Panel*avx2Depth)
+	for o := 0; o < n; o++ {
+		p, j := o/avx2Panel, o%avx2Panel
+		for i, v := range w[o*k : (o+1)*k] {
+			b, t := i/avx2Depth, i%avx2Depth
+			wq[((p*kb+b)*avx2Panel+j)*avx2Depth+t] = int16(v)
+		}
+	}
+	return wq
+}
+
 // prepLinearInt8 builds the prep for a weight matrix laid out as N rows of
 // length K (Conv2D OHWI filters flattened, or FullyConnected [out, in]),
-// including the packed panel image of the weights.
+// including the panel image of the weights for the selected kernel.
 func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) (*linearPrep, error) {
 	mult, err := requantMultiplier(in, w, out)
 	if err != nil {
@@ -163,7 +210,6 @@ func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) (*linear
 		return nil, fmt.Errorf("tflm: bias tensor %q has %d elements, want %d", bias.Name, len(bias.I32), n)
 	}
 	lo, hi := activationRangeQuantized(act, *out.Quant)
-	nPanels := (n + gemmPanel - 1) / gemmPanel
 	pr := &linearPrep{
 		mult:       mult,
 		outZP:      out.Quant.ZeroPoint,
@@ -174,25 +220,49 @@ func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) (*linear
 		activation: act,
 		n:          n,
 		k:          k,
-		kg:         swarGroups(k),
-		panels:     packPanels(w.I8, n, k),
-		seeds:      make([]int32, nPanels*gemmPanel),
 	}
 	pr.prepRequant()
+	// An empty reduction has no row for the AVX2 kernel to point at; SWAR
+	// handles it.
+	avx2 := useAVX2 && k > 0
+	grid := gemmPanel
+	if avx2 {
+		grid = avx2Panel
+	}
+	pr.seeds = make([]int32, (n+grid-1)/grid*grid)
 	for o := 0; o < n; o++ {
 		sum := swarSum(w.I8[o*k : (o+1)*k])
 		pr.acc0[o] = bias.I32[o] - pr.inZP*sum
-		// The SWAR seed additionally folds in the weight half of the bias
-		// correction (−128·Σw); the activation half arrives per row from
-		// swarExpandRow.
-		pr.seeds[o] = pr.acc0[o] - swarBias*sum
+		pr.seeds[o] = pr.acc0[o]
+		if !avx2 {
+			// The SWAR seed additionally folds in the weight half of the
+			// bias correction (−128·Σw); the activation half arrives per
+			// row from swarExpandRow.
+			pr.seeds[o] -= swarBias * sum
+		}
+	}
+	if avx2 {
+		pr.kb = (k + avx2Depth - 1) / avx2Depth
+		pr.wq = packPanelsAVX2(w.I8, n, k)
+	} else {
+		pr.kg = swarGroups(k)
+		pr.panels = packPanels(w.I8, n, k)
 	}
 	return pr, nil
 }
 
-// gemmScratchLen returns the packed-activation scratch (in uint64 words) one
-// gemmInt8Requant call needs: two rows of kg groups.
-func (pr *linearPrep) gemmScratchLen() int { return 2 * pr.kg }
+// gemmScratchLen returns the scratch (in uint64 words) one gemmInt8Requant
+// call needs: for SWAR two packed rows of kg groups; for AVX2 one staging
+// row of kb·16 bytes when k is not a multiple of 16, none otherwise.
+func (pr *linearPrep) gemmScratchLen() int {
+	if pr.wq != nil {
+		if pr.k%avx2Depth == 0 {
+			return 0
+		}
+		return pr.kb * avx2Depth / 8
+	}
+	return 2 * pr.kg
+}
 
 // im2col packs the receptive fields of one batch into col, one patch per
 // GEMM row in (ky, kx, ic) order. Out-of-bounds positions are filled with
@@ -274,7 +344,8 @@ func fillSlice[T any](s []T, v T) {
 const swarBlock = 8
 
 // gemmInt8Requant computes dst[m*n] = requant(acc0[n] + A[m]·B[n]) where A
-// is M rows of K packed patches and B is the SWAR panel image in pr. The
+// is M rows of K packed patches and B is the weight panel image in pr. An
+// AVX2 image goes to gemmInt8RequantAVX2; the SWAR path follows. Its
 // micro-kernel runs two im2col rows against one four-filter panel, three
 // depth positions per step: each row is first expanded once into packed
 // 21-bit-lane words (xb, caller-owned scratch of pr.gemmScratchLen() words,
@@ -286,6 +357,10 @@ const swarBlock = 8
 // integers, so the final int32 truncation matches the scalar reference's
 // wrapped accumulation bit for bit.
 func gemmInt8Requant(mRows int, a []int8, dst []int8, pr *linearPrep, xb []uint64) {
+	if pr.wq != nil {
+		gemmInt8RequantAVX2(mRows, a, dst, pr, xb)
+		return
+	}
 	n, k, kg := pr.n, pr.k, pr.kg
 	panels, seeds := pr.panels, pr.seeds
 	x0 := xb[:kg]
@@ -384,6 +459,56 @@ func gemmRowPanel(x []uint64, pan [][gemmPanel]uint64) (m0, m1, m2, m3 uint64) {
 		m3 += (s3 >> (2 * swarShift)) & swarMidMask
 	}
 	return
+}
+
+// gemmInt8RequantAVX2 is gemmInt8Requant over the AVX2 panel image: each
+// activation row runs against each eight-filter panel in one dot8AVX2 call
+// (VPMOVSXBW, VPMADDWD, wrapping VPADDD — exact, see ARCHITECTURE.md
+// "Kernel tiers" Tier 4), and the eight wrapped sums plus the acc0 seeds go
+// through the same requant epilogue as the SWAR path. A row whose depth is
+// not a multiple of 16 is first staged into xb (pr.gemmScratchLen() words)
+// so the kernel always reads whole blocks inside owned memory; the staged
+// tail past k keeps whatever it held, which is exact because the padding
+// weights it meets are zero.
+func gemmInt8RequantAVX2(mRows int, a []int8, dst []int8, pr *linearPrep, xb []uint64) {
+	n, k, kb := pr.n, pr.k, pr.kb
+	var stage []int8
+	if k%avx2Depth != 0 {
+		// Reslicing first keeps the byte view inside xb: a short scratch
+		// panics here instead of the staging copy writing past it.
+		words := xb[:pr.gemmScratchLen()]
+		stage = unsafe.Slice((*int8)(unsafe.Pointer(&words[0])), 8*len(words))
+	}
+	var sums [avx2Panel]int32
+	var tail [avx2Panel]int8
+	for m := 0; m < mRows; m++ {
+		row := a[m*k : m*k+k]
+		if stage != nil {
+			copy(stage, row)
+			row = stage
+		}
+		drow := dst[m*n : m*n+n]
+		p, n0 := 0, 0
+		for ; n0+avx2Panel <= n; p, n0 = p+1, n0+avx2Panel {
+			dot8AVX2(&row[0], &pr.wq[p*kb*avx2Panel*avx2Depth], kb, &sums)
+			requantOct((*[avx2Panel]int8)(drow[n0:n0+avx2Panel]), (*[avx2Panel]int32)(pr.seeds[n0:n0+avx2Panel]), &sums, pr)
+		}
+		if n0 < n {
+			dot8AVX2(&row[0], &pr.wq[p*kb*avx2Panel*avx2Depth], kb, &sums)
+			requantOct(&tail, (*[avx2Panel]int32)(pr.seeds[n0:n0+avx2Panel]), &sums, pr)
+			copy(drow[n0:], tail[:])
+		}
+	}
+}
+
+// requantOct rescales, offsets, clamps and stores the eight outputs of one
+// AVX2 panel. Like requantQuad, the array-pointer operands keep every
+// access provably in range; the caller routes a partial panel through a
+// full-width temporary.
+func requantOct(d *[avx2Panel]int8, s, acc *[avx2Panel]int32, pr *linearPrep) {
+	for j := range d {
+		d[j] = int8(clampInt32(pr.requantOne(s[j]+acc[j])+pr.outZP, pr.lo, pr.hi))
+	}
 }
 
 // requantQuad rescales, offsets, clamps and stores one full four-filter quad

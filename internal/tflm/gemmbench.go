@@ -5,14 +5,16 @@ import (
 	"math/rand"
 )
 
-// GEMMBench pins one prepped int8 GEMM invocation — packed SWAR panels,
-// hoisted requant constants, caller-owned scratch — so the micro-benchmark
+// GEMMBench pins one prepped int8 GEMM invocation — the selected kernel's
+// weight panel image, hoisted requant constants, caller-owned scratch — so
+// the micro-benchmark
 // habit survives kernel retunes: BenchmarkGEMMMicroKernel (bench_test.go)
 // measures the inner kernel in isolation, without im2col, graph dispatch or
 // frontend noise. Not used on any serving path.
 type GEMMBench struct {
 	mRows int
 	a     []int8
+	w     []int8
 	dst   []int8
 	pr    *linearPrep
 	xb    []uint64
@@ -50,6 +52,7 @@ func NewGEMMBench(m, n, k int, seed int64) (*GEMMBench, error) {
 	return &GEMMBench{
 		mRows: m,
 		a:     in.I8,
+		w:     w.I8,
 		dst:   out.I8,
 		pr:    pr,
 		xb:    make([]uint64, pr.gemmScratchLen()),
@@ -64,24 +67,19 @@ func (gb *GEMMBench) Run() {
 	gemmInt8Requant(gb.mRows, gb.a, gb.dst, gb.pr, gb.xb)
 }
 
-// Check verifies the current output against the scalar SWAR reference dot —
-// a cheap self-test so a bench refactor cannot silently measure a broken
-// kernel.
+// Check verifies the first and last output rows against the scalar
+// reference accumulation (op_ref.go's wrapped int32 sum over the source
+// weight matrix) — a cheap self-test so a bench refactor cannot silently
+// measure a broken kernel.
 func (gb *GEMMBench) Check() error {
 	n, k := gb.pr.n, gb.pr.k
 	for _, m := range []int{0, gb.mRows - 1} {
+		row := gb.a[m*k : (m+1)*k]
 		for o := 0; o < n; o++ {
 			acc := gb.pr.acc0[o]
-			row := gb.a[m*k : (m+1)*k]
-			wrow := make([]int8, k)
-			for i := 0; i < k; i++ {
-				// Recover the weight from the packed panel lanes.
-				p, j := o/gemmPanel, o%gemmPanel
-				g, t := i/swarGroup, i%swarGroup
-				q := gb.pr.panels[p*gb.pr.kg+g][j]
-				wrow[i] = int8(uint8(q>>(uint(swarGroup-1-t)*swarShift)) ^ swarBias)
+			for i, w := range gb.w[o*k : (o+1)*k] {
+				acc += int32(row[i]) * int32(w)
 			}
-			acc += swarDotI8(row, wrow)
 			want := int8(clampInt32(gb.pr.mult.Apply(acc)+gb.pr.outZP, gb.pr.lo, gb.pr.hi))
 			if got := gb.dst[m*n+o]; got != want {
 				return fmt.Errorf("tflm: GEMM bench output [%d,%d] = %d, want %d", m, o, got, want)

@@ -42,7 +42,7 @@ type Interpreter struct {
 	// their convPrep, so the plan-compiled copy program can prefill padding
 	// once).
 	colF32   []float32
-	gemmX    []uint64 // SWAR packed-activation rows for gemmInt8Requant
+	gemmX    []uint64 // gemmInt8Requant scratch: SWAR packed rows or the AVX2 staging row
 	smLogits []float64
 	smProbs  []float64
 	// batch is the optional stacked-utterance plan built by PlanBatch.
@@ -243,7 +243,7 @@ func (ip *Interpreter) Model() *Model { return ip.model }
 func (ip *Interpreter) ArenaSize() int { return ip.plan.Total }
 
 // ScratchSize returns the bytes of kernel scratch (im2col columns — shared
-// for float, per conv node for int8 — SWAR rows, softmax staging) the
+// for float, per conv node for int8 — GEMM row scratch, softmax staging) the
 // interpreter owns on top of the activation arena.
 func (ip *Interpreter) ScratchSize() int {
 	total := 4*len(ip.colF32) + 8*len(ip.gemmX) + 8*len(ip.smLogits) + 8*len(ip.smProbs)

@@ -59,35 +59,37 @@ func convOutShape(c convCase) []int {
 func TestConv2DInt8GemmMatchesRef(t *testing.T) {
 	for ci, c := range convCases() {
 		t.Run(fmt.Sprintf("case%d", ci), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(1000 + ci)))
-			inZP := int32(r.Intn(256) - 128)
-			in := randQuantTensor(r, "in", []int{c.batches, c.inH, c.inW, c.inC}, 0.5+r.Float64(), inZP)
-			w := randQuantTensor(r, "w", []int{c.outC, c.kH, c.kW, c.inC}, 0.01+0.2*r.Float64(), 0)
-			bias := &Tensor{Name: "b", Type: Int32, Shape: []int{c.outC}}
-			bias.Alloc()
-			for i := range bias.I32 {
-				bias.I32[i] = int32(r.Intn(2048) - 1024)
-			}
-			outShape := convOutShape(c)
-			mk := func() *Tensor {
-				o := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}}
-				o.Alloc()
-				return o
-			}
-			got, want := mk(), mk()
-			want.Quant = got.Quant // identical requantization
-			p := Conv2DParams{StrideH: c.strideH, StrideW: c.strideW, Padding: c.pad, Activation: c.act}
-			if err := evalConv2D(in, w, bias, got, p); err != nil {
-				t.Fatalf("gemm path: %v", err)
-			}
-			if err := evalConv2DInt8Ref(in, w, bias, want, p); err != nil {
-				t.Fatalf("ref path: %v", err)
-			}
-			for i := range got.I8 {
-				if got.I8[i] != want.I8[i] {
-					t.Fatalf("element %d: gemm %d != ref %d", i, got.I8[i], want.I8[i])
+			forEachGEMMKernel(t, func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(1000 + ci)))
+				inZP := int32(r.Intn(256) - 128)
+				in := randQuantTensor(r, "in", []int{c.batches, c.inH, c.inW, c.inC}, 0.5+r.Float64(), inZP)
+				w := randQuantTensor(r, "w", []int{c.outC, c.kH, c.kW, c.inC}, 0.01+0.2*r.Float64(), 0)
+				bias := &Tensor{Name: "b", Type: Int32, Shape: []int{c.outC}}
+				bias.Alloc()
+				for i := range bias.I32 {
+					bias.I32[i] = int32(r.Intn(2048) - 1024)
 				}
-			}
+				outShape := convOutShape(c)
+				mk := func() *Tensor {
+					o := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}}
+					o.Alloc()
+					return o
+				}
+				got, want := mk(), mk()
+				want.Quant = got.Quant // identical requantization
+				p := Conv2DParams{StrideH: c.strideH, StrideW: c.strideW, Padding: c.pad, Activation: c.act}
+				if err := evalConv2D(in, w, bias, got, p); err != nil {
+					t.Fatalf("gemm path: %v", err)
+				}
+				if err := evalConv2DInt8Ref(in, w, bias, want, p); err != nil {
+					t.Fatalf("ref path: %v", err)
+				}
+				for i := range got.I8 {
+					if got.I8[i] != want.I8[i] {
+						t.Fatalf("element %d: gemm %d != ref %d", i, got.I8[i], want.I8[i])
+					}
+				}
+			})
 		})
 	}
 }
@@ -178,44 +180,66 @@ func TestDepthwiseConv2DOptMatchesRef(t *testing.T) {
 }
 
 func TestFullyConnectedGemmMatchesRef(t *testing.T) {
+	// The GEMM shapes cover both kernels' tails: depths 1, 15 and 17 around
+	// the AVX2 16-depth block (staged rows) and 80/4400 (tiny_conv's conv
+	// and FC, whole blocks); filter counts off the 8-filter AVX2 and
+	// 4-filter SWAR panel grids; several row counts. allMin cases fill the
+	// activations and weights with −128 under a nonzero input zero point,
+	// the −128·−128 product corner.
 	cases := []struct {
 		batches, inN, outN int
 		act                Activation
+		allMin             bool
 	}{
-		{1, 17, 5, ActNone},
-		{1, 4400, 12, ActNone}, // tiny_conv FC size
-		{3, 64, 9, ActReLU},
-		{2, 33, 7, ActReLU6},
-		{1, 1, 1, ActNone},
+		{1, 17, 5, ActNone, false},
+		{1, 4400, 12, ActNone, false}, // tiny_conv FC size
+		{3, 64, 9, ActReLU, false},
+		{2, 33, 7, ActReLU6, false},
+		{1, 1, 1, ActNone, false},
+		{5, 1, 13, ActNone, false},
+		{7, 15, 11, ActNone, false},
+		{4, 17, 9, ActReLU, false},
+		{9, 80, 8, ActNone, false},
+		{3, 80, 19, ActNone, false},
+		{2, 4400, 3, ActNone, false},
+		{6, 15, 10, ActNone, true},
+		{3, 4400, 12, ActNone, true},
 	}
 	for ci, c := range cases {
 		t.Run(fmt.Sprintf("int8_case%d", ci), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(4000 + ci)))
-			inZP := int32(r.Intn(256) - 128)
-			in := randQuantTensor(r, "in", []int{c.batches, c.inN}, 0.5+r.Float64(), inZP)
-			w := randQuantTensor(r, "w", []int{c.outN, c.inN}, 0.01+0.2*r.Float64(), 0)
-			bias := &Tensor{Name: "b", Type: Int32, Shape: []int{c.outN}}
-			bias.Alloc()
-			for i := range bias.I32 {
-				bias.I32[i] = int32(r.Intn(2048) - 1024)
-			}
-			oq := &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}
-			got := &Tensor{Name: "out", Type: Int8, Shape: []int{c.batches, c.outN}, Quant: oq}
-			got.Alloc()
-			want := &Tensor{Name: "out", Type: Int8, Shape: []int{c.batches, c.outN}, Quant: oq}
-			want.Alloc()
-			p := FullyConnectedParams{Activation: c.act}
-			if err := evalFullyConnected(in, w, bias, got, p); err != nil {
-				t.Fatalf("gemm path: %v", err)
-			}
-			if err := evalFullyConnectedRef(in, w, bias, want, p); err != nil {
-				t.Fatalf("ref path: %v", err)
-			}
-			for i := range got.I8 {
-				if got.I8[i] != want.I8[i] {
-					t.Fatalf("element %d: gemm %d != ref %d", i, got.I8[i], want.I8[i])
+			forEachGEMMKernel(t, func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(4000 + ci)))
+				inZP := int32(r.Intn(256) - 128)
+				in := randQuantTensor(r, "in", []int{c.batches, c.inN}, 0.5+r.Float64(), inZP)
+				w := randQuantTensor(r, "w", []int{c.outN, c.inN}, 0.01+0.2*r.Float64(), 0)
+				if c.allMin {
+					fillSlice(in.I8, -128)
+					fillSlice(w.I8, -128)
+					in.Quant.ZeroPoint = 37
 				}
-			}
+				bias := &Tensor{Name: "b", Type: Int32, Shape: []int{c.outN}}
+				bias.Alloc()
+				for i := range bias.I32 {
+					bias.I32[i] = int32(r.Intn(2048) - 1024)
+				}
+				oq := &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}
+				got := &Tensor{Name: "out", Type: Int8, Shape: []int{c.batches, c.outN}, Quant: oq}
+				got.Alloc()
+				want := &Tensor{Name: "out", Type: Int8, Shape: []int{c.batches, c.outN}, Quant: oq}
+				want.Alloc()
+				p := FullyConnectedParams{Activation: c.act}
+				if err := evalFullyConnected(in, w, bias, got, p); err != nil {
+					t.Fatalf("gemm path: %v", err)
+				}
+				if err := evalFullyConnectedRef(in, w, bias, want, p); err != nil {
+					t.Fatalf("ref path: %v", err)
+				}
+				for i := range got.I8 {
+					if got.I8[i] != want.I8[i] {
+						t.Fatalf("element %d: gemm %d != ref %d", i, got.I8[i], want.I8[i])
+					}
+				}
+			})
 		})
 		t.Run(fmt.Sprintf("float_case%d", ci), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(5000 + ci)))
@@ -246,56 +270,58 @@ func TestFullyConnectedGemmMatchesRef(t *testing.T) {
 // through the prepped interpreter fast paths and checks the output against
 // per-node reference kernel evaluation.
 func TestInterpreterInvokeMatchesRefKernels(t *testing.T) {
-	model, err := BuildRandomTinyConv(2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := BuildRandomTinyConv(2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := NewInterpreter(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := NewInterpreter(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(7))
-	for i := range ip.Input(0).I8 {
-		v := int8(r.Intn(256) - 128)
-		ip.Input(0).I8[i] = v
-		rp.Input(0).I8[i] = v
-	}
-	if err := ip.Invoke(); err != nil {
-		t.Fatal(err)
-	}
-	// Evaluate the reference model with the scalar kernels, node by node.
-	for _, n := range ref.Nodes {
-		var err error
-		switch n.Op {
-		case OpConv2D:
-			err = evalConv2DInt8Ref(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Inputs[1]), ref.Tensor(n.Inputs[2]), ref.Tensor(n.Outputs[0]), n.Params.(Conv2DParams))
-		case OpFullyConnected:
-			err = evalFullyConnectedRef(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Inputs[1]), ref.Tensor(n.Inputs[2]), ref.Tensor(n.Outputs[0]), n.Params.(FullyConnectedParams))
-		case OpReshape:
-			err = evalReshape(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]))
-		case OpSoftmax:
-			p, _ := n.Params.(SoftmaxParams)
-			err = evalSoftmax(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]), p)
-		default:
-			t.Fatalf("unexpected op %v in tiny_conv", n.Op)
-		}
+	forEachGEMMKernel(t, func(t *testing.T) {
+		model, err := BuildRandomTinyConv(2, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := range ip.Output(0).I8 {
-		if ip.Output(0).I8[i] != rp.Output(0).I8[i] {
-			t.Fatalf("output %d: interpreter %d != ref %d", i, ip.Output(0).I8[i], rp.Output(0).I8[i])
+		ref, err := BuildRandomTinyConv(2, 99)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		ip, err := NewInterpreter(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := NewInterpreter(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(7))
+		for i := range ip.Input(0).I8 {
+			v := int8(r.Intn(256) - 128)
+			ip.Input(0).I8[i] = v
+			rp.Input(0).I8[i] = v
+		}
+		if err := ip.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+		// Evaluate the reference model with the scalar kernels, node by node.
+		for _, n := range ref.Nodes {
+			var err error
+			switch n.Op {
+			case OpConv2D:
+				err = evalConv2DInt8Ref(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Inputs[1]), ref.Tensor(n.Inputs[2]), ref.Tensor(n.Outputs[0]), n.Params.(Conv2DParams))
+			case OpFullyConnected:
+				err = evalFullyConnectedRef(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Inputs[1]), ref.Tensor(n.Inputs[2]), ref.Tensor(n.Outputs[0]), n.Params.(FullyConnectedParams))
+			case OpReshape:
+				err = evalReshape(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]))
+			case OpSoftmax:
+				p, _ := n.Params.(SoftmaxParams)
+				err = evalSoftmax(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]), p)
+			default:
+				t.Fatalf("unexpected op %v in tiny_conv", n.Op)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range ip.Output(0).I8 {
+			if ip.Output(0).I8[i] != rp.Output(0).I8[i] {
+				t.Fatalf("output %d: interpreter %d != ref %d", i, ip.Output(0).I8[i], rp.Output(0).I8[i])
+			}
+		}
+	})
 }
 
 // TestConv2DInt8OutOfRangeZeroPoint: QuantParams.ZeroPoint is an int32 that
@@ -385,28 +411,30 @@ func TestInterpreterDynamicWeightsNotPrepped(t *testing.T) {
 	}
 }
 
-// TestInvokeZeroAlloc is the ISSUE acceptance criterion: a prepped
-// interpreter's Invoke performs no heap allocations.
+// TestInvokeZeroAlloc: a prepped interpreter's Invoke performs no heap
+// allocations, under either GEMM kernel.
 func TestInvokeZeroAlloc(t *testing.T) {
-	model, err := BuildRandomTinyConv(1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := NewInterpreter(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ip.Input(0).I8 {
-		ip.Input(0).I8[i] = int8(i % 251)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := ip.Invoke(); err != nil {
+	forEachGEMMKernel(t, func(t *testing.T) {
+		model, err := BuildRandomTinyConv(1, 7)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ip, err := NewInterpreter(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ip.Input(0).I8 {
+			ip.Input(0).I8[i] = int8(i % 251)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := ip.Invoke(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Invoke allocates %v times per run, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("Invoke allocates %v times per run, want 0", allocs)
-	}
 }
 
 func TestArgmaxEmptyAndNil(t *testing.T) {

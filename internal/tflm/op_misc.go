@@ -41,8 +41,7 @@ func evalRelu(in, out *Tensor) error {
 // evalSoftmax computes softmax over the last dimension. For quantized
 // tensors the computation dequantizes to float, applies softmax, and
 // requantizes to the output parameters; TFLM proper uses a fixed-point exp
-// LUT, a substitution that changes results by <1 quantum and is documented
-// in DESIGN.md.
+// LUT, a substitution that changes results by <1 quantum.
 func evalSoftmax(in, out *Tensor, p SoftmaxParams) error {
 	depth := in.Shape[len(in.Shape)-1]
 	return evalSoftmaxScratch(in, out, p, make([]float64, depth), make([]float64, depth))

@@ -1,8 +1,8 @@
 package tflm
 
 // SWAR (SIMD-within-a-register) int8 dot-product primitives: the arithmetic
-// core of the GEMM micro-kernel in gemm.go and of the depthwise interior
-// sweep. One 64-bit multiply retires three int8 MACs.
+// core of the portable GEMM micro-kernel in gemm.go and of the depthwise
+// interior sweep. One 64-bit multiply retires three int8 MACs.
 //
 // Lane layout. Both operands are biased to unsigned bytes u = a+128,
 // v = w+128 ∈ [0,255] (a byte XOR with 0x80). Three consecutive depth
@@ -38,8 +38,11 @@ package tflm
 // Dropping to signed 7-bit operands or 2-depth windows gives up more MACs
 // than it gains. The 3×21-bit layout is the densest carry-free packing for
 // full-range int8 (2^18 per window, 3 bits of headroom → swarBlock=8
-// deferred folds), so the FC sweep keeps it; measured upper bound on this
-// host ~2.8 Gmac/s conv / ~4.1 Gmac/s FC (BenchmarkGEMMMicroKernel).
+// deferred folds), so the FC sweep keeps it. SWAR is the GEMM path off
+// amd64 and on amd64 CPUs without AVX2; where AVX2 exists the assembly
+// kernel (gemm_avx2_amd64.s) replaces it. Measured on a 2-vCPU Intel Xeon
+// KVM guest (BenchmarkGEMMMicroKernel, SWAR → AVX2): ~1.6–1.7 → 6–8.4
+// Gmac/s conv, ~2.5–3.9 → 23–26 Gmac/s FC.
 const (
 	// swarGroup is how many depth positions one 64-bit multiply covers.
 	swarGroup = 3
