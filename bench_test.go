@@ -9,7 +9,7 @@ package repro
 //	E3            BenchmarkModelEncode, BenchmarkModelDecrypt
 //	E4            BenchmarkWorldSwitch, BenchmarkSecureMicCapture
 //	E5 / Fig. 2   BenchmarkPreparePhase, BenchmarkInitializePhase
-//	E6            BenchmarkEnclaveLifecycle
+//	E6            BenchmarkEnclaveLifecycle, BenchmarkDeterministicRSAKey
 //	E7            BenchmarkHEInference, BenchmarkMPCInference
 //	E8            BenchmarkPrimeProbe
 //	E10           BenchmarkModelScaling
@@ -275,6 +275,23 @@ func BenchmarkEnclaveLifecycle(b *testing.B) {
 		if err := app.Teardown(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDeterministicRSAKey measures the key derivation that dominates
+// Prepare and the enclave set-up (E5/E6): 1024 bits is the enclave size the
+// benchmarks and tests use, 2048 the production identity size. Each
+// iteration derives from a fresh seed, so the benchmark averages over prime
+// searches rather than timing one lucky or unlucky seed.
+func BenchmarkDeterministicRSAKey(b *testing.B) {
+	for _, bits := range []int{1024, 2048} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := omgcrypto.DeterministicRSAKey([]byte(fmt.Sprintf("bench-detrsa-%d", i)), bits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

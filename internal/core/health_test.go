@@ -463,3 +463,177 @@ func TestBusyHintComputedFromBacklog(t *testing.T) {
 		t.Fatalf("busy retry-after %v, want > 0", busy.RetryAfter)
 	}
 }
+
+// fakeClock is a manually advanced Registry clock.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// gatedEngine never has queue room for a non-blocking submit, and holds each
+// blocking submit until the test opens the gate, so the dispatcher pops the
+// next job only when the test says so. entered reports each blocking submit,
+// which the dispatcher makes after it has stamped and observed the job.
+type gatedEngine struct {
+	fakeHealthEngine
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedEngine) TrySubmitFuncDeadline([]int16, time.Time, func(Result)) error {
+	return ErrQueueFull
+}
+
+func (g *gatedEngine) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
+	g.entered <- struct{}{}
+	<-g.gate
+	fn(Result{Label: 7})
+	return nil
+}
+
+// TestOverloadShedsOnFakeClock drives the queue-delay controller on a fake
+// clock: sojourn above Target sheds nothing until it has lasted a full
+// Window; then the over-share tenant is refused at admission with
+// ErrOverloaded, the light tenant is still admitted, and every admitted job
+// completes without error.
+func TestOverloadShedsOnFakeClock(t *testing.T) {
+	model, err := tflm.BuildRandomTinyConv(1, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target, window = 5 * time.Millisecond, 25 * time.Millisecond
+	// entered holds more reports than the test admits jobs, so once the
+	// gate opens the dispatcher drains the backlog without a reader.
+	eng := &gatedEngine{entered: make(chan struct{}, 64), gate: make(chan struct{})}
+	reg, err := NewRegistry(map[string]ModelConfig{"m": {Model: model}}, RegistryConfig{
+		Shards:        1,
+		Engine:        func(*tflm.Model, ServerConfig) (Engine, error) { return eng, nil },
+		DefaultTenant: TenantConfig{MaxQueue: 64},
+		Overload:      OverloadConfig{Target: target, Window: window},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &fakeClock{t: time.Unix(1, 0)}
+	reg.now = clk.now
+	defer reg.Close()
+	openGate := sync.OnceFunc(func() { close(eng.gate) })
+	defer openGate() // runs before Close, which drains through the engine
+
+	var admitted sync.WaitGroup
+	var failed atomic.Uint64
+	submit := func(tenant string) error {
+		admitted.Add(1)
+		err := reg.Submit("m", tenant, []int16{1}, time.Time{}, func(r Result) {
+			if r.Err != nil {
+				failed.Add(1)
+			}
+			admitted.Done()
+		})
+		if err != nil {
+			admitted.Done()
+		}
+		return err
+	}
+	mustAdmit := func(tenant string) {
+		t.Helper()
+		if err := submit(tenant); err != nil {
+			t.Fatalf("%s submit: %v", tenant, err)
+		}
+	}
+	// step releases the job the dispatcher holds and waits until it has
+	// popped and observed the next one. DRR alternates the two tenants.
+	step := func() {
+		eng.gate <- struct{}{}
+		<-eng.entered
+	}
+
+	// The dispatcher takes flood's first job at once (zero sojourn) and
+	// blocks in the engine; a backlog builds behind it at the same instant.
+	mustAdmit("flood")
+	<-eng.entered
+	for i := 0; i < 3; i++ {
+		mustAdmit("light")
+	}
+	for i := 0; i < 20; i++ {
+		mustAdmit("flood")
+	}
+
+	// Light's first job: the first above-target sojourn starts the run.
+	clk.advance(target + time.Millisecond)
+	step()
+	mustAdmit("flood")
+	// Flood, then light, just short of a full window: nothing is shed.
+	clk.advance(window - time.Millisecond)
+	step()
+	mustAdmit("flood")
+	step()
+	mustAdmit("flood")
+	// Flood at a full window above target: overload. The tenant holding
+	// the backlog is refused at admission; light, queued under its share,
+	// is not.
+	clk.advance(time.Millisecond)
+	step()
+	err = submit("flood")
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("flood submit after a full window above target: %v, want ErrOverloaded", err)
+	}
+	var oe *OverloadError
+	if !errors.As(err, &oe) || oe.RetryAfter < minRetryAfter {
+		t.Fatalf("overload shed %#v, want *OverloadError with a retry-after", err)
+	}
+	mustAdmit("light")
+
+	openGate()
+	admitted.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d admitted jobs failed; overload control must only refuse at admission", n)
+	}
+}
+
+// TestRegistryDispatchAllocFree pins the admission path (Submit, the DRR
+// ring, the dispatcher and the pooled breaker callback) at zero allocations
+// per job, with a preallocated completion func and an engine that completes
+// inline.
+func TestRegistryDispatchAllocFree(t *testing.T) {
+	model, err := tflm.BuildRandomTinyConv(1, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := &fakeEngineFleet{}
+	reg, err := NewRegistry(map[string]ModelConfig{"m": {Model: model}}, RegistryConfig{
+		Shards: 1,
+		Engine: fleet.factory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	samples := []int16{1}
+	done := make(chan struct{}, 1)
+	fn := func(Result) { done <- struct{}{} }
+	submit := func() {
+		if err := reg.Submit("m", "t", samples, time.Time{}, fn); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}
+	for i := 0; i < 8; i++ { // warm the tenant queue, the ring and the pool
+		submit()
+	}
+	if allocs := testing.AllocsPerRun(200, submit); allocs > 0 {
+		t.Fatalf("registry dispatch allocates %.2f objects/job, want 0", allocs)
+	}
+}

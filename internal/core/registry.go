@@ -255,6 +255,11 @@ type Registry struct {
 	active  []*tenantState // backlogged tenants, DRR order
 	closed  bool
 
+	// now stamps admission and dispatch for the overload controller's
+	// sojourn; time.Now outside tests, which swap in a fake clock before the
+	// first Submit.
+	now func() time.Time
+
 	// Overload-controller state, guarded by amu.
 	backlog    int           // admitted-but-undispatched jobs across all tenants
 	aboveSince time.Time     // start of the current above-target sojourn run
@@ -290,6 +295,7 @@ func NewRegistry(models map[string]ModelConfig, cfg RegistryConfig) (*Registry, 
 		breaker:        cfg.Breaker.withDefaults(),
 		overload:       cfg.Overload.withDefaults(),
 		tenants:        make(map[string]*tenantState),
+		now:            time.Now,
 		dispatcherDone: make(chan struct{}),
 		superKick:      make(chan struct{}, 1),
 		superStop:      make(chan struct{}),
@@ -539,7 +545,7 @@ func (r *Registry) Submit(model, tenant string, samples []int16, deadline time.T
 		t.busy.Add(1)
 		return &TenantBusyError{RetryAfter: retry}
 	}
-	t.q = append(t.q, admJob{entry: e, tenant: t, samples: samples, deadline: deadline, enq: time.Now(), fn: fn})
+	t.q = append(t.q, admJob{entry: e, tenant: t, samples: samples, deadline: deadline, enq: r.now(), fn: fn})
 	r.backlog++
 	t.accepted.Add(1)
 	if !t.active {
@@ -571,14 +577,19 @@ func (r *Registry) dispatch() {
 			r.lastPop = time.Time{} // idle: think time must not skew the rate
 			r.cond.Wait()
 		}
+		// Pop the ring head by copying the rest down, so the ring reuses one
+		// backing array instead of walking through it until append
+		// reallocates.
 		t := r.active[0]
-		r.active = r.active[1:]
+		n := copy(r.active, r.active[1:])
+		r.active[n] = nil
+		r.active = r.active[:n]
 		t.deficit += t.weight
 		for t.deficit > 0 && t.depth() > 0 {
 			j := t.pop()
 			t.deficit--
 			r.backlog--
-			now := time.Now()
+			now := r.now()
 			r.noteServiceLocked(now)
 			if !j.enq.IsZero() {
 				r.overloadObserveLocked(now.Sub(j.enq), now)

@@ -160,6 +160,12 @@ func TestRegistrySwapUnderLoad(t *testing.T) {
 		DefaultTenant: TenantConfig{MaxQueue: 256},
 	})
 	defer reg.Close()
+	// A frozen controller clock: every job's sojourn reads zero, so a host
+	// whose CPUs are contended by the rest of the suite cannot push the
+	// queue-delay controller into shedding. The test's subject is the swap;
+	// TestOverloadShedsOnFakeClock covers the controller.
+	frozen := time.Now()
+	reg.now = func() time.Time { return frozen }
 
 	stop := make(chan struct{})
 	var swapErr error

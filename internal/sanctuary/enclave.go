@@ -150,6 +150,7 @@ func (e *Enclave) Teardown() error {
 	}
 	e.state = StateTornDown
 	delete(e.mgr.enclaves, e.name)
+	e.mgr.free(span{e.privBase, e.cfg.PrivateSize}, span{e.swBase, e.cfg.SharedSWSize})
 	return nil
 }
 

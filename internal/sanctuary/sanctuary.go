@@ -96,7 +96,14 @@ type Manager struct {
 	sos      *trustzone.SecureOS
 	osCore   *hw.Core
 	nextBase hw.PhysAddr
+	freed    []span // torn-down ranges, reused once nextBase reaches the end of DRAM
 	enclaves map[string]*Enclave
+}
+
+// span is one physical range the allocator handed out.
+type span struct {
+	base hw.PhysAddr
+	size uint64
 }
 
 // NewManager creates a SANCTUARY driver whose OS runs on core osCore.
@@ -115,11 +122,33 @@ func NewManager(soc *hw.SoC, mon *trustzone.Monitor, sos *trustzone.SecureOS, os
 // OSCore returns the commodity-OS core.
 func (m *Manager) OSCore() *hw.Core { return m.osCore }
 
-func (m *Manager) alloc(size uint64) hw.PhysAddr {
+// alloc hands out a regionAlign-aligned range of size bytes. It bumps
+// nextBase while DRAM lasts, so every enclave lands where it would on a
+// device that never tore one down; after that it takes the first torn-down
+// range that fits.
+func (m *Manager) alloc(size uint64) (hw.PhysAddr, error) {
 	base := (uint64(m.nextBase) + regionAlign - 1) &^ uint64(regionAlign-1)
-	m.nextBase = hw.PhysAddr(base + size)
-	return hw.PhysAddr(base)
+	if base+size <= m.soc.Mem().Size() {
+		m.nextBase = hw.PhysAddr(base + size)
+		return hw.PhysAddr(base), nil
+	}
+	for i, f := range m.freed {
+		if f.size < size {
+			continue
+		}
+		if used := (size + regionAlign - 1) &^ uint64(regionAlign-1); used < f.size {
+			m.freed[i] = span{f.base + hw.PhysAddr(used), f.size - used}
+		} else {
+			m.freed = append(m.freed[:i], m.freed[i+1:]...)
+		}
+		return f.base, nil
+	}
+	return 0, fmt.Errorf("sanctuary: no free %d-byte range in DRAM", size)
 }
+
+// free returns ranges from alloc; the secure world has already scrubbed
+// and unlocked them, or never locked them.
+func (m *Manager) free(spans ...span) { m.freed = append(m.freed, spans...) }
 
 // leastBusyCore returns the online core with the fewest accumulated cycles,
 // excluding the OS core ("the least busy CPU core is shut down", §III-B).
@@ -181,20 +210,31 @@ func (m *Manager) Setup(cfg Config) (*Enclave, error) {
 	if uint64(len(cfg.Image.Code)) > cfg.PrivateSize {
 		return nil, fmt.Errorf("sanctuary: image (%d bytes) exceeds private region (%d bytes)", len(cfg.Image.Code), cfg.PrivateSize)
 	}
-	privBase := m.alloc(cfg.PrivateSize)
-	swBase := m.alloc(cfg.SharedSWSize)
+	privBase, err := m.alloc(cfg.PrivateSize)
+	if err != nil {
+		return nil, err
+	}
+	swBase, err := m.alloc(cfg.SharedSWSize)
+	if err != nil {
+		m.free(span{privBase, cfg.PrivateSize})
+		return nil, err
+	}
+	regions := []span{{privBase, cfg.PrivateSize}, {swBase, cfg.SharedSWSize}}
 
 	// The commodity OS copies the image into the (still unlocked) region.
 	if err := m.soc.Write(m.osCore, privBase, cfg.Image.Code); err != nil {
+		m.free(regions...)
 		return nil, fmt.Errorf("sanctuary: loading image: %w", err)
 	}
 	m.osCore.Charge(uint64(len(cfg.Image.Code)) * hw.CyclesPerByteCopy)
 
 	core, err := m.leastBusyCore()
 	if err != nil {
+		m.free(regions...)
 		return nil, err
 	}
 	if err := core.PowerOff(m.osCore); err != nil {
+		m.free(regions...)
 		return nil, err
 	}
 
@@ -208,6 +248,8 @@ func (m *Manager) Setup(cfg Config) (*Enclave, error) {
 		AllowMic: cfg.AllowMic,
 	})
 	if err != nil {
+		// Not freed: the secure world may have locked part of the ranges
+		// before it failed.
 		_ = core.PowerOn()
 		return nil, fmt.Errorf("sanctuary: secure-world create: %w", err)
 	}

@@ -515,3 +515,33 @@ func TestSetupExhaustsCores(t *testing.T) {
 		t.Fatal("more enclaves than spare cores")
 	}
 }
+
+// TestTeardownReclaimsMemory launches and tears down more enclaves than
+// DRAM holds at once. Until DRAM runs out each enclave lands past the last,
+// as if none had been torn down; after that torn-down ranges are reused.
+func TestTeardownReclaimsMemory(t *testing.T) {
+	_, mgr, _ := testManager(t) // 128 MiB, the bottom 16 MiB left to the OS
+	cfg := smallConfig("cycle", false)
+	cfg.PrivateSize = 32 << 20 // three fit
+	var prev hw.PhysAddr
+	for i := 0; i < 10; i++ {
+		e, err := mgr.Setup(cfg)
+		if err != nil {
+			t.Fatalf("setup %d: %v", i, err)
+		}
+		if i < 3 && e.PrivBase() <= prev {
+			t.Fatalf("setup %d reused %#x while DRAM was left", i, e.PrivBase())
+		}
+		prev = e.PrivBase()
+		if err := e.Boot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Teardown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.PrivateSize = 256 << 20
+	if _, err := mgr.Setup(cfg); err == nil {
+		t.Fatal("setup larger than DRAM succeeded")
+	}
+}

@@ -1,6 +1,8 @@
 package trustzone
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"testing"
 
@@ -283,5 +285,20 @@ func TestBootSecureOSRequiresKeys(t *testing.T) {
 	soc := hw.NewSoC(hw.Config{BigCores: 1, LittleCores: 0, DRAMSize: 1 << 20})
 	if _, err := BootSecureOS(soc, NewMonitor(soc), SecureOSConfig{}); err == nil {
 		t.Fatal("secure OS booted without platform keys")
+	}
+}
+
+// TestEnclaveKeyGolden pins the public key the secure OS certifies for the
+// fixture device's "kws" enclave: the HKDF(device secret, measurement) seed
+// path into omgcrypto.DeterministicRSAKey. The key must survive any change
+// to the prime search, or a relaunched enclave could no longer open the
+// model ciphertexts provisioned to its previous identity.
+func TestEnclaveKeyGolden(t *testing.T) {
+	const want = "8e5fe96a04ed2d8e3b819cfedcf5ed8e09f01ff1df9d6597125501c4ba786bd3"
+	soc, mon, _, _ := testPlatform(t)
+	created := createTestEnclave(t, soc, mon, "kws", true)
+	sum := sha256.Sum256(created.EnclaveCert.PublicKey)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("SHA-256(enclave public key) = %s, want %s", got, want)
 	}
 }
