@@ -4,7 +4,7 @@
 GO ?= go
 REV := $(shell git rev-parse --short HEAD)
 
-.PHONY: all help build test vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke ci
+.PHONY: all help build test vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke fuzz-smoke ci
 
 all: build
 
@@ -28,8 +28,9 @@ help:
 	@echo "                 deleted or broken gated benchmarks without timing anything"
 	@echo "make chaos       fault-matrix chaos suite under -race -count=2 (netfront resilience gate)"
 	@echo "make slo-smoke   one-second open-loop load run against a live front end (zero protocol errors)"
+	@echo "make fuzz-smoke  run every Fuzz* target for FUZZTIME (default 5s) each"
 	@echo "make ci          tier-1 gate: build + vet + vet-cross + fmt-check + docs/examples/bce checks + test"
-	@echo "                 + perfbench-check + chaos + slo-smoke + bench-gate-smoke"
+	@echo "                 + perfbench-check + chaos + slo-smoke + bench-gate-smoke + fuzz-smoke"
 
 build:
 	$(GO) build ./...
@@ -165,5 +166,18 @@ chaos:
 slo-smoke:
 	$(GO) test -run 'TestSLOSmoke' -count=1 .
 
-ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test chaos slo-smoke bench-gate-smoke
+# Fuzz smoke: every Fuzz* target in the module, FUZZTIME each, so a crash
+# the checked-in seed corpora do not reach still surfaces on every CI run.
+# A failure leaves its input under the package's testdata/fuzz: fix the bug
+# it found and keep the input as a seed.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -e; $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read -r pkg dir; do \
+		for name in $$(cat "$$dir"/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p'); do \
+			echo "fuzz-smoke: $$pkg $$name"; \
+			$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) "$$pkg"; \
+		done; \
+	done
+
+ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test chaos slo-smoke bench-gate-smoke fuzz-smoke
 	@echo "ci: OK"

@@ -33,9 +33,8 @@
 // circuit-breaker state, failure rate, rebuild count and worker liveness
 // (core.Registry.Health), plus the count of failed SIGHUP swaps. The same
 // snapshot is queryable over the wire via the client's Health method
-// (FrameHealth). Breaker and overload control default on; tune them with
-// -breaker-threshold/-breaker-cooldown/-overload-target or switch them off
-// with -no-breaker/-no-overload.
+// (FrameHealth). Breaker and overload control are always on; tune them
+// with -breaker-threshold/-breaker-cooldown/-overload-target.
 //
 // On SIGINT/SIGTERM the server drains gracefully: listeners close, quiet
 // connections are released, and busy connections get the -drain grace to
@@ -77,10 +76,8 @@ type serveConfig struct {
 	DefaultModel string
 	Drain        time.Duration
 
-	NoBreaker        bool
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	NoOverload       bool
 	OverloadTarget   time.Duration
 }
 
@@ -206,16 +203,14 @@ func main() {
 	flag.StringVar(&cfg.UnixPath, "unix", "", "Unix socket path (empty disables)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "workers per shard server (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.Queue, "queue", 0, "submission queue depth per shard (0 = 2×workers)")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "max utterances per drained InvokeBatch (0 = default 8, 1 disables)")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "max utterances per drained InvokeBatch (0 = default 8, 1 = one per call)")
 	flag.IntVar(&cfg.Shards, "shards", 1, "shard servers per model (0 = 1)")
 	flag.StringVar(&cfg.Models, "models", "default=1:7", "served models as name=mul:seed,... (tiny_conv width multiplier and weight seed)")
 	flag.StringVar(&cfg.Tenants, "tenants", "", "tenant policies as name=weight:cap,... (DRR weight and queue cap; unnamed tenants get defaults)")
 	flag.StringVar(&cfg.DefaultModel, "default-model", "", "model for hello-less connections (default: the sole model, else none)")
 	flag.DurationVar(&cfg.Drain, "drain", 5*time.Second, "graceful-drain grace period on SIGTERM")
-	flag.BoolVar(&cfg.NoBreaker, "no-breaker", false, "disable per-shard circuit breakers and the rebuild supervisor")
 	flag.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive hard failures that trip a shard breaker (0 = default)")
 	flag.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 0, "base open-state cooldown before a breaker half-opens (0 = default)")
-	flag.BoolVar(&cfg.NoOverload, "no-overload", false, "disable the queue-delay overload controller (per-tenant caps still apply)")
 	flag.DurationVar(&cfg.OverloadTarget, "overload-target", 0, "target queue sojourn time before over-share tenants are shed (0 = default)")
 	flag.Parse()
 
@@ -254,14 +249,10 @@ func main() {
 		},
 		Tenants: tenants,
 		Breaker: core.BreakerConfig{
-			Disable:   cfg.NoBreaker,
 			Threshold: cfg.BreakerThreshold,
 			Cooldown:  cfg.BreakerCooldown,
 		},
-		Overload: core.OverloadConfig{
-			Disable: cfg.NoOverload,
-			Target:  cfg.OverloadTarget,
-		},
+		Overload: core.OverloadConfig{Target: cfg.OverloadTarget},
 	})
 	if err != nil {
 		log.Fatalf("omg-serve: registry: %v", err)

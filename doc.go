@@ -127,9 +127,9 @@
 // recomputation in steady state, with zero allocations, and bit-exact
 // against ExtractInto (BenchmarkStreamingExtract, E12).
 //
-// Server workers drain the submission queue in batches: when ≥ 2
-// utterances are pending a worker classifies up to ServerConfig.MaxBatch
-// of them through one planned InvokeBatch call, and submission tickets
+// Server workers run every job through one planned InvokeBatch call: a
+// lone job is a batch of one, and when more are pending a worker drains up
+// to ServerConfig.MaxBatch of them into the same call. Submission tickets
 // recycle through a freelist (Pending.Release), keeping the steady-state
 // submission path allocation-free. Alongside ticket polling the server
 // offers a callback completion path — Server.SubmitFuncDeadline invokes

@@ -54,13 +54,9 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterizes per-shard circuit breaking. The zero value
-// enables breaking with the defaults below; set Disable to opt out.
+// BreakerConfig parameterizes per-shard circuit breaking, which is always
+// on; the zero value uses the defaults below.
 type BreakerConfig struct {
-	// Disable turns circuit breaking (and the rebuild supervisor) off:
-	// every shard stays in rotation regardless of outcomes — the pre-ISSUE-9
-	// behavior.
-	Disable bool
 	// Threshold is how many consecutive hard failures (worker panics,
 	// engine errors — deadline sheds count toward the failure rate only)
 	// trip a closed breaker. <= 0 means DefaultBreakerThreshold.
@@ -435,13 +431,9 @@ func (r *Registry) rebuildShard(e *modelEntry, set *shardSet, sh *shard) {
 	old.Close()
 }
 
-// OverloadConfig parameterizes the queue-delay admission controller. The
-// zero value enables it with the defaults below; set Disable to fall back
-// to hard per-tenant caps only.
+// OverloadConfig parameterizes the queue-delay admission controller, which
+// is always on; the zero value uses the defaults below.
 type OverloadConfig struct {
-	// Disable turns delay-based shedding off. Retry-after hints are still
-	// computed from the measured service rate.
-	Disable bool
 	// Target is the acceptable queue sojourn time (CoDel-style): dispatch
 	// delay at or below it is healthy. <= 0 means DefaultOverloadTarget.
 	Target time.Duration

@@ -77,37 +77,6 @@ func TestPipelineMatchesSerial(t *testing.T) {
 			if r.Label != want[i] {
 				t.Fatalf("workers=%d utterance %d: label %d, want %d", workers, i, r.Label, want[i])
 			}
-			if r.Probs != nil {
-				t.Fatalf("workers=%d utterance %d: probs present without WithProbs", workers, i)
-			}
-		}
-	}
-}
-
-// TestPipelineWithProbs: with WithProbs, every RunBatch result carries one
-// probability per class whose argmax is the label.
-func TestPipelineWithProbs(t *testing.T) {
-	model, utts, _ := pipelineFixture(t, 6)
-	srv, err := NewServer(model, ServerConfig{Workers: 2, WithProbs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for i, r := range srv.RunBatch(utts) {
-		if r.Err != nil {
-			t.Fatalf("utterance %d: %v", i, r.Err)
-		}
-		if len(r.Probs) != speechcmd.NumLabels {
-			t.Fatalf("utterance %d: %d probs, want %d", i, len(r.Probs), speechcmd.NumLabels)
-		}
-		best, bestIdx := -1.0, -1
-		for c, p := range r.Probs {
-			if p > best {
-				best, bestIdx = p, c
-			}
-		}
-		if bestIdx != r.Label {
-			t.Fatalf("utterance %d: label %d but probs argmax %d", i, r.Label, bestIdx)
 		}
 	}
 }

@@ -139,11 +139,11 @@ type RegistryConfig struct {
 	// DefaultTenant configures tenants not listed in Tenants. The zero
 	// value means weight 1, queue DefaultTenantQueue.
 	DefaultTenant TenantConfig
-	// Breaker parameterizes per-shard circuit breaking and the rebuild
-	// supervisor; the zero value enables both with defaults.
+	// Breaker tunes per-shard circuit breaking and the rebuild supervisor;
+	// the zero value uses the defaults.
 	Breaker BreakerConfig
-	// Overload parameterizes the queue-delay admission controller; the
-	// zero value enables it with defaults.
+	// Overload tunes the queue-delay admission controller; the zero value
+	// uses the defaults.
 	Overload OverloadConfig
 }
 
@@ -335,11 +335,7 @@ func NewRegistry(models map[string]ModelConfig, cfg RegistryConfig) (*Registry, 
 	}
 	r.ids = ids
 	go r.dispatch()
-	if r.breaker.Disable {
-		close(r.superDone)
-	} else {
-		go r.supervise()
-	}
+	go r.supervise()
 	return r, nil
 }
 
@@ -526,7 +522,7 @@ func (r *Registry) Submit(model, tenant string, samples []int16, deadline time.T
 		return ErrRegistryClosed
 	}
 	t := r.tenantFor(tenant)
-	if r.overloaded && !r.overload.Disable && r.overShareLocked(t, t.depth()+1) {
+	if r.overloaded && r.overShareLocked(t, t.depth()+1) {
 		// Queue-delay controller: dispatch sojourn has been above target for
 		// a full window and this tenant is hogging the backlog — shed at
 		// admission, before the job costs queue memory. Checked before the
@@ -653,24 +649,11 @@ func (r *Registry) dispatchOne(set *shardSet, j admJob) {
 // queues), then a blocking submit on the first admitted shard when all are
 // full. Open shards are skipped — except that when every shard of the set
 // is open or probing, the rotation choice serves anyway: breakers shed
-// routing preference, never the last capacity. With breaking enabled every
-// callback is wrapped in a pooled outcome recorder that feeds the shard's
-// health scoring.
+// routing preference, never the last capacity. Every callback is wrapped
+// in a pooled outcome recorder that feeds the shard's health scoring.
 func (r *Registry) submitTo(set *shardSet, j admJob) error {
 	n := len(set.shards)
 	start := int(set.next.Add(1)-1) % n
-	if r.breaker.Disable {
-		for k := 0; k < n; k++ {
-			err := set.shards[(start+k)%n].engine().TrySubmitFuncDeadline(j.samples, j.deadline, j.fn)
-			if err == nil {
-				return nil
-			}
-			if !errors.Is(err, ErrQueueFull) {
-				return err
-			}
-		}
-		return set.shards[start].engine().SubmitFuncDeadline(j.samples, j.deadline, j.fn)
-	}
 	now := time.Now().UnixNano()
 	hc := r.getHealthCb()
 	var admitted *shard
@@ -707,26 +690,41 @@ func (r *Registry) submitTo(set *shardSet, j admJob) error {
 }
 
 // RunBatch classifies a whole batch for (model, tenant) through admission
-// control, returning one Result per utterance in order. Utterances the
-// admission layer rejects (tenant queue cap) report their error in-place;
-// the rest complete normally. This is the netfront batch path's registry
-// face.
+// control, returning one Result per utterance in order. A batch larger than
+// the tenant's queue cap paces itself: when admission reports
+// ErrTenantBusy while some of the batch's own utterances are still in
+// flight, RunBatch waits for one of them to complete and retries. An
+// utterance reports its admission error in place only when none of the
+// batch is in flight to wait for, or for any other error. This is the
+// netfront batch path's registry face.
 func (r *Registry) RunBatch(model, tenant string, utts [][]int16) []Result {
 	results := make([]Result, len(utts))
-	var wg sync.WaitGroup
+	done := make(chan struct{}, len(utts))
+	inflight := 0
 	for i := range utts {
 		res := &results[i]
-		wg.Add(1)
-		err := r.Submit(model, tenant, utts[i], time.Time{}, func(rr Result) {
+		fn := func(rr Result) {
 			*res = rr
-			wg.Done()
-		})
-		if err != nil {
+			done <- struct{}{}
+		}
+		for {
+			err := r.Submit(model, tenant, utts[i], time.Time{}, fn)
+			if err == nil {
+				inflight++
+				break
+			}
+			if errors.Is(err, ErrTenantBusy) && inflight > 0 {
+				<-done
+				inflight--
+				continue
+			}
 			*res = Result{Label: -1, Err: err}
-			wg.Done()
+			break
 		}
 	}
-	wg.Wait()
+	for ; inflight > 0; inflight-- {
+		<-done
+	}
 	return results
 }
 
@@ -762,14 +760,12 @@ func (r *Registry) OpenStream(model, tenant string) (*RegistryStream, error) {
 	n := len(set.shards)
 	start := int(set.next.Add(1)-1) % n
 	sh := set.shards[start]
-	if !r.breaker.Disable {
-		// Prefer a closed-breaker shard; fall back to the rotation choice
-		// when every shard is open (availability over purity).
-		for k := 0; k < n; k++ {
-			if cand := set.shards[(start+k)%n]; BreakerState(cand.state.Load()) == BreakerClosed {
-				sh = cand
-				break
-			}
+	// Prefer a closed-breaker shard; fall back to the rotation choice when
+	// every shard is open (availability over purity).
+	for k := 0; k < n; k++ {
+		if cand := set.shards[(start+k)%n]; BreakerState(cand.state.Load()) == BreakerClosed {
+			sh = cand
+			break
 		}
 	}
 	gen := sh.gen.Load()

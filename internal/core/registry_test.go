@@ -577,6 +577,30 @@ func (e *stalledEngine) TrySubmitFuncDeadline(samples []int16, deadline time.Tim
 	return e.fakeEngine.TrySubmitFuncDeadline(samples, deadline, func(r Result) { <-e.gate; fn(r) })
 }
 
+// TestRegistryRunBatchBeyondTenantCap: a batch larger than the default
+// tenant's queue cap on an idle registry must classify every utterance —
+// the batch waits on its own in-flight work instead of reporting BUSY for
+// the overflow.
+func TestRegistryRunBatchBeyondTenantCap(t *testing.T) {
+	const n = DefaultTenantQueue + 36
+	model, utts, _ := pipelineFixture(t, n)
+	want := serialResults(t, model, utts)
+	reg, err := NewRegistry(map[string]ModelConfig{"kws": {Model: model}}, RegistryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	results := reg.RunBatch("kws", "", utts)
+	if len(results) != n {
+		t.Fatalf("%d results for %d utterances", len(results), n)
+	}
+	for i, r := range results {
+		if r.Err != nil || r.Label != want[i] {
+			t.Fatalf("utterance %d: label %d err %v, want label %d", i, r.Label, r.Err, want[i])
+		}
+	}
+}
+
 // TestRegistrySwapRejected covers the provenance gate: wrong signer,
 // tampered payload, rollback version, mismatched model id, and swap on a
 // model with no pinned vendor key all leave serving state untouched.

@@ -4,11 +4,13 @@
 // long-lived worker goroutines — each with a private interpreter over a
 // weight-sharing model clone, a private DSP frontend and private scratch
 // (pipeWorker) — fed by a buffered submission queue. Submissions are
-// utterances (Submit, the callback forms and RunBatch; the worker runs
-// extract+invoke) or continuous audio (Stream.Submit over an open Stream,
+// utterances (Submit, the callback forms and RunBatch; the worker extracts
+// the fingerprint) or continuous audio (Stream.Submit over an open Stream,
 // whose incremental dsp.Streamer pays one FFT per hop and submits a
-// fingerprint-only job per completed window). The queue's bounded capacity
-// is the backpressure mechanism.
+// fingerprint-only job per completed window). Either way a worker runs
+// every job it dequeues through the interpreter's planned InvokeBatch, a
+// lone job as a batch of one, together with whatever backlog it drains.
+// The queue's bounded capacity is the backpressure mechanism.
 package core
 
 import (
@@ -57,15 +59,13 @@ type ServerConfig struct {
 	// memory a burst of submissions can pin.
 	Queue int
 	// MaxBatch caps how many queued utterances a worker drains into one
-	// planned tflm.InvokeBatch call when the queue is backed up (≥ 2
-	// pending). <= 0 means the default of 8; 1 disables batched draining.
+	// planned tflm.InvokeBatch call when the queue is backed up; a lone
+	// job runs as a batch of one. <= 0 means the default of 8; 1 runs
+	// exactly one job per InvokeBatch call.
 	MaxBatch int
 	// Frontend configures feature extraction; the zero value means
 	// dsp.DefaultFrontend().
 	Frontend dsp.FrontendConfig
-	// WithProbs requests dequantized class probabilities in each Result
-	// (one allocation per utterance); when false only labels are produced.
-	WithProbs bool
 }
 
 // defaultMaxBatch is the queue-drain batching depth when the config leaves
@@ -76,8 +76,6 @@ const defaultMaxBatch = 8
 type Result struct {
 	// Label is the argmax class, or -1 when Err is set.
 	Label int
-	// Probs holds dequantized class probabilities when requested.
-	Probs []float64
 	// Err reports a per-utterance failure; other utterances are unaffected.
 	Err error
 }
@@ -87,15 +85,16 @@ type pipeWorker struct {
 	fe *dsp.Frontend
 	ip *tflm.Interpreter
 	fp []uint8 // fingerprint scratch, reused across utterances
-	// batch is the job staging area for batched queue draining (nil when
-	// the worker runs strictly one utterance per interpreter call).
+	// batch is the job staging area for queue draining: its capacity is
+	// the planned InvokeBatch depth.
 	batch []job
 }
 
 // newPipeWorker builds one worker over a clone of model, validating that the
-// model input matches the frontend's fingerprint geometry. maxBatch > 1
-// additionally plans the interpreter's stacked InvokeBatch path, so the
-// worker can drain several queued utterances per interpreter call.
+// model input matches the frontend's fingerprint geometry, and plans the
+// interpreter's stacked InvokeBatch path at maxBatch — the worker's only
+// execution path, so a model PlanBatch rejects (more than one input or
+// output tensor, non-int8 output) cannot be served.
 func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*pipeWorker, error) {
 	ip, err := tflm.NewInterpreter(model.Clone())
 	if err != nil {
@@ -109,50 +108,24 @@ func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*
 	if in.Type != tflm.Int8 || in.NumElements() != feCfg.FingerprintLen() {
 		return nil, fmt.Errorf("core: model input %s incompatible with %d-feature fingerprint", in, feCfg.FingerprintLen())
 	}
-	w := &pipeWorker{fe: fe, ip: ip, fp: make([]uint8, feCfg.FingerprintLen())}
-	// Models the batched engine cannot plan (e.g. non-int8 or multi-tensor
-	// output) simply keep the one-utterance-per-call path; batching is an
-	// optimization, not a serving requirement.
-	if maxBatch > 1 && ip.PlanBatch(maxBatch) == nil {
-		w.batch = make([]job, 0, maxBatch)
+	if err := ip.PlanBatch(maxBatch); err != nil {
+		return nil, err
 	}
-	return w, nil
+	return &pipeWorker{
+		fe:    fe,
+		ip:    ip,
+		fp:    make([]uint8, feCfg.FingerprintLen()),
+		batch: make([]job, 0, maxBatch),
+	}, nil
 }
 
-// run executes one utterance on this worker's private state.
-func (w *pipeWorker) run(samples []int16, withProbs bool) Result {
-	w.fp = w.fe.ExtractInto(w.fp, samples)
-	return w.runFingerprint(w.fp, withProbs)
-}
-
-// runFingerprint invokes the model on an already extracted fingerprint (the
-// streaming path, where the Stream's incremental extractor produced it).
-func (w *pipeWorker) runFingerprint(fp []uint8, withProbs bool) Result {
-	in := w.ip.Input(0)
-	for i, f := range fp {
-		in.I8[i] = int8(int32(f) - 128)
-	}
-	if err := w.ip.Invoke(); err != nil {
-		return Result{Label: -1, Err: err}
-	}
-	out := w.ip.Output(0)
-	res := Result{Label: tflm.Argmax(out)}
-	if withProbs {
-		res.Probs = make([]float64, out.NumElements())
-		for i, q := range out.I8 {
-			res.Probs[i] = out.Quant.Dequantize(q)
-		}
-	}
-	return res
-}
-
-// runJobs classifies a drained batch of queued jobs through the planned
-// InvokeBatch path: each job's fingerprint (extracted here for utterance
-// jobs, precomputed for stream jobs) is staged into the interpreter's
-// stacked input slab, one InvokeBatch covers all of them, and the results
-// are written through the jobs' result pointers. Completion is signalled
-// per job, in order.
-func (w *pipeWorker) runJobs(jobs []job, withProbs bool) {
+// runJobs classifies a drained batch of queued jobs — a lone job is a batch
+// of one — through the planned InvokeBatch path: each job's fingerprint
+// (extracted here for utterance jobs, precomputed for stream jobs) is staged
+// into the interpreter's stacked input slab, one InvokeBatch covers all of
+// them, and the results are written through the jobs' result pointers.
+// Completion is signalled per job, in order.
+func (w *pipeWorker) runJobs(jobs []job) {
 	for j := range jobs {
 		fp := jobs[j].fp
 		if fp == nil {
@@ -165,20 +138,11 @@ func (w *pipeWorker) runJobs(jobs []job, withProbs bool) {
 		}
 	}
 	err := w.ip.InvokeBatch(len(jobs))
-	outQ := w.ip.Output(0).Quant
 	for j := range jobs {
 		if err != nil {
 			*jobs[j].res = Result{Label: -1, Err: err}
 		} else {
-			out := w.ip.BatchOutput(j)
-			res := Result{Label: tflm.ArgmaxI8(out)}
-			if withProbs {
-				res.Probs = make([]float64, len(out))
-				for i, q := range out {
-					res.Probs[i] = outQ.Dequantize(q)
-				}
-			}
-			*jobs[j].res = res
+			*jobs[j].res = Result{Label: tflm.ArgmaxI8(w.ip.BatchOutput(j))}
 		}
 	}
 }
@@ -226,8 +190,7 @@ func newCbTicket(fn func(Result)) *cbTicket {
 
 // complete delivers a finished callback job: sequenced streams reorder
 // through their seqDelivery, plain submissions fire immediately. The ticket
-// returns to the pool either way; the Result passed to fn (including Probs)
-// is only valid for the duration of the callback.
+// returns to the pool either way.
 func (t *cbTicket) complete() {
 	if t.sq != nil {
 		t.sq.complete(t)
@@ -276,10 +239,9 @@ func (q *seqDelivery) complete(t *cbTicket) {
 // OpenStream'd Stream, and Close when done: Close drains all queued work,
 // then stops the workers.
 type Server struct {
-	workers   []*pipeWorker
-	feCfg     dsp.FrontendConfig
-	withProbs bool
-	jobs      chan job
+	workers []*pipeWorker
+	feCfg   dsp.FrontendConfig
+	jobs    chan job
 
 	mu     sync.RWMutex // guards closed vs. sends on jobs
 	closed bool
@@ -293,7 +255,8 @@ type Server struct {
 
 // NewServer builds the worker pool over clones of model (constant weight
 // tensors are shared, activations are private per worker) and starts its
-// goroutines.
+// goroutines. It fails for a model whose input does not match the
+// frontend's fingerprint or that tflm's PlanBatch cannot plan.
 func NewServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 	s, err := newServer(model, cfg)
 	if err != nil {
@@ -323,9 +286,8 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 		maxBatch = defaultMaxBatch
 	}
 	s := &Server{
-		feCfg:     feCfg,
-		withProbs: cfg.WithProbs,
-		jobs:      make(chan job, queue),
+		feCfg: feCfg,
+		jobs:  make(chan job, queue),
 	}
 	for i := 0; i < n; i++ {
 		w, err := newPipeWorker(model, feCfg, maxBatch)
@@ -339,12 +301,13 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 
 // start launches one goroutine per worker. Each loops on the shared queue
 // until Close closes it, so no per-call goroutine spawn or WaitGroup churn
-// remains on the serving path. When the queue is backed up a worker drains
-// up to its planned batch capacity and classifies the whole batch through
-// one tflm.InvokeBatch call; a lone job keeps the single-utterance path.
+// remains on the serving path. Every dequeued job runs through one
+// tflm.InvokeBatch call: when the queue is backed up a worker drains up to
+// its planned batch capacity into that call, and a lone job is a batch of
+// one.
 //
 // Fault isolation: inference runs under a recover guard — a panic (model
-// bug, hostile input, injected chaos) completes the affected job(s) with
+// bug, hostile input, injected chaos) completes every job of the batch with
 // ErrWorkerPanic through the normal completion path and the worker loops on,
 // so the pool never shrinks and no accepted submission is lost. Jobs whose
 // queue deadline passed are shed at dequeue with ErrDeadlineExceeded before
@@ -372,18 +335,6 @@ func (s *Server) start() {
 				}
 				fn()
 				return nil
-			}
-			runOne := func(j job) {
-				err := guard(func() {
-					if j.fp != nil {
-						*j.res = w.runFingerprint(j.fp, s.withProbs)
-					} else {
-						*j.res = w.run(j.samples, s.withProbs)
-					}
-				})
-				if err != nil {
-					*j.res = Result{Label: -1, Err: err}
-				}
 			}
 			finish := func(j job) {
 				// A panicking completion callback must not take down the
@@ -422,13 +373,6 @@ func (s *Server) start() {
 				if shed(j) {
 					continue
 				}
-				if cap(w.batch) <= 1 {
-					// Batched draining disabled (or unplannable model):
-					// classify in place.
-					runOne(j)
-					finish(j)
-					continue
-				}
 				batch := w.batch[:0]
 				batch = append(batch, j)
 				// Drain at most a fair share of the visible backlog: with
@@ -455,9 +399,7 @@ func (s *Server) start() {
 						break drain
 					}
 				}
-				if len(batch) == 1 {
-					runOne(batch[0])
-				} else if err := guard(func() { w.runJobs(batch, s.withProbs) }); err != nil {
+				if err := guard(func() { w.runJobs(batch) }); err != nil {
 					// The batch died mid-InvokeBatch: no per-job result is
 					// trustworthy, so every job in it reports the panic.
 					for i := range batch {
@@ -572,9 +514,8 @@ func (p *Pending) Wait() Result {
 }
 
 // Release waits for the result if necessary and returns the ticket to the
-// freelist. The ticket — and the Result (including Probs) obtained from its
-// Wait — must not be used afterwards. Release is optional: an un-released
-// ticket is simply garbage collected.
+// freelist. The ticket must not be used afterwards. Release is optional:
+// an un-released ticket is simply garbage collected.
 func (p *Pending) Release() {
 	p.Wait() // the worker's completion signal must be consumed before reuse
 	pendingPool.Put(p)
@@ -603,9 +544,7 @@ func (s *Server) Submit(samples []int16) (*Pending, error) {
 //
 // The callback runs on a worker goroutine: it must not block for long (it
 // stalls that worker) and must not submit back into the same server (a full
-// queue would deadlock the pool). The Result — including Probs — is only
-// valid for the duration of the callback; copy what outlives it. There is
-// nothing to Release: the completion state recycles internally, so the
+// queue would deadlock the pool). There is nothing to Release: the completion state recycles internally, so the
 // steady-state callback path is allocation-free.
 func (s *Server) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
 	return s.submitFunc(samples, deadline, fn, true)
@@ -636,7 +575,7 @@ func (s *Server) submitFunc(samples []int16, deadline time.Time, fn func(Result)
 // order. Utterances are distributed dynamically over the worker pool, so a
 // slow utterance never stalls the rest of the batch. The batch shares one
 // results slice and one completion channel, so the per-utterance hot path
-// allocates nothing beyond optional probabilities.
+// allocates nothing.
 func (s *Server) RunBatch(utts [][]int16) []Result {
 	results := make([]Result, len(utts))
 	done := make(chan struct{}, len(utts))
@@ -735,8 +674,7 @@ func (st *Stream) Hops() uint64 { return st.hops }
 // workers complete them out of order; hops of different streams are
 // unordered relative to each other. fn runs on worker goroutines under the
 // stream's delivery lock — it must not block for long and must not submit
-// back into the same server. The Result (including Probs) is valid only for
-// the duration of the callback.
+// back into the same server.
 //
 // Drain contract: Server.Close processes every hop accepted before it, so
 // after Close returns every accepted hop's callback has fired. A fn of nil

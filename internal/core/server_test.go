@@ -8,7 +8,52 @@ import (
 	"time"
 
 	"repro/internal/dsp"
+	"repro/internal/tflm"
 )
+
+// TestNewServerRejectsUnplannableModel: InvokeBatch is the worker's only
+// execution path, so a model PlanBatch cannot plan (here: two output
+// tensors) fails NewServer instead of being served some other way.
+func TestNewServerRejectsUnplannableModel(t *testing.T) {
+	b := tflm.NewBuilder("two outputs", 1)
+	q := tflm.QuantParams{Scale: 1.0 / 128}
+	in := b.Tensor(&tflm.Tensor{Name: "fingerprint", Type: tflm.Int8, Shape: []int{1, 49, 43, 1}, Quant: &q})
+	b.Input(in)
+	for _, name := range []string{"flat_a", "flat_b"} {
+		out := b.Tensor(&tflm.Tensor{Name: name, Type: tflm.Int8, Shape: []int{1, 49 * 43}, Quant: &q})
+		b.Node(tflm.OpReshape, tflm.ReshapeParams{NewShape: []int{1, 49 * 43}}, []int{in}, []int{out})
+		b.Output(out)
+	}
+	model, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tflm.NewInterpreter(model.Clone()); err != nil {
+		t.Fatalf("fixture must be a valid model: %v", err)
+	}
+	srv, err := NewServer(model, ServerConfig{Workers: 1})
+	if err == nil {
+		srv.Close()
+		t.Fatal("NewServer accepted a model PlanBatch rejects")
+	}
+}
+
+// TestServerMaxBatchOne: MaxBatch 1 runs one job per InvokeBatch call and
+// still reproduces the serial classification.
+func TestServerMaxBatchOne(t *testing.T) {
+	model, utts, _ := pipelineFixture(t, 12)
+	want := serialResults(t, model, utts)
+	srv, err := NewServer(model, ServerConfig{Workers: 2, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i, r := range srv.RunBatch(utts) {
+		if r.Err != nil || r.Label != want[i] {
+			t.Fatalf("utterance %d: label %d err %v, want label %d", i, r.Label, r.Err, want[i])
+		}
+	}
+}
 
 // TestServerSubmitOrdering: tickets waited in submission order must yield
 // exactly the serial classification of the batch, for every pool size.
@@ -230,51 +275,6 @@ func TestServerStreamMatchesWindows(t *testing.T) {
 	}
 	if stream.Streamer().Frames() < len(got) {
 		t.Fatal("frame accounting inconsistent with delivered results")
-	}
-}
-
-// TestServerProbs: WithProbs produces per-class probabilities consistent
-// with the label, through both the utterance and fingerprint paths.
-func TestServerProbs(t *testing.T) {
-	model, utts, _ := pipelineFixture(t, 3)
-	srv, err := NewServer(model, ServerConfig{Workers: 2, WithProbs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	fe, err := dsp.NewFrontend(dsp.DefaultFrontend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range utts {
-		p, err := srv.Submit(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := p.Wait()
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		best, bestIdx := -1.0, -1
-		for c, pr := range r.Probs {
-			if pr > best {
-				best, bestIdx = pr, c
-			}
-		}
-		if bestIdx != r.Label {
-			t.Fatalf("utterance %d: label %d but probs argmax %d", i, r.Label, bestIdx)
-		}
-		// Fingerprint path through a worker directly (stream jobs).
-		fp := fe.Extract(u)
-		direct := srv.workers[0].runFingerprint(fp, true)
-		if direct.Label != r.Label {
-			t.Fatalf("utterance %d: fingerprint path label %d, utterance path %d", i, direct.Label, r.Label)
-		}
-		for c := range direct.Probs {
-			if direct.Probs[c] != r.Probs[c] {
-				t.Fatalf("utterance %d class %d: fingerprint path prob %v, utterance path %v", i, c, direct.Probs[c], r.Probs[c])
-			}
-		}
 	}
 }
 

@@ -577,6 +577,9 @@ func (cc *clientConn) readLoop() {
 		typ, b, err := netfront.ReadFrame(cc.nc, &hdr, body, netfront.DefaultMaxBody)
 		body = b[:cap(b)]
 		if err != nil {
+			// An oversize frame header leaves the socket open but unread;
+			// close it so a dead generation never pins its peer.
+			cc.nc.Close()
 			if cc.owner.isClosed() {
 				cc.fail(ErrClosed)
 			} else {
@@ -824,7 +827,25 @@ func (cc *clientConn) classify(samples []int16, deadline time.Time) (int, error)
 	if err != nil {
 		return -1, err
 	}
+	return cc.label(r)
+}
+
+// label extracts a one-shot reply's label. Any other reply shape under a
+// one-shot's id (a batch result, a hello ack) is a server protocol
+// violation: the generation is killed and the call fails with ErrConnLost.
+func (cc *clientConn) label(r reply) (int, error) {
+	if len(r.labels) != 1 {
+		return -1, cc.mismatch("one-shot reply carries", len(r.labels))
+	}
 	return int(r.labels[0]), nil
+}
+
+// mismatch kills the generation over a well-framed reply whose shape does
+// not match its request — the stream can no longer be trusted — and
+// returns the ErrConnLost the caller reports.
+func (cc *clientConn) mismatch(what string, labels int) error {
+	cc.kill()
+	return fmt.Errorf("%w: %s %d labels", ErrConnLost, what, labels)
 }
 
 // classifyHedged runs one logical request as up to 1+max wire attempts:
@@ -890,7 +911,7 @@ func (cc *clientConn) classifyHedged(samples []int16, deadline time.Time, delay 
 				// replies are dropped (the winner's id is already gone —
 				// deliver removed it — so this is loser-only cleanup).
 				abandon()
-				return int(r.labels[0]), nil
+				return cc.label(r)
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -1065,6 +1086,9 @@ func (c *Client) ClassifyBatch(utts [][]int16) ([]int, error) {
 	r := <-p.ch
 	if r.err != nil {
 		return nil, r.err
+	}
+	if len(r.labels) != len(utts) {
+		return nil, cc.mismatch(fmt.Sprintf("reply to a %d-utterance batch carries", len(utts)), len(r.labels))
 	}
 	labels := make([]int, len(r.labels))
 	for i, l := range r.labels {

@@ -35,11 +35,6 @@ type Config struct {
 	// the cap is a per-request CodeLimitExceeded error, not a connection
 	// error. <= 0 means DefaultMaxStreams.
 	MaxStreams int
-	// QueueDeadline, when positive, is applied to every one-shot request
-	// as a core queue deadline: a request still queued after this long is
-	// shed with CodeDeadlineExceeded instead of occupying a worker — the
-	// load-shedding face of backpressure for latency-sensitive callers.
-	QueueDeadline time.Duration
 	// BusyRetryAfter is the retry hint carried by BUSY and other transient
 	// failures; <= 0 means DefaultBusyRetryAfter.
 	BusyRetryAfter time.Duration
@@ -78,7 +73,7 @@ type backend interface {
 	// submit enqueues one one-shot classification without blocking the
 	// read loop; backpressure surfaces as core.ErrQueueFull /
 	// core.ErrTenantBusy.
-	submit(model, tenant string, samples []int16, deadline time.Time, fn func(core.Result)) error
+	submit(model, tenant string, samples []int16, fn func(core.Result)) error
 	// openStream opens a stream routed by (model, tenant).
 	openStream(model, tenant string) (backendStream, error)
 	// runBatch classifies a whole batch synchronously.
@@ -109,8 +104,8 @@ type serverBackend struct {
 	srv *core.Server
 }
 
-func (b serverBackend) submit(model, tenant string, samples []int16, deadline time.Time, fn func(core.Result)) error {
-	return b.srv.TrySubmitFuncDeadline(samples, deadline, fn)
+func (b serverBackend) submit(model, tenant string, samples []int16, fn func(core.Result)) error {
+	return b.srv.TrySubmitFuncDeadline(samples, time.Time{}, fn)
 }
 
 func (b serverBackend) openStream(model, tenant string) (backendStream, error) {
@@ -154,8 +149,8 @@ func (b registryBackend) bound(model string) string {
 	return model
 }
 
-func (b registryBackend) submit(model, tenant string, samples []int16, deadline time.Time, fn func(core.Result)) error {
-	return b.reg.Submit(b.bound(model), tenant, samples, deadline, fn)
+func (b registryBackend) submit(model, tenant string, samples []int16, fn func(core.Result)) error {
+	return b.reg.Submit(b.bound(model), tenant, samples, time.Time{}, fn)
 }
 
 func (b registryBackend) openStream(model, tenant string) (backendStream, error) {
@@ -560,10 +555,7 @@ func (c *conn) serve() {
 
 // handleUtterance submits a one-shot classification. A full queue is
 // reported as FrameBusy (with the retry-after hint) instead of blocking the
-// read loop — the wire face of core.ErrQueueFull backpressure. When
-// Config.QueueDeadline is set the submission carries it as a core queue
-// deadline, so requests a loaded server cannot start in time are shed with
-// CodeDeadlineExceeded instead of occupying a worker late.
+// read loop — the wire face of core.ErrQueueFull backpressure.
 func (c *conn) handleUtterance(body []byte) bool {
 	reqID, rest, err := DecodeID(body)
 	if err != nil {
@@ -575,12 +567,8 @@ func (c *conn) handleUtterance(body []byte) bool {
 		c.putReq(rc)
 		return false
 	}
-	var deadline time.Time
-	if d := c.fe.cfg.QueueDeadline; d > 0 {
-		deadline = time.Now().Add(d)
-	}
 	c.inflight.Add(1)
-	switch err := c.fe.be.submit(c.model, c.tenant, rc.buf, deadline, rc.fn); {
+	switch err := c.fe.be.submit(c.model, c.tenant, rc.buf, rc.fn); {
 	case err == nil:
 		return true
 	case errors.Is(err, core.ErrQueueFull), errors.Is(err, core.ErrTenantBusy):
