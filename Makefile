@@ -4,7 +4,7 @@
 GO ?= go
 REV := $(shell git rev-parse --short HEAD)
 
-.PHONY: all help build test vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke fuzz-smoke ci
+.PHONY: all help build test test-386 vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke fuzz-smoke ci
 
 all: build
 
@@ -13,6 +13,7 @@ help:
 	@echo "make test        run the test suite"
 	@echo "make vet         go vet"
 	@echo "make vet-cross   go vet the kernel packages for arm64 (the non-AVX2 fallback must compile)"
+	@echo "make test-386    run the kernel package tests as GOARCH=386 (the non-amd64 kernels, executed)"
 	@echo "make fmt-check   fail if gofmt would change anything"
 	@echo "make docs-check  fail on undocumented exported identifiers (cmd/docscheck)"
 	@echo "make examples-check  build + vet the examples so they cannot rot silently"
@@ -29,7 +30,7 @@ help:
 	@echo "make chaos       fault-matrix chaos suite under -race -count=2 (netfront resilience gate)"
 	@echo "make slo-smoke   one-second open-loop load run against a live front end (zero protocol errors)"
 	@echo "make fuzz-smoke  run every Fuzz* target for FUZZTIME (default 5s) each"
-	@echo "make ci          tier-1 gate: build + vet + vet-cross + fmt-check + docs/examples/bce checks + test"
+	@echo "make ci          tier-1 gate: build + vet + vet-cross + fmt-check + docs/examples/bce checks + test + test-386"
 	@echo "                 + perfbench-check + chaos + slo-smoke + bench-gate-smoke + fuzz-smoke"
 
 build:
@@ -41,12 +42,19 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The kernel packages carry amd64 assembly (the AVX2 GEMM micro-kernel) with
-# a pure-Go fallback for every other GOARCH, including the paper's ARM
-# target. An amd64 build never compiles the fallback files, so vet them for
-# arm64 too; amd64 `go vet` already checks the assembly frame layouts.
+# The kernel packages carry amd64 assembly (the AVX2 GEMM micro-kernel, the
+# AVX2 frame kernel and the CPUID probe) with a pure-Go fallback for every
+# other GOARCH, including the paper's ARM target. An amd64 build never
+# compiles the fallback files, so vet them for arm64 too; amd64 `go vet`
+# already checks the assembly frame layouts.
 vet-cross:
-	GOARCH=arm64 $(GO) vet ./internal/tflm ./internal/dsp
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat ./internal/tflm ./internal/dsp
+
+# Vetting compiles the fallback files; this runs them. A 386 binary executes
+# on an amd64 host without emulation, takes the !amd64 build of every kernel
+# package, and has a 32-bit int, so it also catches int-overflow constants.
+test-386:
+	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/dsp ./internal/tflm
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -179,5 +187,5 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test chaos slo-smoke bench-gate-smoke fuzz-smoke
+ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test test-386 chaos slo-smoke bench-gate-smoke fuzz-smoke
 	@echo "ci: OK"

@@ -94,16 +94,24 @@
 // exact twiddles 1 and -i) in registers; the remaining stages run in
 // radix-2² pairs over interleaved {Re, Im} values with one rounding shift
 // per twiddle product; the unzip squares each bin while it is in registers;
-// and log compression is a (bit length, next 3 bits) bucket lookup plus at
-// most two integer threshold steps, from a table built against the float
-// reference itself. The fused kernel is byte-exact with the unfused
+// the bin average multiplies by a per-feature reciprocal instead of
+// dividing; and log compression is a (bit length, next 3 bits) bucket
+// lookup plus at most two integer threshold steps, from a table built
+// against the float reference itself. On amd64 CPUs with AVX2 the gather,
+// the stage pairs and the unzip run as assembly
+// (internal/dsp/frame_avx2_amd64.s) — VPGATHERDD plus VPMADDWD for the
+// windowed gather, four butterflies per ymm in int32 lanes, four unzip
+// pairs per step in VPMULDQ 64-bit lanes — chosen once from CPUID
+// (internal/cpufeat, shared with the GEMM), with the Go loops everywhere
+// else; both are bit-exact with each other stage by stage
+// (FuzzFrameKernels). The fused kernel is byte-exact with the unfused
 // pipeline — rfftFixed, integer averaging, float logCompress
 // (TestFrontendFusedEquivalence, TestFrontendFFTSizeSweep over every FFT
-// size from 2 to 1024, FuzzFrontendFrame) — and ExtractInto and
-// dsp.Streamer share it, so streamed fingerprints stay exact too. Feature
-// bytes match the old full-size-FFT path within one least-significant
-// step: the split post-pass rounds where the discarded butterfly stage
-// truncated. FFTFixed, RFFTFixed and FFTFloat remain as reference
+// size from 2 to 1024, FuzzFrontendFrame, each under both kernels) — and
+// ExtractInto and dsp.Streamer share it, so streamed fingerprints stay
+// exact too. Feature bytes match the old full-size-FFT path within one
+// least-significant step: the split post-pass rounds where the discarded
+// butterfly stage truncated. FFTFixed, RFFTFixed and FFTFloat remain as reference
 // transforms with error-bound tests, and Frontend.Cycles models the halved
 // butterfly count plus the post-pass (hw.CyclesPerRFFTPostBin) — the
 // fusion changes host wall time only, never simulated cycles.

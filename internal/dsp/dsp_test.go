@@ -391,6 +391,12 @@ func TestFrontendConfigValidation(t *testing.T) {
 	if _, err := NewFrontend(bad); err == nil {
 		t.Fatal("zero averaging width accepted")
 	}
+	// Wider features than binAverage is proven exact for.
+	bad = DefaultFrontend()
+	bad.FFTSize, bad.NumBins, bad.AvgWidth = 1<<18, 1<<17, 1<<17
+	if _, err := NewFrontend(bad); err == nil {
+		t.Fatal("averaging width above maxAvgWidth accepted")
+	}
 }
 
 func TestLogCompress(t *testing.T) {

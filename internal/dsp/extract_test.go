@@ -58,18 +58,20 @@ func TestExtractIntoUndersizedDst(t *testing.T) {
 // TestExtractIntoZeroAlloc is the ISSUE acceptance criterion: extraction
 // into a reused buffer performs no heap allocations.
 func TestExtractIntoZeroAlloc(t *testing.T) {
-	fe, err := NewFrontend(DefaultFrontend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := randUtterance(rand.New(rand.NewSource(2)), fe.Config().UtteranceSamples())
-	dst := make([]uint8, fe.Config().FingerprintLen())
-	allocs := testing.AllocsPerRun(10, func() {
-		fe.ExtractInto(dst, samples)
+	forEachFrameKernel(t, func(t *testing.T) {
+		fe, err := NewFrontend(DefaultFrontend())
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := randUtterance(rand.New(rand.NewSource(2)), fe.Config().UtteranceSamples())
+		dst := make([]uint8, fe.Config().FingerprintLen())
+		allocs := testing.AllocsPerRun(10, func() {
+			fe.ExtractInto(dst, samples)
+		})
+		if allocs != 0 {
+			t.Fatalf("ExtractInto allocates %v times per run, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("ExtractInto allocates %v times per run, want 0", allocs)
-	}
 }
 
 // TestExtractAllocsExactlyOnce: the convenience wrapper may allocate only

@@ -20,6 +20,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/cpufeat"
 )
 
 // FFTFloat computes the in-place radix-2 decimation-in-time FFT of the
@@ -83,6 +85,13 @@ func bitReversePerm(re, im []int32, perm []int32) {
 		}
 	}
 }
+
+// useAVX2 selects the frame kernel of gatherFrame, fftStagePairs and
+// unzipPower: the AVX2 assembly (frame_avx2_amd64.s) when the CPU and OS
+// support AVX2 (cpufeat.HasAVX2), which is never the case off amd64, and
+// the Go loops otherwise. Read once at init; tests flip it to run both kernels in one
+// binary.
+var useAVX2 = cpufeat.HasAVX2()
 
 // twiddle tables for the fixed-point FFTs, Q15, cached per size, along with
 // the bit-reversal permutation of that size. The cache is a sync.Map so
@@ -327,6 +336,12 @@ func rfftFixed(re, im []int32, half, full *twiddles) {
 // x>>15 stays below 2^16 — and floor(floor(x/2^15)/2) = floor(x/2^16), so
 // the fused butterflies compute the same value with a single
 // (x+16384)>>16.
+//
+// int32 lanes: the same bound makes every component and every Q15 twiddle
+// at most 32768 in magnitude, so |wr·br| + |wi·bi| + 16384 ≤
+// 2·32767·32768 + 16384 < 2^31. The whole product sum therefore fits an
+// int32, and the AVX2 stage pairs (stagePairAVX2), which evaluate it with
+// wrapping 32-bit multiplies and adds, get the int64 result exactly.
 
 // fftStagePairs runs the generic butterfly stages (size 8 and up) of the
 // packed complex FFT over z, which already holds the output of stages 1 and
@@ -338,6 +353,11 @@ func rfftFixed(re, im []int32, half, full *twiddles) {
 // value passing through memory once instead of twice. An odd stage count
 // ends with one plain radix-2 sweep. Every block bound derives from slice
 // lengths, so the function carries no bounds checks (make bce-check).
+//
+// Under useAVX2 a pair whose quarter length h is a multiple of 4 (h = 4,
+// 16 and 64 for the paper's 256-point transform: every pair) runs as
+// stagePairAVX2, four butterflies per ymm register; the other pairs and an
+// odd trailing stage keep the Go loops.
 func fftStagePairs(z [][2]int32, stages [][][2]int32) {
 	for ; len(stages) >= 2; stages = stages[2:] {
 		t1, t2 := stages[0], stages[1]
@@ -350,6 +370,10 @@ func fftStagePairs(z [][2]int32, stages [][][2]int32) {
 			panic("dsp: fftStagePairs twiddle tables")
 		}
 		t2hi = t2hi[:h]
+		if useAVX2 && h%4 == 0 {
+			stagePairAVX2(z, t1, t2)
+			continue
+		}
 		for blk := z; len(blk) >= h; {
 			a := blk[:h]
 			blk = blk[h:]
@@ -431,15 +455,25 @@ func fftStagePairs(z [][2]int32, stages [][][2]int32) {
 // post[k] is the interleaved Q15 twiddle W_{2m}^k. The arithmetic producing
 // each Re/Im is rfftFixed's term for term (TestRFFTPowerMatchesRFFT), so the
 // powers are bit-identical to squaring its spectrum. The dual k/j induction
-// with the explicit j < m bound keeps the loop check-free (make bce-check).
+// with the explicit j < m bound keeps the loop check-free (make bce-check);
+// its indices are unsigned so the bound holds from any start.
+//
+// Under useAVX2 the pairs k = 1..4g, g = (m/2-1)/4 groups of four, run as
+// unzipPowerAVX2 and the loop finishes the rest; the self-paired bins 0
+// and m/2 are always computed here.
 func unzipPower(z, post [][2]int32, pow []uint64) {
 	m := len(pow)
 	if m == 0 || len(z) < m || len(post) < m {
 		panic("dsp: unzipPower operand lengths")
 	}
 	z, post = z[:m], post[:m]
+	k0 := 1
+	if g := (m/2 - 1) / 4; useAVX2 && g > 0 {
+		unzipPowerAVX2(z, post, pow, g)
+		k0 += 4 * g
+	}
 	const rnd = 1 << 16
-	for k, j := 1, m-1; k < j && j < m; k, j = k+1, j-1 {
+	for k, j := uint(k0), uint(m-k0); k < j && j < uint(m); k, j = k+1, j-1 {
 		zrk, zik := int64(z[k][0]), int64(z[k][1])
 		zrj, zij := int64(z[j][0]), int64(z[j][1])
 		er2 := zrk + zrj

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/cpufeat"
 	"repro/internal/hw"
 )
 
@@ -63,6 +64,9 @@ func (c FrontendConfig) validate() error {
 	if c.AvgWidth <= 0 || c.StrideSamples <= 0 || c.NumFrames <= 0 || c.NumBins <= 0 {
 		return fmt.Errorf("dsp: non-positive frontend geometry")
 	}
+	if w := min(c.AvgWidth, c.NumBins); w > maxAvgWidth {
+		return fmt.Errorf("dsp: %d bins per feature exceed %d", w, maxAvgWidth)
+	}
 	return nil
 }
 
@@ -83,7 +87,9 @@ func (c FrontendConfig) validate() error {
 // butterfly stage truncated — individual fingerprint bytes may differ by a
 // least-significant step, never more). frameInto runs the whole chain as
 // one fused kernel whose output is byte-identical to the unfused pipeline
-// (rfftFixed, integer averaging, float logCompress).
+// (rfftFixed, integer averaging, float logCompress); on amd64 with AVX2 its
+// gather, stage pairs and unzip run as assembly, bit-exact with the Go
+// loops that run everywhere else.
 type Frontend struct {
 	cfg FrontendConfig
 	// window is the Q15 Hann window zero-padded to FFTSize, so the gather
@@ -97,13 +103,20 @@ type Frontend struct {
 	// base[q] is the sample offset of the first input of gather block q:
 	// twice the bit-reversed block index (see gatherFrame).
 	base []int32
+	// gwin is the window in the AVX2 gather's order: for each step of eight
+	// blocks, the (w[i], w[i+1]) int16 pairs of the four inputs of each
+	// block, input-major. Built only where that kernel can run
+	// (cpufeat.HasAVX2) and the packed FFT has at least eight blocks.
+	gwin []uint32
 	// stages are the interleaved twiddles of the generic butterfly stages
 	// (size 8 up to FFTSize/2); post holds W_FFTSize^k for the unzip.
 	stages [][][2]int32
 	post   [][2]int32
 	// binLo/binHi are the precomputed [lo, hi) spectrum sub-range of each
-	// feature (the final feature may cover fewer than AvgWidth bins).
+	// feature (the final feature may cover fewer than AvgWidth bins), and
+	// recip the reciprocal of its width for binAverage.
 	binLo, binHi []int
+	recip        []uint64
 }
 
 // NewFrontend builds a frontend; nil-safe defaults come from
@@ -125,6 +138,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		post:   make([][2]int32, m),
 		binLo:  make([]int, features),
 		binHi:  make([]int, features),
+		recip:  make([]uint64, features),
 	}
 	for i := range cfg.WindowSamples {
 		// Hann window in Q15; a one-sample window is its peak (the
@@ -137,6 +151,16 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	for q := range f.base {
 		f.base[q] = 2 * half.perm[4*q]
+	}
+	if nb := len(f.base); cpufeat.HasAVX2() && nb >= 8 {
+		qn := int32(cfg.FFTSize / 4)
+		f.gwin = make([]uint32, 4*nb)
+		for q, b := range f.base {
+			for x, off := range [4]int32{0, 2 * qn, qn, 3 * qn} {
+				i := b + off
+				f.gwin[q/8*32+x*8+q%8] = uint32(f.window[i]) | uint32(f.window[i+1])<<16
+			}
+		}
 	}
 	for s := range half.stageCos {
 		tw := make([][2]int32, len(half.stageCos[s]))
@@ -155,6 +179,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 			hi = cfg.NumBins
 		}
 		f.binLo[feat], f.binHi[feat] = lo, hi
+		f.recip[feat] = binReciprocal(hi - lo)
 	}
 	return f, nil
 }
@@ -196,10 +221,12 @@ func (f *Frontend) ExtractInto(dst []uint8, samples []int16) []uint8 {
 // bit-reversed gather, which also runs the first two butterfly stages in
 // registers (gatherFrame); the remaining stages run as radix-2² pairs
 // (fftStagePairs); the real-FFT unzip squares each bin while it is in
-// registers (unzipPower); and log compression is an integer table lookup
-// (logCompressFixed). The result is byte-identical to the unfused pipeline
-// — window pack, rfftFixed, integer averaging, float logCompress
-// (TestFrontendFusedEquivalence, FuzzFrontendFrame).
+// registers (unzipPower); the bin average is a reciprocal multiply
+// (binAverage); and log compression is an integer table lookup
+// (logCompressFixed). The first three stages have an AVX2 kernel picked by
+// useAVX2 (frame_avx2_amd64.s). The result is byte-identical to the
+// unfused pipeline — window pack, rfftFixed, integer averaging, float
+// logCompress (TestFrontendFusedEquivalence, FuzzFrontendFrame).
 func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 	frame := f.frame
 	if n := len(frame); start <= len(samples)-n {
@@ -214,11 +241,11 @@ func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 		}
 		clear(frame[c:f.cfg.WindowSamples])
 	}
-	gatherFrame(f.z, frame, f.window, f.base)
+	gatherFrame(f.z, frame, f.window, f.base, f.gwin)
 	fftStagePairs(f.z, f.stages)
 	unzipPower(f.z, f.post, f.pow)
 	pw := f.pow
-	for feat := range f.binLo {
+	for feat, rc := range f.recip {
 		lo, hi := f.binLo[feat], f.binHi[feat]
 		var acc uint64
 		if lo > hi || hi > len(pw) {
@@ -227,9 +254,31 @@ func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 		for _, p := range pw[lo:hi] {
 			acc += p
 		}
-		avg := acc / uint64(hi-lo)
-		dst[feat] = logCompressFixed(avg)
+		dst[feat] = logCompressFixed(binAverage(acc, rc))
 	}
+}
+
+// maxAvgWidth bounds the bins averaged into one feature so that binAverage
+// is exact (see there).
+const maxAvgWidth = 1 << 16
+
+// binReciprocal is the binAverage multiplier for a feature of d bins,
+// floor((2^64-1)/d).
+func binReciprocal(d int) uint64 { return math.MaxUint64 / uint64(d) }
+
+// binAverage returns acc/d, the integer mean power of a feature of d bins,
+// without a divide: the high word of (acc+1)·binReciprocal(d).
+//
+// Exactness: write binReciprocal(d)·d = 2^64 - c with 1 ≤ c ≤ d, and
+// acc = q·d + t with 0 ≤ t < d. The product's high word is the floor of
+// q + (t+1)/d - (acc+1)·c/(d·2^64), which is below q+1 and at least q
+// whenever (acc+1)·d ≤ 2^64 (then (acc+1)·c ≤ 2^64 ≤ (t+1)·2^64). Every
+// spectral power is |X|² with |X| at most about 2^14·√2, so below 2^30 and
+// certainly below 2^32; a feature of d ≤ maxAvgWidth bins therefore has
+// acc+1 ≤ d·2^32 and (acc+1)·d ≤ d²·2^32 ≤ 2^64 (TestBinAverageExact).
+func binAverage(acc, recip uint64) uint64 {
+	hi, _ := bits.Mul64(acc+1, recip)
+	return hi
 }
 
 // gatherFrame loads one FFTSize-sample frame into the packed complex FFT
@@ -244,9 +293,22 @@ func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 // their samples sit at one offset base[q] = 2B within each quarter of the
 // frame. Indices are masked with len(frame)-1 (a no-op on in-range values)
 // so the data-dependent loads carry no bounds checks (make bce-check).
-func gatherFrame(z [][2]int32, frame []int16, win []int32, base []int32) {
+//
+// Under useAVX2, with the window pairs gwin that NewFrontend lays out for
+// eight or more blocks, gatherFrameAVX2 runs eight blocks per step: a
+// VPGATHERDD per quarter fetches the (s[i], s[i+1]) pairs, VPMADDWD
+// against the pair with one window half masked off forms each s·w, and
+// (p + sign(p)) >> 17 is the truncating /2 followed by the two shifts.
+func gatherFrame(z [][2]int32, frame []int16, win []int32, base []int32, gwin []uint32) {
 	if len(win) < len(frame) || len(frame) < 2 {
 		panic("dsp: gatherFrame operand lengths")
+	}
+	if useAVX2 && len(gwin) > 0 {
+		if len(gwin) != 4*len(base) || len(z) < len(gwin) || len(frame) != 2*len(gwin) {
+			panic("dsp: gatherFrame operand lengths")
+		}
+		gatherFrameAVX2(z, frame, gwin, base)
+		return
 	}
 	win = win[:len(frame)]
 	mask := len(frame) - 1

@@ -13,40 +13,42 @@ import (
 // only skips the spectrum store/re-load, never the arithmetic. Randomized
 // Q15-range inputs over every packed size the frontend could configure.
 func TestRFFTPowerMatchesRFFT(t *testing.T) {
-	r := rand.New(rand.NewSource(71))
-	for _, m := range []int{1, 2, 4, 8, 16, 64, 256, 512} {
-		half, full := twiddlesFor(m), twiddlesFor(2*m)
-		post := make([][2]int32, m)
-		for k := range post {
-			post[k] = [2]int32{full.cos[k], full.sin[k]}
-		}
-		for trial := 0; trial < 20; trial++ {
-			re := make([]int32, m)
-			im := make([]int32, m)
-			for i := range re {
-				re[i] = int32(r.Intn(65535) - 32767)
-				im[i] = int32(r.Intn(65535) - 32767)
+	forEachFrameKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(71))
+		for _, m := range []int{1, 2, 4, 8, 16, 64, 256, 512} {
+			half, full := twiddlesFor(m), twiddlesFor(2*m)
+			post := make([][2]int32, m)
+			for k := range post {
+				post[k] = [2]int32{full.cos[k], full.sin[k]}
 			}
-			re2 := append([]int32(nil), re...)
-			im2 := append([]int32(nil), im...)
-			rfftFixed(re2, im2, half, full)
-			fftFixed(re, im, half)
-			z := make([][2]int32, m)
-			for k := range z {
-				z[k] = [2]int32{re[k], im[k]}
-			}
-			pow := make([]uint64, m)
-			unzipPower(z, post, pow)
-			for k := 0; k < m; k++ {
-				xr, xi := int64(re2[k]), int64(im2[k])
-				want := uint64(xr*xr + xi*xi)
-				if pow[k] != want {
-					t.Fatalf("m=%d trial=%d bin %d: fused power %d != squared spectrum %d",
-						m, trial, k, pow[k], want)
+			for trial := 0; trial < 20; trial++ {
+				re := make([]int32, m)
+				im := make([]int32, m)
+				for i := range re {
+					re[i] = int32(r.Intn(65535) - 32767)
+					im[i] = int32(r.Intn(65535) - 32767)
+				}
+				re2 := append([]int32(nil), re...)
+				im2 := append([]int32(nil), im...)
+				rfftFixed(re2, im2, half, full)
+				fftFixed(re, im, half)
+				z := make([][2]int32, m)
+				for k := range z {
+					z[k] = [2]int32{re[k], im[k]}
+				}
+				pow := make([]uint64, m)
+				unzipPower(z, post, pow)
+				for k := 0; k < m; k++ {
+					xr, xi := int64(re2[k]), int64(im2[k])
+					want := uint64(xr*xr + xi*xi)
+					if pow[k] != want {
+						t.Fatalf("m=%d trial=%d bin %d: fused power %d != squared spectrum %d",
+							m, trial, k, pow[k], want)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestLogCompressFixedMatches: the bucketed threshold lookup must equal the
@@ -132,32 +134,34 @@ func unfusedFrame(f *Frontend, dst []uint8, samples []int16, start int) {
 // fingerprints to the unfused pipeline, across randomized utterances
 // including short (zero-padded) and empty input.
 func TestFrontendFusedEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	f, err := NewFrontend(DefaultFrontend())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := f.Config()
-	features := cfg.NumFeatures()
-	lengths := []int{0, 1, cfg.WindowSamples - 1, cfg.WindowSamples,
-		cfg.UtteranceSamples() / 2, cfg.UtteranceSamples() - 1, cfg.UtteranceSamples()}
-	for trial, n := range lengths {
-		samples := make([]int16, n)
-		for i := range samples {
-			samples[i] = int16(r.Intn(65536) - 32768)
+	forEachFrameKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(73))
+		f, err := NewFrontend(DefaultFrontend())
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := f.Extract(samples)
-		want := make([]uint8, features)
-		for frame := 0; frame < cfg.NumFrames; frame++ {
-			unfusedFrame(f, want, samples, frame*cfg.StrideSamples)
-			for feat := 0; feat < features; feat++ {
-				if got[frame*features+feat] != want[feat] {
-					t.Fatalf("len=%d trial=%d frame=%d feat=%d: fused %d != unfused %d",
-						n, trial, frame, feat, got[frame*features+feat], want[feat])
+		cfg := f.Config()
+		features := cfg.NumFeatures()
+		lengths := []int{0, 1, cfg.WindowSamples - 1, cfg.WindowSamples,
+			cfg.UtteranceSamples() / 2, cfg.UtteranceSamples() - 1, cfg.UtteranceSamples()}
+		for trial, n := range lengths {
+			samples := make([]int16, n)
+			for i := range samples {
+				samples[i] = int16(r.Intn(65536) - 32768)
+			}
+			got := f.Extract(samples)
+			want := make([]uint8, features)
+			for frame := 0; frame < cfg.NumFrames; frame++ {
+				unfusedFrame(f, want, samples, frame*cfg.StrideSamples)
+				for feat := 0; feat < features; feat++ {
+					if got[frame*features+feat] != want[feat] {
+						t.Fatalf("len=%d trial=%d frame=%d feat=%d: fused %d != unfused %d",
+							n, trial, frame, feat, got[frame*features+feat], want[feat])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // sweepConfigs are frontend geometries over every FFT size from 2 to 1024,
@@ -187,27 +191,29 @@ func sweepConfigs() []FrontendConfig {
 // zero-padded short and over-long input. (TestStreamerMatchesFullRecompute
 // runs the sweep geometries through the Streamer.)
 func TestFrontendFFTSizeSweep(t *testing.T) {
-	r := rand.New(rand.NewSource(74))
-	for _, cfg := range sweepConfigs() {
-		f, err := NewFrontend(cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		features := cfg.NumFeatures()
-		utt := cfg.UtteranceSamples()
-		want := make([]uint8, features)
-		for _, n := range []int{utt, utt / 3, utt + cfg.FFTSize + 5} {
-			samples := randUtterance(r, n)
-			got := f.Extract(samples)
-			for frame := 0; frame < cfg.NumFrames; frame++ {
-				unfusedFrame(f, want, samples, frame*cfg.StrideSamples)
-				if !bytes.Equal(got[frame*features:(frame+1)*features], want) {
-					t.Fatalf("FFT %d window %d len %d frame %d: fused %v != unfused %v",
-						cfg.FFTSize, cfg.WindowSamples, n, frame, got[frame*features:(frame+1)*features], want)
+	forEachFrameKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(74))
+		for _, cfg := range sweepConfigs() {
+			f, err := NewFrontend(cfg)
+			if err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			features := cfg.NumFeatures()
+			utt := cfg.UtteranceSamples()
+			want := make([]uint8, features)
+			for _, n := range []int{utt, utt / 3, utt + cfg.FFTSize + 5} {
+				samples := randUtterance(r, n)
+				got := f.Extract(samples)
+				for frame := 0; frame < cfg.NumFrames; frame++ {
+					unfusedFrame(f, want, samples, frame*cfg.StrideSamples)
+					if !bytes.Equal(got[frame*features:(frame+1)*features], want) {
+						t.Fatalf("FFT %d window %d len %d frame %d: fused %v != unfused %v",
+							cfg.FFTSize, cfg.WindowSamples, n, frame, got[frame*features:(frame+1)*features], want)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzFrontendFrame checks the fused frame kernel against the unfused
@@ -233,20 +239,22 @@ func FuzzFrontendFrame(f *testing.F) {
 		fes[i] = fe
 	}
 	f.Fuzz(func(t *testing.T, data []byte, start uint16, geom uint8) {
-		fe := fes[int(geom)%len(fes)]
-		samples := make([]int16, len(data)/2)
-		for i := range samples {
-			samples[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
-		}
-		// Offsets up to one FFT past the end cover every staging case.
-		off := int(start) % (len(samples) + fe.cfg.FFTSize + 1)
-		got := make([]uint8, fe.cfg.NumFeatures())
-		want := make([]uint8, fe.cfg.NumFeatures())
-		fe.frameInto(got, samples, off)
-		unfusedFrame(fe, want, samples, off)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("geometry %d, %d samples, start %d: fused %v != unfused %v",
-				int(geom)%len(fes), len(samples), off, got, want)
-		}
+		forEachFrameKernel(t, func(t *testing.T) {
+			fe := fes[int(geom)%len(fes)]
+			samples := make([]int16, len(data)/2)
+			for i := range samples {
+				samples[i] = int16(binary.LittleEndian.Uint16(data[2*i:]))
+			}
+			// Offsets up to one FFT past the end cover every staging case.
+			off := int(start) % (len(samples) + fe.cfg.FFTSize + 1)
+			got := make([]uint8, fe.cfg.NumFeatures())
+			want := make([]uint8, fe.cfg.NumFeatures())
+			fe.frameInto(got, samples, off)
+			unfusedFrame(fe, want, samples, off)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("geometry %d, %d samples, start %d: fused %v != unfused %v",
+					int(geom)%len(fes), len(samples), off, got, want)
+			}
+		})
 	})
 }

@@ -112,7 +112,8 @@ func modelDecodeSeeds(tb testing.TB) map[string][]byte {
 	// Large dimensions: the activation tensor "logits" claims a rank-3
 	// shape whose element count overflows int.
 	big := fuzzSmallModel(tb)
-	big.Tensors[3].Shape = []int{0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF}
+	d := uint32(0xFFFFFFFF) // a variable: the constant overflows a 32-bit int
+	big.Tensors[3].Shape = []int{int(d), int(d), int(d)}
 	var buf bytes.Buffer
 	for _, t := range big.Tensors {
 		encodeTensor(&buf, t)
@@ -121,6 +122,19 @@ func modelDecodeSeeds(tb testing.TB) map[string][]byte {
 	huge = append(huge, buf.Bytes()...)
 	huge = append(huge, blob[nodes[0]-4:]...)
 	seeds["huge_dims"] = huge
+
+	// The FullyConnected node lists one input instead of (in, w, bias):
+	// Decode and Validate once accepted it, and NewInterpreter panicked
+	// indexing the weights.
+	op := nodes[0]
+	if got := binary.LittleEndian.Uint32(blob[op+1:]); got != 3 {
+		tb.Fatalf("input count of the FullyConnected node reads %d, want 3", got)
+	}
+	oneIn := append([]byte(nil), blob[:op+1]...)
+	oneIn = binary.LittleEndian.AppendUint32(oneIn, 1)
+	oneIn = append(oneIn, blob[op+5:op+9]...)
+	oneIn = append(oneIn, blob[op+17:]...)
+	seeds["fc_one_input"] = oneIn
 	return seeds
 }
 
@@ -132,7 +146,9 @@ func modelDecodeSeeds(tb testing.TB) map[string][]byte {
 // (testdata/fuzz/FuzzModelDecode) holds an encoded tiny_conv and a small FC
 // model, truncations at tensor and node boundaries, bad magic and version,
 // a rank-9 tensor, a constant tensor whose data length disagrees with its
-// shape, and dimensions whose element count overflows.
+// shape, dimensions whose element count overflows, and a FullyConnected
+// node with one input. Every model Decode accepts is then handed to
+// NewInterpreter, which must not panic either.
 func FuzzModelDecode(f *testing.F) {
 	for _, seed := range modelDecodeSeeds(f) {
 		f.Add(seed)
@@ -162,6 +178,8 @@ func FuzzModelDecode(f *testing.F) {
 		if !bytes.Equal(blob, blob2) {
 			t.Fatal("decode(encode(m)) differs from m")
 		}
+		// The loader's next step: it may reject the model, never panic.
+		NewInterpreter(m)
 	})
 }
 

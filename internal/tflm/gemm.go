@@ -3,6 +3,8 @@ package tflm
 import (
 	"fmt"
 	"unsafe"
+
+	"repro/internal/cpufeat"
 )
 
 // Optimized linear-algebra hot path: Conv2D and FullyConnected are lowered
@@ -144,10 +146,10 @@ const (
 
 // useAVX2 selects the weight image, and with it the GEMM kernel, that
 // prepLinearInt8 builds: true when the CPU and OS support AVX2
-// (cpuHasAVX2), which is never the case off amd64. It is read only at prep
+// (cpufeat.HasAVX2), which is never the case off amd64. It is read only at prep
 // time, so a prepped op keeps its kernel; tests flip it to run both kernels
 // in one binary.
-var useAVX2 = cpuHasAVX2()
+var useAVX2 = cpufeat.HasAVX2()
 
 // packPanels repacks an n×k row-major weight matrix into gemmPanel-blocked
 // interleaved SWAR panels: within a panel the gemmPanel filters' packed

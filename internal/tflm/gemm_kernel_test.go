@@ -3,6 +3,8 @@ package tflm
 import (
 	"math"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 // gemmKernelCases are the two GEMM kernels prep can select: the SWAR
@@ -29,7 +31,7 @@ func forEachGEMMKernel(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	for _, kc := range gemmKernelCases {
 		t.Run(kc.name, func(t *testing.T) {
-			if kc.avx2 && !cpuHasAVX2() {
+			if kc.avx2 && !cpufeat.HasAVX2() {
 				t.Skip("CPU or OS lacks AVX2")
 			}
 			defer useGEMMKernel(kc.avx2)()
@@ -45,7 +47,7 @@ func TestGEMMPrepBuildsOneImage(t *testing.T) {
 	for _, shape := range []struct{ n, k int }{{8, 80}, {12, 4400}} {
 		var bytes [2]int
 		for i, kc := range gemmKernelCases {
-			if kc.avx2 && !cpuHasAVX2() {
+			if kc.avx2 && !cpufeat.HasAVX2() {
 				t.Skip("CPU or OS lacks AVX2")
 			}
 			restore := useGEMMKernel(kc.avx2)
@@ -109,7 +111,7 @@ func FuzzGEMMKernel(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, kc := range gemmKernelCases {
-			if kc.avx2 && !cpuHasAVX2() {
+			if kc.avx2 && !cpufeat.HasAVX2() {
 				continue
 			}
 			got := &Tensor{Name: "out", Type: Int8, Shape: []int{m, n}, Quant: outQ}

@@ -162,7 +162,46 @@ func (m *Model) Clone() *Model {
 	return out
 }
 
-// Validate checks structural invariants: index ranges, constant tensors
+// checkNodeSignature checks a node against its op's signature: the op is
+// known, it has the op's input and output count, and its Params has the
+// op's parameter type (nil where the op takes none or has defaults). The
+// kernels, the prep pass, the batch planner and NodeCycles index inputs
+// and outputs and assert params on that basis, so on a model that
+// validated none of them indexes past a node's lists or fails a params
+// assertion.
+func checkNodeSignature(n Node) error {
+	ins, paramsOK := 1, false
+	switch n.Op {
+	case OpConv2D, OpDepthwiseConv2D:
+		ins = 3
+		_, paramsOK = n.Params.(Conv2DParams)
+	case OpFullyConnected:
+		ins = 3
+		_, paramsOK = n.Params.(FullyConnectedParams)
+	case OpSoftmax:
+		_, paramsOK = n.Params.(SoftmaxParams)
+		paramsOK = paramsOK || n.Params == nil
+	case OpReshape:
+		_, paramsOK = n.Params.(ReshapeParams)
+		paramsOK = paramsOK || n.Params == nil
+	case OpMaxPool2D, OpAvgPool2D:
+		_, paramsOK = n.Params.(PoolParams)
+	case OpRelu:
+		paramsOK = n.Params == nil
+	default:
+		return fmt.Errorf("unknown op %v", n.Op)
+	}
+	if len(n.Inputs) != ins || len(n.Outputs) != 1 {
+		return fmt.Errorf("%v takes %d inputs and 1 output, has %d and %d", n.Op, ins, len(n.Inputs), len(n.Outputs))
+	}
+	if !paramsOK {
+		return fmt.Errorf("%v cannot take params of type %T", n.Op, n.Params)
+	}
+	return nil
+}
+
+// Validate checks structural invariants: every node matches its op's
+// signature (checkNodeSignature), index ranges, constant tensors
 // allocated, non-constant tensors produced before use, IO lists sane.
 func (m *Model) Validate() error {
 	inRange := func(i int) bool { return i >= 0 && i < len(m.Tensors) }
@@ -191,6 +230,9 @@ func (m *Model) Validate() error {
 		produced[i] = true
 	}
 	for ni, n := range m.Nodes {
+		if err := checkNodeSignature(n); err != nil {
+			return fmt.Errorf("tflm: node %d: %w", ni, err)
+		}
 		for _, i := range n.Inputs {
 			if !inRange(i) {
 				return fmt.Errorf("tflm: node %d (%v) input index %d out of range", ni, n.Op, i)
