@@ -72,11 +72,16 @@
 // parallelism comes from the serving layer's worker pool, one interpreter
 // per worker, not from inside a batch.
 //
-// Every optimized kernel has a scalar reference twin
-// (internal/tflm/op_ref.go) and is kept bit-exact against it by randomized
-// equivalence tests, which run both GEMM kernels in one binary, plus fuzz
-// suites for the SWAR dot product and the GEMM kernels; new operators must
-// ship the same pair. The simulated-device cycle model (NodeCycles,
+// Model.Validate accepts exactly what Invoke runs: every node is checked
+// against its kernel's dtype, rank, quantization, constness and geometry
+// rules at load, so each node has one prepped execution path and a
+// malformed blob is rejected instead of crashing the loader. Every
+// optimized kernel has a scalar reference twin
+// (internal/tflm/op_ref_test.go), a test oracle only, and is kept
+// bit-exact against it by randomized equivalence tests that run one-node
+// models through the interpreter under both GEMM kernels, plus fuzz suites
+// for the SWAR dot product and the GEMM kernels; new operators must ship
+// the same pair. The simulated-device cycle model (NodeCycles,
 // hw/cost.go) is untouched by all of this: host kernels are fast, modeled
 // hardware costs are calibrated — SWAR, AVX2 and batching change wall
 // time, never sim-cycles.

@@ -41,9 +41,8 @@ type batchPlan struct {
 	slabs [][]int8
 	// runs[ni] executes node ni over utterances [u0, u1) with sc's scratch;
 	// nil runs means the whole plan fell back to per-utterance serial
-	// Invoke (exotic node or dtype in the graph).
-	runs  []func(sc *batchShard, u0, u1 int) error
-	ops   []OpCode // node opcodes, for error messages off the fast path
+	// Invoke (a float32, pooling or depthwise node in the graph).
+	runs  []func(sc *batchShard, u0, u1 int)
 	shard *batchShard
 	// tileB is the cache-blocking tile: runSpan sweeps the node list over
 	// tileB utterances at a time so a tile's activation slab rows stay
@@ -150,8 +149,8 @@ type convColSpec struct {
 // kernel scratch now, so InvokeBatch performs no heap allocation. Planning
 // again replaces the previous plan (tickets into old slabs become stale).
 // The model's primary input and output must be int8; graphs with nodes the
-// batched engine cannot stack (float dtypes, pooling, dynamic weights) keep
-// a degraded plan that runs the serial engine per utterance — same results,
+// batched engine cannot stack (float dtypes, pooling, depthwise) keep a
+// degraded plan that runs the serial engine per utterance — same results,
 // no stacked GEMM.
 func (ip *Interpreter) PlanBatch(maxB int) error {
 	if maxB < 1 {
@@ -179,152 +178,80 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 	// serial fallback.
 	slab(m.Inputs[0])
 	slab(m.Outputs[0])
-	// producers[ti] counts nodes writing tensor ti; the Reshape alias below
-	// is only sound when both endpoints have a single writer.
-	producers := make([]int, len(m.Tensors))
-	for _, n := range m.Nodes {
-		for _, o := range n.Outputs {
-			producers[o]++
-		}
-	}
-
 	var cols []convColSpec
 	maxGemmX, maxDepth := 0, 0
-	runs := make([]func(sc *batchShard, u0, u1 int) error, len(m.Nodes))
+	runs := make([]func(sc *batchShard, u0, u1 int), len(m.Nodes))
 	for ni, n := range m.Nodes {
+		// Validate admitted the node, so an int8 tensor here carries its
+		// quantization; slab is nil for anything not int8.
+		src := slab(n.Inputs[0])
+		if n.Op == OpReshape && src != nil && bp.slabs[n.Outputs[0]] == nil {
+			// A reshape is a pure copy and every tensor has one writer
+			// (Validate), so an output slab that does not exist yet can
+			// alias the input and the node costs nothing per batch. (The
+			// simulated-device cycle charge still applies — aliasing is a
+			// host optimization.)
+			bp.slabs[n.Outputs[0]] = src
+			runs[ni] = func(*batchShard, int, int) {}
+			continue
+		}
+		dst := slab(n.Outputs[0])
+		if src == nil || dst == nil {
+			runs = nil
+			break
+		}
 		switch n.Op {
 		case OpConv2D:
-			cp, ok := ip.preps[ni].(*convPrep)
-			if !ok {
-				runs = nil
-			} else {
-				src, dst := slab(n.Inputs[0]), slab(n.Outputs[0])
-				if src == nil || dst == nil {
-					runs = nil
-					break
-				}
-				g, pr := cp.g, cp.pr
-				// Dedicated column slab per conv node, prefilled
-				// with the node's padding zero point so the replayed copy
-				// program never has to re-fill padding. The slab holds one
-				// utterance: replay and GEMM interleave per utterance so
-				// the column data is consumed while still cache-hot (a
-				// single B·M-row sweep would stream B×col through the
-				// cache between write and read).
-				ci := len(cols)
-				cols = append(cols, convColSpec{length: g.batches * g.colLen(), fill: int8(pr.inZP)})
-				if n := pr.gemmScratchLen(); n > maxGemmX {
-					maxGemmX = n
-				}
-				prog := cp.prog // compiled once at prepNodes time
-				uttIn := g.batches * g.inH * g.inW * g.inC
-				rows := g.batches * g.M
-				uttOut := rows * g.outC
-				runs[ni] = func(sc *batchShard, u0, u1 int) error {
-					col := sc.cols[ci]
-					for u := u0; u < u1; u++ {
-						replayIm2col(prog, col, src, u*uttIn)
-						gemmInt8Requant(rows, col, dst[u*uttOut:(u+1)*uttOut], pr, sc.gemmX)
-					}
-					return nil
+			cp := ip.preps[ni].(*convPrep)
+			g, pr := cp.g, cp.pr
+			// Dedicated column slab per conv node, prefilled
+			// with the node's padding zero point so the replayed copy
+			// program never has to re-fill padding. The slab holds one
+			// utterance: replay and GEMM interleave per utterance so
+			// the column data is consumed while still cache-hot (a
+			// single B·M-row sweep would stream B×col through the
+			// cache between write and read).
+			ci := len(cols)
+			cols = append(cols, convColSpec{length: g.batches * g.colLen(), fill: int8(pr.inZP)})
+			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
+			prog := cp.prog // compiled once at prepNodes time
+			uttIn := g.batches * g.inH * g.inW * g.inC
+			rows := g.batches * g.M
+			uttOut := rows * g.outC
+			runs[ni] = func(sc *batchShard, u0, u1 int) {
+				col := sc.cols[ci]
+				for u := u0; u < u1; u++ {
+					replayIm2col(prog, col, src, u*uttIn)
+					gemmInt8Requant(rows, col, dst[u*uttOut:(u+1)*uttOut], pr, sc.gemmX)
 				}
 			}
 		case OpFullyConnected:
-			fp, ok := ip.preps[ni].(*fcPrep)
-			if !ok {
-				runs = nil
-			} else {
-				src, dst := slab(n.Inputs[0]), slab(n.Outputs[0])
-				if src == nil || dst == nil {
-					runs = nil
-					break
-				}
-				pr, rows := fp.pr, fp.batches
-				if n := pr.gemmScratchLen(); n > maxGemmX {
-					maxGemmX = n
-				}
-				inRow, outRow := rows*pr.k, rows*pr.n
-				runs[ni] = func(sc *batchShard, u0, u1 int) error {
-					gemmInt8Requant((u1-u0)*rows, src[u0*inRow:u1*inRow], dst[u0*outRow:u1*outRow], pr, sc.gemmX)
-					return nil
-				}
+			fp := ip.preps[ni].(*fcPrep)
+			pr, rows := fp.pr, fp.batches
+			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
+			inRow, outRow := rows*pr.k, rows*pr.n
+			runs[ni] = func(sc *batchShard, u0, u1 int) {
+				gemmInt8Requant((u1-u0)*rows, src[u0*inRow:u1*inRow], dst[u0*outRow:u1*outRow], pr, sc.gemmX)
 			}
 		case OpSoftmax:
-			sp, ok := ip.preps[ni].(*softmaxPrep)
-			in, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0])
-			if !ok || in.Quant == nil || out.Quant == nil {
-				runs = nil
-			} else {
-				src, dst := slab(n.Inputs[0]), slab(n.Outputs[0])
-				if src == nil || dst == nil {
-					runs = nil
-					break
-				}
-				depth, outer, beta := sp.depth, sp.outer, sp.beta
-				if depth > maxDepth {
-					maxDepth = depth
-				}
-				inQ, outQ := in.Quant, out.Quant
-				uttLen := outer * depth
-				runs[ni] = func(sc *batchShard, u0, u1 int) error {
-					softmaxRowsI8(src[u0*uttLen:u1*uttLen], dst[u0*uttLen:u1*uttLen],
-						(u1-u0)*outer, depth, beta, inQ, outQ, sc.smLogits, sc.smProbs)
-					return nil
-				}
+			sp := ip.preps[ni].(*softmaxPrep)
+			depth, outer, beta := sp.depth, sp.outer, sp.beta
+			maxDepth = max(maxDepth, depth)
+			inQ, outQ := m.Tensor(n.Inputs[0]).Quant, m.Tensor(n.Outputs[0]).Quant
+			uttLen := outer * depth
+			runs[ni] = func(sc *batchShard, u0, u1 int) {
+				softmaxRowsI8(src[u0*uttLen:u1*uttLen], dst[u0*uttLen:u1*uttLen],
+					(u1-u0)*outer, depth, beta, inQ, outQ, sc.smLogits, sc.smProbs)
 			}
 		case OpReshape:
-			in, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0])
-			if in.Type != Int8 || out.Type != Int8 || in.NumElements() != out.NumElements() {
-				runs = nil
-			} else {
-				src := slab(n.Inputs[0])
-				if src == nil {
-					runs = nil
-					break
-				}
-				// A reshape is a pure copy; when its endpoints each have a
-				// single writer and the output slab does not exist yet, the
-				// output can alias the input and the node costs nothing per
-				// batch. (The simulated-device cycle charge still applies —
-				// aliasing is a host optimization.)
-				if producers[n.Inputs[0]] <= 1 && producers[n.Outputs[0]] == 1 && bp.slabs[n.Outputs[0]] == nil {
-					bp.slabs[n.Outputs[0]] = src
-					runs[ni] = func(*batchShard, int, int) error { return nil }
-					break
-				}
-				dst := slab(n.Outputs[0])
-				if dst == nil {
-					runs = nil
-					break
-				}
-				elems := in.NumElements()
-				runs[ni] = func(sc *batchShard, u0, u1 int) error {
-					copy(dst[u0*elems:u1*elems], src[u0*elems:u1*elems])
-					return nil
-				}
+			elems := m.Tensor(n.Inputs[0]).NumElements()
+			runs[ni] = func(sc *batchShard, u0, u1 int) {
+				copy(dst[u0*elems:u1*elems], src[u0*elems:u1*elems])
 			}
 		case OpRelu:
-			in, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0])
-			if in.Type != Int8 || in.Quant == nil || in.NumElements() != out.NumElements() {
-				runs = nil
-			} else {
-				src, dst := slab(n.Inputs[0]), slab(n.Outputs[0])
-				if src == nil || dst == nil {
-					runs = nil
-					break
-				}
-				elems, zp := in.NumElements(), in.Quant.ZeroPoint
-				runs[ni] = func(sc *batchShard, u0, u1 int) error {
-					off := u0 * elems
-					for i, v := range src[off : u1*elems] {
-						if int32(v) < zp {
-							dst[off+i] = int8(zp)
-						} else {
-							dst[off+i] = v
-						}
-					}
-					return nil
-				}
+			elems, zp := m.Tensor(n.Inputs[0]).NumElements(), m.Tensor(n.Inputs[0]).Quant.ZeroPoint
+			runs[ni] = func(sc *batchShard, u0, u1 int) {
+				reluI8(src[u0*elems:u1*elems], dst[u0*elems:u1*elems], zp)
 			}
 		default:
 			runs = nil
@@ -336,10 +263,6 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 	if runs != nil {
 		bp.runs = runs
 		bp.tileB = batchTile(bp.slabs, maxB)
-		bp.ops = make([]OpCode, len(m.Nodes))
-		for ni, n := range m.Nodes {
-			bp.ops[ni] = n.Op
-		}
 		sc := &batchShard{cols: make([][]int8, len(cols))}
 		for i, spec := range cols {
 			col := make([]int8, spec.length)
@@ -398,23 +321,17 @@ func batchTile(slabs [][]int8, capB int) int {
 // span streaming between producer and consumer nodes. Node order within a
 // tile is unchanged and tiles are disjoint, so the result is bit-identical
 // to the untiled sweep.
-func (bp *batchPlan) runSpan(u0, u1 int) error {
+func (bp *batchPlan) runSpan(u0, u1 int) {
 	step := bp.tileB
 	if step <= 0 {
 		step = u1 - u0
 	}
 	for t0 := u0; t0 < u1; t0 += step {
-		t1 := t0 + step
-		if t1 > u1 {
-			t1 = u1
-		}
-		for ni, run := range bp.runs {
-			if err := run(bp.shard, t0, t1); err != nil {
-				return fmt.Errorf("tflm: node %d (%v): %w", ni, bp.ops[ni], err)
-			}
+		t1 := min(t0+step, u1)
+		for _, run := range bp.runs {
+			run(bp.shard, t0, t1)
 		}
 	}
-	return nil
 }
 
 // BatchCapacity returns the planned stacked-utterance capacity (0 before
@@ -456,9 +373,7 @@ func (ip *Interpreter) InvokeBatch(b int) error {
 	if bp.runs == nil {
 		return ip.invokeBatchSerial(b)
 	}
-	if err := bp.runSpan(0, b); err != nil {
-		return err
-	}
+	bp.runSpan(0, b)
 	if ip.meter != nil {
 		for _, n := range m.Nodes {
 			ip.meter.Charge(uint64(b) * NodeCycles(m, n))

@@ -53,13 +53,10 @@ func TestDepthwiseInt8TracksFloatConv(t *testing.T) {
 	}
 	oq := ChooseQuantParams(outMin, outMax)
 	qout := &Tensor{Type: Int8, Shape: []int{1, outH, outW, c}, Quant: &oq}
-	qout.Alloc()
-	err := evalDepthwiseConv2D(qin, qw, qb, qout, Conv2DParams{
-		StrideH: 1, StrideW: 1, Padding: PaddingSame, DepthMultiplier: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingSame, DepthMultiplier: 1}
+	checkOneNode(t, OpDepthwiseConv2D, p, qin, qout, func(in, out *Tensor) {
+		mustRef(t, evalDepthwiseConv2DRef(in, qw, qb, out, p))
+	}, qw, qb)
 	for i := range ref {
 		got := oq.Dequantize(qout.I8[i])
 		if math.Abs(got-float64(ref[i])) > 4*oq.Scale {
@@ -77,20 +74,15 @@ func TestPoolingWithSamePadding(t *testing.T) {
 	in := &Tensor{Type: Int8, Shape: []int{1, 3, 3, 1}, Quant: &unit,
 		I8: []int8{1, 2, 3, 4, 5, 6, 7, 8, 9}}
 	out := &Tensor{Type: Int8, Shape: []int{1, 2, 2, 1}, Quant: &unit}
-	out.Alloc()
 	p := PoolParams{FilterH: 2, FilterW: 2, StrideH: 2, StrideW: 2, Padding: PaddingSame}
-	if err := evalPool(OpAvgPool2D, in, out, p); err != nil {
-		t.Fatal(err)
-	}
+	invokeOneNode(t, OpAvgPool2D, p, in, out)
 	want := []int8{3, 5, 8, 9} // avg{1,2,4,5}=3, avg{3,6}=5 (rounded), avg{7,8}=8, avg{9}=9
 	for i := range want {
 		if out.I8[i] != want[i] {
 			t.Fatalf("avgpool[%d] = %d, want %d", i, out.I8[i], want[i])
 		}
 	}
-	if err := evalPool(OpMaxPool2D, in, out, p); err != nil {
-		t.Fatal(err)
-	}
+	invokeOneNode(t, OpMaxPool2D, p, in, out)
 	wantMax := []int8{5, 6, 8, 9}
 	for i := range wantMax {
 		if out.I8[i] != wantMax[i] {

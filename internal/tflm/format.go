@@ -39,6 +39,11 @@ func Encode(m *Model) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("tflm: encode: %w", err)
 	}
+	return encodeModel(m)
+}
+
+// encodeModel serializes m without validating it.
+func encodeModel(m *Model) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(formatMagic)
 	writeU16(&buf, formatVersion)
@@ -228,7 +233,18 @@ func encodeNode(buf *bytes.Buffer, n Node) error {
 	buf.WriteByte(byte(n.Op))
 	writeIndexList(buf, n.Inputs)
 	writeIndexList(buf, n.Outputs)
-	switch p := n.Params.(type) {
+	params := n.Params
+	if params == nil {
+		// Decode reads every Softmax and Reshape record with its params;
+		// nil means the defaults.
+		switch n.Op {
+		case OpSoftmax:
+			params = SoftmaxParams{}
+		case OpReshape:
+			params = ReshapeParams{}
+		}
+	}
+	switch p := params.(type) {
 	case Conv2DParams:
 		writeU32(buf, uint32(p.StrideH))
 		writeU32(buf, uint32(p.StrideW))
@@ -251,7 +267,7 @@ func encodeNode(buf *bytes.Buffer, n Node) error {
 			writeU32(buf, uint32(int32(d)))
 		}
 	case nil:
-		// Ops without parameters (Relu, Reshape-with-shaped-output).
+		// Relu takes no parameters.
 	default:
 		return fmt.Errorf("tflm: encode: unknown params type %T", n.Params)
 	}

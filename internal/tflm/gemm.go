@@ -1,7 +1,6 @@
 package tflm
 
 import (
-	"fmt"
 	"unsafe"
 
 	"repro/internal/cpufeat"
@@ -18,8 +17,9 @@ import (
 // corrections acc0[oc] = bias[oc] - inZP·Σw[oc] are precomputed once, which
 // is exact because int32 accumulation is associative modulo 2^32.
 //
-// Every kernel here is bit-exact with its scalar reference in op_ref.go;
-// kernels_equiv_test.go enforces that over randomized geometries.
+// Every kernel here is bit-exact with its scalar reference oracle in
+// op_ref_test.go; kernels_equiv_test.go enforces that over randomized
+// geometries, running one-node models through the interpreter.
 
 // convGeom is the resolved geometry of one convolution, computed once at
 // prep time instead of per Invoke.
@@ -35,28 +35,6 @@ type convGeom struct {
 
 // colLen returns the im2col scratch length for one batch.
 func (g convGeom) colLen() int { return g.M * g.K }
-
-func resolveConvGeom(in, w, out *Tensor, p Conv2DParams) (convGeom, error) {
-	if p.StrideH <= 0 || p.StrideW <= 0 {
-		return convGeom{}, fmt.Errorf("tflm: Conv2D stride %dx%d invalid", p.StrideH, p.StrideW)
-	}
-	if w.Dim(3) != in.Dim(3) {
-		return convGeom{}, fmt.Errorf("tflm: Conv2D filter input channels %d != input channels %d", w.Dim(3), in.Dim(3))
-	}
-	g := convGeom{
-		batches: in.Dim(0), inH: in.Dim(1), inW: in.Dim(2), inC: in.Dim(3),
-		outC: w.Dim(0), kH: w.Dim(1), kW: w.Dim(2),
-		strideH: p.StrideH, strideW: p.StrideW,
-	}
-	g.outH, g.padT = convOutputSize(g.inH, g.kH, p.StrideH, p.Padding)
-	g.outW, g.padL = convOutputSize(g.inW, g.kW, p.StrideW, p.Padding)
-	if !out.ShapeEquals([]int{g.batches, g.outH, g.outW, g.outC}) {
-		return convGeom{}, fmt.Errorf("tflm: Conv2D output shape %v, want %v", out.Shape, []int{g.batches, g.outH, g.outW, g.outC})
-	}
-	g.K = g.kH * g.kW * g.inC
-	g.M = g.outH * g.outW
-	return g, nil
-}
 
 // linearPrep carries the plan-time constants of one int8 linear op: the
 // requantization multiplier, the clamp range, the per-output-channel
@@ -199,18 +177,10 @@ func packPanelsAVX2(w []int8, n, k int) []int16 {
 
 // prepLinearInt8 builds the prep for a weight matrix laid out as N rows of
 // length K (Conv2D OHWI filters flattened, or FullyConnected [out, in]),
-// including the panel image of the weights for the selected kernel.
-func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) (*linearPrep, error) {
-	mult, err := requantMultiplier(in, w, out)
-	if err != nil {
-		return nil, err
-	}
-	if len(w.I8) < n*k {
-		return nil, fmt.Errorf("tflm: weight tensor %q has %d elements, want %d", w.Name, len(w.I8), n*k)
-	}
-	if len(bias.I32) < n {
-		return nil, fmt.Errorf("tflm: bias tensor %q has %d elements, want %d", bias.Name, len(bias.I32), n)
-	}
+// including the panel image of the weights for the selected kernel. The
+// tensors passed Validate (checkLinear), so the multiplier is representable.
+func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) *linearPrep {
+	mult, _ := requantMultiplier(in, w, out)
 	lo, hi := activationRangeQuantized(act, *out.Quant)
 	pr := &linearPrep{
 		mult:       mult,
@@ -224,11 +194,8 @@ func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) (*linear
 		k:          k,
 	}
 	pr.prepRequant()
-	// An empty reduction has no row for the AVX2 kernel to point at; SWAR
-	// handles it.
-	avx2 := useAVX2 && k > 0
 	grid := gemmPanel
-	if avx2 {
+	if useAVX2 {
 		grid = avx2Panel
 	}
 	pr.seeds = make([]int32, (n+grid-1)/grid*grid)
@@ -236,21 +203,21 @@ func prepLinearInt8(in, w, bias, out *Tensor, act Activation, n, k int) (*linear
 		sum := swarSum(w.I8[o*k : (o+1)*k])
 		pr.acc0[o] = bias.I32[o] - pr.inZP*sum
 		pr.seeds[o] = pr.acc0[o]
-		if !avx2 {
+		if !useAVX2 {
 			// The SWAR seed additionally folds in the weight half of the
 			// bias correction (−128·Σw); the activation half arrives per
 			// row from swarExpandRow.
 			pr.seeds[o] -= swarBias * sum
 		}
 	}
-	if avx2 {
+	if useAVX2 {
 		pr.kb = (k + avx2Depth - 1) / avx2Depth
 		pr.wq = packPanelsAVX2(w.I8, n, k)
 	} else {
 		pr.kg = swarGroups(k)
 		pr.panels = packPanels(w.I8, n, k)
 	}
-	return pr, nil
+	return pr
 }
 
 // gemmScratchLen returns the scratch (in uint64 words) one gemmInt8Requant
@@ -266,12 +233,12 @@ func (pr *linearPrep) gemmScratchLen() int {
 	return 2 * pr.kg
 }
 
-// im2col packs the receptive fields of one batch into col, one patch per
-// GEMM row in (ky, kx, ic) order. Out-of-bounds positions are filled with
-// the input zero point (int8) or zero (float32), making padded patches
-// behave exactly like interior ones under the corrected accumulator seeds.
-// Interior rows reduce to contiguous copies.
-func im2col[T int8 | float32](col, src []T, g convGeom, b int, fill T) {
+// im2col packs the receptive fields of batch b of a float32 convolution
+// into col, one patch per GEMM row in (ky, kx, ic) order. Out-of-bounds
+// positions are filled with zero. Interior rows reduce to contiguous copies.
+// (The int8 convolution instead replays a copy program compiled at prep
+// time, recordIm2col.)
+func im2col(col, src []float32, g convGeom, b int) {
 	rowLen := g.kW * g.inC
 	m := 0
 	for oy := 0; oy < g.outH; oy++ {
@@ -301,10 +268,10 @@ func im2col[T int8 | float32](col, src []T, g convGeom, b int, fill T) {
 				kxHi = g.inW - ix0
 			}
 			if kxHi <= kxLo || kyHi <= kyLo {
-				fillSlice(patch, fill)
+				fillSlice(patch, 0)
 				continue
 			}
-			fillSlice(patch[:kyLo*rowLen], fill)
+			fillSlice(patch[:kyLo*rowLen], 0)
 			cpLen := (kxHi - kxLo) * g.inC
 			srcRow := ((b*g.inH+iy0+kyLo)*g.inW + ix0 + kxLo) * g.inC
 			if cpLen == rowLen {
@@ -317,13 +284,13 @@ func im2col[T int8 | float32](col, src []T, g convGeom, b int, fill T) {
 				lo, hi := kxLo*g.inC, kxHi*g.inC
 				for ky := kyLo; ky < kyHi; ky++ {
 					row := patch[ky*rowLen : (ky+1)*rowLen]
-					fillSlice(row[:lo], fill)
+					fillSlice(row[:lo], 0)
 					copy(row[lo:hi], src[srcRow:srcRow+cpLen])
-					fillSlice(row[hi:], fill)
+					fillSlice(row[hi:], 0)
 					srcRow += g.inW * g.inC
 				}
 			}
-			fillSlice(patch[kyHi*rowLen:], fill)
+			fillSlice(patch[kyHi*rowLen:], 0)
 		}
 	}
 }
@@ -580,25 +547,11 @@ func gemmFloat(mRows, nRows, k int, a, b, bias []float32, act Activation, dst []
 	}
 }
 
-// convInt8Gemm runs the full int8 convolution over the stacked input in
-// src (batches×inH×inW×inC) writing dst: every batch is im2col-packed into
-// col, then a single GEMM over all batches' patch rows feeds the packed
-// weight panels once. src/dst may be the tensor storage (Invoke) or the
-// interpreter's stacked batch slabs (InvokeBatch) — the kernel only sees
-// geometry. col must hold batches·M·K values and xb pr.gemmScratchLen()
-// words.
-func convInt8Gemm(src, dst []int8, g convGeom, pr *linearPrep, col []int8, xb []uint64) {
-	zpFill := int8(pr.inZP) // int8 zero points are in [-128, 127] by construction
-	for b := 0; b < g.batches; b++ {
-		im2col(col[b*g.colLen():(b+1)*g.colLen()], src, g, b, zpFill)
-	}
-	gemmInt8Requant(g.batches*g.M, col, dst, pr, xb)
-}
-
-// convFloatGemm is the float32 counterpart of convInt8Gemm.
+// convFloatGemm runs a float32 convolution: each batch is im2col-packed
+// into col (g.colLen() values) and multiplied with the weights.
 func convFloatGemm(in, w, bias, out *Tensor, g convGeom, act Activation, col []float32) {
 	for b := 0; b < g.batches; b++ {
-		im2col(col[:g.colLen()], in.F32, g, b, 0)
+		im2col(col[:g.colLen()], in.F32, g, b)
 		gemmFloat(g.M, g.outC, g.K, col, w.F32, bias.F32, act, out.F32[b*g.M*g.outC:(b+1)*g.M*g.outC])
 	}
 }
@@ -624,44 +577,14 @@ type depthwisePrep struct {
 	xwin    []uint64 // window expansion scratch, kH·kgW words (serial Invoke only)
 }
 
-func prepDepthwiseInt8(in, w, bias, out *Tensor, p Conv2DParams) (*depthwisePrep, error) {
-	if p.StrideH <= 0 || p.StrideW <= 0 {
-		return nil, fmt.Errorf("tflm: DepthwiseConv2D stride %dx%d invalid", p.StrideH, p.StrideW)
-	}
-	mul := p.DepthMultiplier
-	if mul <= 0 {
-		mul = 1
-	}
-	g := convGeom{
-		batches: in.Dim(0), inH: in.Dim(1), inW: in.Dim(2), inC: in.Dim(3),
-		outC: w.Dim(3), kH: w.Dim(1), kW: w.Dim(2),
-		strideH: p.StrideH, strideW: p.StrideW,
-	}
-	if g.outC != g.inC*mul {
-		return nil, fmt.Errorf("tflm: DepthwiseConv2D filter channels %d != %d*%d", g.outC, g.inC, mul)
-	}
-	g.outH, g.padT = convOutputSize(g.inH, g.kH, p.StrideH, p.Padding)
-	g.outW, g.padL = convOutputSize(g.inW, g.kW, p.StrideW, p.Padding)
-	if !out.ShapeEquals([]int{g.batches, g.outH, g.outW, g.outC}) {
-		return nil, fmt.Errorf("tflm: DepthwiseConv2D output shape %v, want %v", out.Shape, []int{g.batches, g.outH, g.outW, g.outC})
-	}
-	if in.Type != Int8 {
-		return nil, fmt.Errorf("tflm: DepthwiseConv2D unsupported input type %v", in.Type)
-	}
-	mult, err := requantMultiplier(in, w, out)
-	if err != nil {
-		return nil, err
-	}
-	if len(w.I8) < g.kH*g.kW*g.outC {
-		return nil, fmt.Errorf("tflm: depthwise weight tensor %q too small", w.Name)
-	}
-	if len(bias.I32) < g.outC {
-		return nil, fmt.Errorf("tflm: depthwise bias tensor %q too small", bias.Name)
-	}
-	lo, hi := activationRangeQuantized(p.Activation, *out.Quant)
+// prepDepthwiseInt8 builds the prep of a DepthwiseConv2D node whose
+// geometry is g (windowGeom).
+func prepDepthwiseInt8(in, w, bias, out *Tensor, g convGeom, act Activation) *depthwisePrep {
+	mult, _ := requantMultiplier(in, w, out)
+	lo, hi := activationRangeQuantized(act, *out.Quant)
 	dp := &depthwisePrep{
 		g:   g,
-		mul: mul,
+		mul: g.outC / g.inC,
 		lp: linearPrep{
 			mult:  mult,
 			outZP: out.Quant.ZeroPoint,
@@ -696,7 +619,7 @@ func prepDepthwiseInt8(in, w, bias, out *Tensor, p Conv2DParams) (*depthwisePrep
 			dp.swSeeds[oc] = dp.lp.acc0[oc] - swarBias*sum
 		}
 	}
-	return dp, nil
+	return dp
 }
 
 // depthwiseInt8Opt evaluates an int8 DepthwiseConv2D with the padding-free

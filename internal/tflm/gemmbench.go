@@ -45,10 +45,7 @@ func NewGEMMBench(m, n, k int, seed int64) (*GEMMBench, error) {
 	}
 	out := &Tensor{Name: "out", Type: Int8, Shape: []int{m, n}, Quant: &QuantParams{Scale: 0.1, ZeroPoint: 3}}
 	out.Alloc()
-	pr, err := prepLinearInt8(in, w, bias, out, ActNone, n, k)
-	if err != nil {
-		return nil, err
-	}
+	pr := prepLinearInt8(in, w, bias, out, ActNone, n, k)
 	return &GEMMBench{
 		mRows: m,
 		a:     in.I8,
@@ -68,7 +65,7 @@ func (gb *GEMMBench) Run() {
 }
 
 // Check verifies the first and last output rows against the scalar
-// reference accumulation (op_ref.go's wrapped int32 sum over the source
+// reference accumulation (op_ref_test.go's wrapped int32 sum over the source
 // weight matrix) — a cheap self-test so a bench refactor cannot silently
 // measure a broken kernel.
 func (gb *GEMMBench) Check() error {

@@ -1,6 +1,10 @@
 package tflm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // OpCode enumerates the supported operators.
 type OpCode uint8
@@ -162,47 +166,11 @@ func (m *Model) Clone() *Model {
 	return out
 }
 
-// checkNodeSignature checks a node against its op's signature: the op is
-// known, it has the op's input and output count, and its Params has the
-// op's parameter type (nil where the op takes none or has defaults). The
-// kernels, the prep pass, the batch planner and NodeCycles index inputs
-// and outputs and assert params on that basis, so on a model that
-// validated none of them indexes past a node's lists or fails a params
-// assertion.
-func checkNodeSignature(n Node) error {
-	ins, paramsOK := 1, false
-	switch n.Op {
-	case OpConv2D, OpDepthwiseConv2D:
-		ins = 3
-		_, paramsOK = n.Params.(Conv2DParams)
-	case OpFullyConnected:
-		ins = 3
-		_, paramsOK = n.Params.(FullyConnectedParams)
-	case OpSoftmax:
-		_, paramsOK = n.Params.(SoftmaxParams)
-		paramsOK = paramsOK || n.Params == nil
-	case OpReshape:
-		_, paramsOK = n.Params.(ReshapeParams)
-		paramsOK = paramsOK || n.Params == nil
-	case OpMaxPool2D, OpAvgPool2D:
-		_, paramsOK = n.Params.(PoolParams)
-	case OpRelu:
-		paramsOK = n.Params == nil
-	default:
-		return fmt.Errorf("unknown op %v", n.Op)
-	}
-	if len(n.Inputs) != ins || len(n.Outputs) != 1 {
-		return fmt.Errorf("%v takes %d inputs and 1 output, has %d and %d", n.Op, ins, len(n.Inputs), len(n.Outputs))
-	}
-	if !paramsOK {
-		return fmt.Errorf("%v cannot take params of type %T", n.Op, n.Params)
-	}
-	return nil
-}
-
-// Validate checks structural invariants: every node matches its op's
-// signature (checkNodeSignature), index ranges, constant tensors
-// allocated, non-constant tensors produced before use, IO lists sane.
+// Validate checks structural invariants — index ranges, constant tensors
+// allocated, quantization parameters sane, every tensor written once and
+// only after the tensors it reads, IO lists sane — and holds every node to
+// its kernel's rules (checkNodeSignature, checkNode). A model that
+// validates runs: Invoke has no failure path of its own.
 func (m *Model) Validate() error {
 	inRange := func(i int) bool { return i >= 0 && i < len(m.Tensors) }
 	produced := make([]bool, len(m.Tensors))
@@ -216,8 +184,16 @@ func (m *Model) Validate() error {
 			}
 			produced[i] = true
 		}
-		if t.NumElements() <= 0 {
+		if t.NumElements() <= 0 || slices.ContainsFunc(t.Shape, func(d int) bool { return d <= 0 }) {
 			return fmt.Errorf("tflm: tensor %q has empty shape %v", t.Name, t.Shape)
+		}
+		if q := t.Quant; q != nil {
+			if !(q.Scale > 0) || math.IsInf(q.Scale, 0) {
+				return fmt.Errorf("tflm: tensor %q has quantization scale %v", t.Name, q.Scale)
+			}
+			if t.Type == Int8 && (q.ZeroPoint < -128 || q.ZeroPoint > 127) {
+				return fmt.Errorf("tflm: int8 tensor %q has zero point %d", t.Name, q.ZeroPoint)
+			}
 		}
 	}
 	for _, i := range m.Inputs {
@@ -245,10 +221,13 @@ func (m *Model) Validate() error {
 			if !inRange(i) {
 				return fmt.Errorf("tflm: node %d (%v) output index %d out of range", ni, n.Op, i)
 			}
-			if m.Tensors[i].IsConst {
-				return fmt.Errorf("tflm: node %d (%v) writes constant tensor %q", ni, n.Op, m.Tensors[i].Name)
+			if produced[i] {
+				return fmt.Errorf("tflm: node %d (%v) writes tensor %q, already a constant, a model input or an earlier output", ni, n.Op, m.Tensors[i].Name)
 			}
 			produced[i] = true
+		}
+		if err := checkNode(m, n); err != nil {
+			return fmt.Errorf("tflm: node %d (%v): %w", ni, n.Op, err)
 		}
 	}
 	for _, i := range m.Outputs {

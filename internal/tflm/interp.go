@@ -1,10 +1,6 @@
 package tflm
 
-import (
-	"fmt"
-
-	"repro/internal/hw"
-)
+import "repro/internal/hw"
 
 // Meter receives cycle charges for simulated work. *hw.Core implements it;
 // a nil meter means pure functional execution (host-speed, unmetered).
@@ -17,22 +13,22 @@ type Meter interface {
 // activation tensors, and all kernel scratch; one interpreter serves
 // repeated Invoke calls, exactly like TFLM's MicroInterpreter.
 //
-// At construction the interpreter "preps" every node it can: requantization
-// multipliers are decomposed once, per-filter zero-point corrections
-// (bias[oc] - inZP·Σw[oc]) are folded into accumulator seeds, and the
-// im2col/softmax scratch is sized to the largest node. Invoke therefore
+// At construction the interpreter preps every node into one exec, its only
+// execution path: requantization multipliers are decomposed once,
+// per-filter zero-point corrections (bias[oc] - inZP·Σw[oc]) are folded
+// into accumulator seeds, weights are packed into the GEMM panel image, and
+// the im2col/softmax scratch is sized to the largest node. Invoke therefore
 // performs no heap allocation and no floating-point requant setup on the
-// hot path. Prep assumes constant tensors are immutable after construction
-// (they are baked into the model); nodes that cannot be prepped — exotic
-// shapes, missing quantization — fall back to the unprepped dispatch path
-// with identical error behavior.
+// hot path. Prep relies on Model.Validate — every node's dtypes, ranks,
+// quantization, geometry and constant weights were checked at load — and
+// on constant tensors being immutable after construction (they are baked
+// into the model).
 type Interpreter struct {
 	model *Model
 	plan  *ArenaPlan
 	meter Meter
-	// execs[i] runs node i through its prepped fast path; nil entries fall
-	// back to evalNode.
-	execs []func() error
+	// execs[i] runs node i through its prepped kernel.
+	execs []func()
 	// preps[i] records the plan-time state behind execs[i] so other
 	// execution modes (the batched InvokeBatch plan) can reuse it without
 	// re-deriving geometry or repacking weights.
@@ -63,8 +59,8 @@ type convPrep struct {
 }
 
 type fcPrep struct {
-	batches, outN, inN int
-	pr                 *linearPrep
+	batches int
+	pr      *linearPrep
 }
 
 type softmaxPrep struct {
@@ -93,132 +89,72 @@ func NewInterpreter(m *Model) (*Interpreter, error) {
 	return ip, nil
 }
 
-// prepNodes builds the per-node fast paths and sizes the shared scratch.
-// Prep failures are not errors: the node keeps a nil exec and Invoke runs
-// it through the generic dispatcher, which reports the same diagnostics the
-// unprepped engine would.
+// prepNodes builds every node's exec and sizes the shared scratch. It has no
+// failure path: Validate accepted only nodes these kernels run.
 func (ip *Interpreter) prepNodes() {
 	m := ip.model
-	ip.execs = make([]func() error, len(m.Nodes))
+	ip.execs = make([]func(), len(m.Nodes))
 	ip.preps = make([]any, len(m.Nodes))
 	maxColF32, maxDepth, maxGemmX := 0, 0, 0
 	for ni, n := range m.Nodes {
+		in, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0])
 		switch n.Op {
 		case OpConv2D:
-			p, ok := n.Params.(Conv2DParams)
-			if !ok {
-				continue
+			p := n.Params.(Conv2DParams)
+			w, bias := m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2])
+			g := windowGeom(m, n)
+			if in.Type == Float32 {
+				maxColF32 = max(maxColF32, g.colLen())
+				ip.execs[ni] = func() { convFloatGemm(in, w, bias, out, g, p.Activation, ip.colF32) }
+				break
 			}
-			in, w, bias, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2]), m.Tensor(n.Outputs[0])
-			g, err := resolveConvGeom(in, w, out, p)
-			if err != nil {
-				continue
-			}
-			switch in.Type {
-			case Int8:
-				// acc0 bakes weight/bias contents; only valid when both
-				// are model constants (graphs may legally produce them).
-				if !w.IsConst || !bias.IsConst {
-					continue
-				}
-				pr, err := prepLinearInt8(in, w, bias, out, p.Activation, g.outC, g.K)
-				if err != nil {
-					continue
-				}
-				// Out-of-int8-range zero points can't be packed as padding
-				// fill; leave such nodes on the exact scalar fallback.
-				if pr.inZP < -128 || pr.inZP > 127 {
-					continue
-				}
-				if n := pr.gemmScratchLen(); n > maxGemmX {
-					maxGemmX = n
-				}
-				cp := &convPrep{g: g, pr: pr, prog: recordIm2col(g), col: make([]int8, g.batches*g.colLen())}
-				fillSlice(cp.col, int8(pr.inZP))
-				rows := g.batches * g.M
-				ip.preps[ni] = cp
-				ip.execs[ni] = func() error {
-					replayIm2col(cp.prog, cp.col, in.I8, 0)
-					gemmInt8Requant(rows, cp.col, out.I8, pr, ip.gemmX)
-					return nil
-				}
-			case Float32:
-				if g.colLen() > maxColF32 {
-					maxColF32 = g.colLen()
-				}
-				ip.execs[ni] = func() error {
-					convFloatGemm(in, w, bias, out, g, p.Activation, ip.colF32)
-					return nil
-				}
+			pr := prepLinearInt8(in, w, bias, out, p.Activation, g.outC, g.K)
+			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
+			cp := &convPrep{g: g, pr: pr, prog: recordIm2col(g), col: make([]int8, g.batches*g.colLen())}
+			fillSlice(cp.col, int8(pr.inZP))
+			rows := g.batches * g.M
+			ip.preps[ni] = cp
+			ip.execs[ni] = func() {
+				replayIm2col(cp.prog, cp.col, in.I8, 0)
+				gemmInt8Requant(rows, cp.col, out.I8, pr, ip.gemmX)
 			}
 		case OpDepthwiseConv2D:
-			p, ok := n.Params.(Conv2DParams)
-			if !ok {
-				continue
-			}
-			in, w, bias, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2]), m.Tensor(n.Outputs[0])
-			if !w.IsConst || !bias.IsConst {
-				continue
-			}
-			dp, err := prepDepthwiseInt8(in, w, bias, out, p)
-			if err != nil {
-				continue
-			}
-			ip.execs[ni] = func() error {
-				depthwiseInt8Opt(in, w, bias, out, dp)
-				return nil
-			}
+			w, bias := m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2])
+			dp := prepDepthwiseInt8(in, w, bias, out, windowGeom(m, n), n.Params.(Conv2DParams).Activation)
+			ip.execs[ni] = func() { depthwiseInt8Opt(in, w, bias, out, dp) }
 		case OpFullyConnected:
-			p, ok := n.Params.(FullyConnectedParams)
-			if !ok {
-				continue
+			act := n.Params.(FullyConnectedParams).Activation
+			w, bias := m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2])
+			batches, outN, inN := fcGeom(in, w)
+			if in.Type == Float32 {
+				ip.execs[ni] = func() { gemmFloat(batches, outN, inN, in.F32, w.F32, bias.F32, act, out.F32) }
+				break
 			}
-			in, w, bias, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2]), m.Tensor(n.Outputs[0])
-			batches, outN, inN, err := fcGeom(in, w, out)
-			if err != nil {
-				continue
-			}
-			switch in.Type {
-			case Int8:
-				if !w.IsConst || !bias.IsConst {
-					continue
-				}
-				pr, err := prepLinearInt8(in, w, bias, out, p.Activation, outN, inN)
-				if err != nil {
-					continue
-				}
-				if n := pr.gemmScratchLen(); n > maxGemmX {
-					maxGemmX = n
-				}
-				ip.preps[ni] = &fcPrep{batches: batches, outN: outN, inN: inN, pr: pr}
-				ip.execs[ni] = func() error {
-					gemmInt8Requant(batches, in.I8, out.I8, pr, ip.gemmX)
-					return nil
-				}
-			case Float32:
-				ip.execs[ni] = func() error {
-					gemmFloat(batches, outN, inN, in.F32, w.F32, bias.F32, p.Activation, out.F32)
-					return nil
-				}
-			}
+			pr := prepLinearInt8(in, w, bias, out, act, outN, inN)
+			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
+			ip.preps[ni] = &fcPrep{batches: batches, pr: pr}
+			ip.execs[ni] = func() { gemmInt8Requant(batches, in.I8, out.I8, pr, ip.gemmX) }
 		case OpSoftmax:
-			p, _ := n.Params.(SoftmaxParams)
-			in, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0])
-			if len(in.Shape) == 0 {
-				continue
+			beta := 1.0
+			if p, ok := n.Params.(SoftmaxParams); ok && p.Beta != 0 {
+				beta = p.Beta
 			}
 			depth := in.Shape[len(in.Shape)-1]
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-			beta := p.Beta
-			if beta == 0 {
-				beta = 1
-			}
+			maxDepth = max(maxDepth, depth)
 			ip.preps[ni] = &softmaxPrep{depth: depth, outer: in.NumElements() / depth, beta: beta}
-			ip.execs[ni] = func() error {
-				return evalSoftmaxScratch(in, out, p, ip.smLogits, ip.smProbs)
+			ip.execs[ni] = func() { softmax(in, out, beta, ip.smLogits, ip.smProbs) }
+		case OpReshape:
+			ip.execs[ni] = func() { reshapeCopy(in, out) }
+		case OpRelu:
+			if in.Type == Float32 {
+				ip.execs[ni] = func() { reluF32(in.F32, out.F32) }
+				break
 			}
+			zp := in.Quant.ZeroPoint
+			ip.execs[ni] = func() { reluI8(in.I8, out.I8, zp) }
+		case OpMaxPool2D, OpAvgPool2D:
+			op, g := n.Op, windowGeom(m, n)
+			ip.execs[ni] = func() { pool(op, in, out, g) }
 		}
 	}
 	if maxGemmX > 0 {
@@ -262,50 +198,18 @@ func (ip *Interpreter) Input(i int) *Tensor { return ip.model.Tensors[ip.model.I
 func (ip *Interpreter) Output(i int) *Tensor { return ip.model.Tensors[ip.model.Outputs[i]] }
 
 // Invoke runs the graph once over the current input contents. It performs
-// no heap allocations; all scratch was sized at plan time.
+// no heap allocations; all scratch was sized at plan time. A model that
+// validated runs every node, so the error is always nil; it stays in the
+// signature for callers that treat the interpreter as a fallible engine.
 func (ip *Interpreter) Invoke() error {
 	m := ip.model
-	for ni, n := range m.Nodes {
-		var err error
-		if ex := ip.execs[ni]; ex != nil {
-			err = ex()
-		} else {
-			err = ip.evalNode(n)
-		}
-		if err != nil {
-			return fmt.Errorf("tflm: node %d (%v): %w", ni, n.Op, err)
-		}
+	for ni, ex := range ip.execs {
+		ex()
 		if ip.meter != nil {
-			ip.meter.Charge(NodeCycles(m, n))
+			ip.meter.Charge(NodeCycles(m, m.Nodes[ni]))
 		}
 	}
 	return nil
-}
-
-// evalNode is the fallback for unprepped nodes. Linear ops run the scalar
-// reference kernels here: they are exact for any quantization, read live
-// (possibly graph-produced) weights, and allocate nothing per Invoke.
-func (ip *Interpreter) evalNode(n Node) error {
-	m := ip.model
-	switch n.Op {
-	case OpConv2D:
-		return evalConv2DRef(m.Tensor(n.Inputs[0]), m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2]), m.Tensor(n.Outputs[0]), n.Params.(Conv2DParams))
-	case OpDepthwiseConv2D:
-		return evalDepthwiseConv2DRef(m.Tensor(n.Inputs[0]), m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2]), m.Tensor(n.Outputs[0]), n.Params.(Conv2DParams))
-	case OpFullyConnected:
-		return evalFullyConnectedRef(m.Tensor(n.Inputs[0]), m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2]), m.Tensor(n.Outputs[0]), n.Params.(FullyConnectedParams))
-	case OpSoftmax:
-		p, _ := n.Params.(SoftmaxParams)
-		return evalSoftmax(m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0]), p)
-	case OpReshape:
-		return evalReshape(m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0]))
-	case OpRelu:
-		return evalRelu(m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0]))
-	case OpMaxPool2D, OpAvgPool2D:
-		return evalPool(n.Op, m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0]), n.Params.(PoolParams))
-	default:
-		return fmt.Errorf("unsupported op %v", n.Op)
-	}
 }
 
 // NodeCycles estimates the simulated-core cost of one operator application

@@ -1,14 +1,119 @@
 package tflm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// Golden-equivalence tests: the im2col/GEMM kernels must be bit-exact with
-// the scalar reference kernels in op_ref.go over randomized geometries,
-// paddings, strides, activations and quantization parameters.
+// Golden-equivalence tests: the interpreter's kernels must be bit-exact
+// with the scalar reference kernels in op_ref_test.go over randomized
+// geometries, paddings, strides, activations and quantization parameters.
+// Each case runs as a one-node model through the interpreter, so the test
+// covers the code every served model runs: the prep pass, the int8
+// convolution's compiled im2col copy program and, for int8 I/O, the batch
+// plan.
+
+// oneNodeModel wires in → op → out into a model, with consts as the node's
+// weight and bias constants. It does not validate.
+func oneNodeModel(op OpCode, params any, in, out *Tensor, consts ...*Tensor) *Model {
+	m := &Model{Description: "one " + op.String(), Version: 1, Tensors: []*Tensor{in}, Inputs: []int{0}}
+	inputs := []int{0}
+	for _, c := range consts {
+		c.IsConst = true
+		inputs = append(inputs, len(m.Tensors))
+		m.Tensors = append(m.Tensors, c)
+	}
+	m.Tensors = append(m.Tensors, out)
+	m.Outputs = []int{len(m.Tensors) - 1}
+	m.Nodes = []Node{{Op: op, Inputs: inputs, Outputs: []int{len(m.Tensors) - 1}, Params: params}}
+	return m
+}
+
+// invokeOneNode loads oneNodeModel(op, params, in, out, consts...) with
+// NewInterpreter and runs Invoke once; out then holds the result.
+func invokeOneNode(t *testing.T, op OpCode, params any, in, out *Tensor, consts ...*Tensor) *Interpreter {
+	t.Helper()
+	ip, err := NewInterpreter(oneNodeModel(op, params, in, out, consts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ip.Invoke(); err != nil {
+		t.Fatal(err)
+	}
+	return ip
+}
+
+// checkOneNode runs the one-node model the way a served model runs —
+// NewInterpreter + Invoke and, when in and out are int8, PlanBatch +
+// InvokeBatch at b = 1 and b = 3 over distinct inputs — and requires every
+// output to equal oracle's over the same input, bit for bit. out holds the
+// serial result afterwards.
+func checkOneNode(t *testing.T, op OpCode, params any, in, out *Tensor, oracle func(in, out *Tensor), consts ...*Tensor) {
+	t.Helper()
+	ip := invokeOneNode(t, op, params, in, out, consts...)
+	want := &Tensor{Name: out.Name, Type: out.Type, Shape: out.Shape, Quant: out.Quant}
+	want.Alloc()
+	oracle(in, want)
+	requireSameData(t, "Invoke", out, want)
+	if in.Type != Int8 || out.Type != Int8 {
+		return
+	}
+	// The batch runs on a clone: a plan that degrades to serial Invoke
+	// stages each utterance through the clone's own tensors.
+	ip, err := NewInterpreter(ip.Model().Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ip.PlanBatch(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{1, 3} {
+		inputs := make([]*Tensor, b)
+		for j := range inputs {
+			// Utterance j is in with every element XORed with 37·j.
+			v := &Tensor{Name: in.Name, Type: Int8, Shape: in.Shape, Quant: in.Quant}
+			v.Alloc()
+			for i, x := range in.I8 {
+				v.I8[i] = x ^ int8(37*j)
+			}
+			copy(ip.BatchInput(j), v.I8)
+			inputs[j] = v
+		}
+		if err := ip.InvokeBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range inputs {
+			oracle(v, want)
+			got := &Tensor{Type: Int8, Shape: out.Shape, I8: ip.BatchOutput(j)}
+			requireSameData(t, fmt.Sprintf("InvokeBatch(%d) utterance %d", b, j), got, want)
+		}
+	}
+}
+
+// requireSameData fails unless got and want hold the same bits.
+func requireSameData(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	g, w := tensorBytes(got), tensorBytes(want)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d bytes, want %d", what, len(g), len(w))
+	}
+	size := want.Type.Size()
+	for i := 0; i < len(w); i += size {
+		if !bytes.Equal(g[i:i+size], w[i:i+size]) {
+			t.Fatalf("%s: element %d: got bytes % x, want % x", what, i/size, g[i:i+size], w[i:i+size])
+		}
+	}
+}
+
+// mustRef fails the test on a reference-kernel error.
+func mustRef(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("reference kernel: %v", err)
+	}
+}
 
 type convCase struct {
 	batches, inH, inW, inC int
@@ -69,26 +174,12 @@ func TestConv2DInt8GemmMatchesRef(t *testing.T) {
 				for i := range bias.I32 {
 					bias.I32[i] = int32(r.Intn(2048) - 1024)
 				}
-				outShape := convOutShape(c)
-				mk := func() *Tensor {
-					o := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}}
-					o.Alloc()
-					return o
-				}
-				got, want := mk(), mk()
-				want.Quant = got.Quant // identical requantization
+				oq := &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}
+				got := &Tensor{Name: "out", Type: Int8, Shape: convOutShape(c), Quant: oq}
 				p := Conv2DParams{StrideH: c.strideH, StrideW: c.strideW, Padding: c.pad, Activation: c.act}
-				if err := evalConv2D(in, w, bias, got, p); err != nil {
-					t.Fatalf("gemm path: %v", err)
-				}
-				if err := evalConv2DInt8Ref(in, w, bias, want, p); err != nil {
-					t.Fatalf("ref path: %v", err)
-				}
-				for i := range got.I8 {
-					if got.I8[i] != want.I8[i] {
-						t.Fatalf("element %d: gemm %d != ref %d", i, got.I8[i], want.I8[i])
-					}
-				}
+				checkOneNode(t, OpConv2D, p, in, got, func(in, out *Tensor) {
+					mustRef(t, evalConv2DInt8Ref(in, w, bias, out, p))
+				}, w, bias)
 			})
 		})
 	}
@@ -101,23 +192,11 @@ func TestConv2DFloatGemmMatchesRef(t *testing.T) {
 			in := randFloatTensor(r, "in", []int{c.batches, c.inH, c.inW, c.inC})
 			w := randFloatTensor(r, "w", []int{c.outC, c.kH, c.kW, c.inC})
 			bias := randFloatTensor(r, "b", []int{c.outC})
-			outShape := convOutShape(c)
-			got := &Tensor{Name: "out", Type: Float32, Shape: outShape}
-			got.Alloc()
-			want := &Tensor{Name: "out", Type: Float32, Shape: outShape}
-			want.Alloc()
+			got := &Tensor{Name: "out", Type: Float32, Shape: convOutShape(c)}
 			p := Conv2DParams{StrideH: c.strideH, StrideW: c.strideW, Padding: c.pad, Activation: c.act}
-			if err := evalConv2D(in, w, bias, got, p); err != nil {
-				t.Fatalf("gemm path: %v", err)
-			}
-			if err := evalConv2DFloatRef(in, w, bias, want, p); err != nil {
-				t.Fatalf("ref path: %v", err)
-			}
-			for i := range got.F32 {
-				if got.F32[i] != want.F32[i] {
-					t.Fatalf("element %d: gemm %v != ref %v", i, got.F32[i], want.F32[i])
-				}
-			}
+			checkOneNode(t, OpConv2D, p, in, got, func(in, out *Tensor) {
+				mustRef(t, evalConv2DFloatRef(in, w, bias, out, p))
+			}, w, bias)
 		})
 	}
 }
@@ -160,21 +239,10 @@ func TestDepthwiseConv2DOptMatchesRef(t *testing.T) {
 			outShape := []int{c.batches, outH, outW, outC}
 			oq := &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}
 			got := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: oq}
-			got.Alloc()
-			want := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: oq}
-			want.Alloc()
 			p := Conv2DParams{StrideH: c.strideH, StrideW: c.strideW, Padding: c.pad, Activation: c.act, DepthMultiplier: c.mul}
-			if err := evalDepthwiseConv2D(in, w, bias, got, p); err != nil {
-				t.Fatalf("opt path: %v", err)
-			}
-			if err := evalDepthwiseConv2DRef(in, w, bias, want, p); err != nil {
-				t.Fatalf("ref path: %v", err)
-			}
-			for i := range got.I8 {
-				if got.I8[i] != want.I8[i] {
-					t.Fatalf("element %d: opt %d != ref %d", i, got.I8[i], want.I8[i])
-				}
-			}
+			checkOneNode(t, OpDepthwiseConv2D, p, in, got, func(in, out *Tensor) {
+				mustRef(t, evalDepthwiseConv2DRef(in, w, bias, out, p))
+			}, w, bias)
 		})
 	}
 }
@@ -224,21 +292,10 @@ func TestFullyConnectedGemmMatchesRef(t *testing.T) {
 				}
 				oq := &QuantParams{Scale: 0.1 + r.Float64(), ZeroPoint: int32(r.Intn(256) - 128)}
 				got := &Tensor{Name: "out", Type: Int8, Shape: []int{c.batches, c.outN}, Quant: oq}
-				got.Alloc()
-				want := &Tensor{Name: "out", Type: Int8, Shape: []int{c.batches, c.outN}, Quant: oq}
-				want.Alloc()
 				p := FullyConnectedParams{Activation: c.act}
-				if err := evalFullyConnected(in, w, bias, got, p); err != nil {
-					t.Fatalf("gemm path: %v", err)
-				}
-				if err := evalFullyConnectedRef(in, w, bias, want, p); err != nil {
-					t.Fatalf("ref path: %v", err)
-				}
-				for i := range got.I8 {
-					if got.I8[i] != want.I8[i] {
-						t.Fatalf("element %d: gemm %d != ref %d", i, got.I8[i], want.I8[i])
-					}
-				}
+				checkOneNode(t, OpFullyConnected, p, in, got, func(in, out *Tensor) {
+					mustRef(t, evalFullyConnectedRef(in, w, bias, out, p))
+				}, w, bias)
 			})
 		})
 		t.Run(fmt.Sprintf("float_case%d", ci), func(t *testing.T) {
@@ -247,21 +304,10 @@ func TestFullyConnectedGemmMatchesRef(t *testing.T) {
 			w := randFloatTensor(r, "w", []int{c.outN, c.inN})
 			bias := randFloatTensor(r, "b", []int{c.outN})
 			got := &Tensor{Name: "out", Type: Float32, Shape: []int{c.batches, c.outN}}
-			got.Alloc()
-			want := &Tensor{Name: "out", Type: Float32, Shape: []int{c.batches, c.outN}}
-			want.Alloc()
 			p := FullyConnectedParams{Activation: c.act}
-			if err := evalFullyConnected(in, w, bias, got, p); err != nil {
-				t.Fatalf("gemm path: %v", err)
-			}
-			if err := evalFullyConnectedRef(in, w, bias, want, p); err != nil {
-				t.Fatalf("ref path: %v", err)
-			}
-			for i := range got.F32 {
-				if got.F32[i] != want.F32[i] {
-					t.Fatalf("element %d: gemm %v != ref %v", i, got.F32[i], want.F32[i])
-				}
-			}
+			checkOneNode(t, OpFullyConnected, p, in, got, func(in, out *Tensor) {
+				mustRef(t, evalFullyConnectedRef(in, w, bias, out, p))
+			}, w, bias)
 		})
 	}
 }
@@ -305,10 +351,10 @@ func TestInterpreterInvokeMatchesRefKernels(t *testing.T) {
 			case OpFullyConnected:
 				err = evalFullyConnectedRef(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Inputs[1]), ref.Tensor(n.Inputs[2]), ref.Tensor(n.Outputs[0]), n.Params.(FullyConnectedParams))
 			case OpReshape:
-				err = evalReshape(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]))
+				copy(ref.Tensor(n.Outputs[0]).I8, ref.Tensor(n.Inputs[0]).I8)
 			case OpSoftmax:
 				p, _ := n.Params.(SoftmaxParams)
-				err = evalSoftmax(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]), p)
+				err = evalSoftmaxRef(ref.Tensor(n.Inputs[0]), ref.Tensor(n.Outputs[0]), p)
 			default:
 				t.Fatalf("unexpected op %v in tiny_conv", n.Op)
 			}
@@ -324,10 +370,10 @@ func TestInterpreterInvokeMatchesRefKernels(t *testing.T) {
 	})
 }
 
-// TestConv2DInt8OutOfRangeZeroPoint: QuantParams.ZeroPoint is an int32 that
-// nothing validates; an input ZP outside the int8 range cannot be used as
-// im2col padding fill, so those convolutions must take the exact scalar
-// path and still match the reference bit-for-bit.
+// TestConv2DInt8OutOfRangeZeroPoint: QuantParams.ZeroPoint is an int32, but
+// an int8 tensor's zero point outside [-128, 127] cannot be the im2col
+// padding fill of the int8 convolution. Validate rejects such a model, and
+// so does NewInterpreter.
 func TestConv2DInt8OutOfRangeZeroPoint(t *testing.T) {
 	for _, zp := range []int32{200, -300, 1 << 20} {
 		r := rand.New(rand.NewSource(int64(zp)))
@@ -336,33 +382,24 @@ func TestConv2DInt8OutOfRangeZeroPoint(t *testing.T) {
 		w := randQuantTensor(r, "w", []int{c.outC, c.kH, c.kW, c.inC}, 0.05, 0)
 		bias := &Tensor{Name: "b", Type: Int32, Shape: []int{c.outC}}
 		bias.Alloc()
-		outShape := convOutShape(c)
-		oq := &QuantParams{Scale: 0.3, ZeroPoint: 0}
-		got := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: oq}
-		got.Alloc()
-		want := &Tensor{Name: "out", Type: Int8, Shape: outShape, Quant: oq}
-		want.Alloc()
+		out := &Tensor{Name: "out", Type: Int8, Shape: convOutShape(c), Quant: &QuantParams{Scale: 0.3}}
 		p := Conv2DParams{StrideH: c.strideH, StrideW: c.strideW, Padding: c.pad}
-		if err := evalConv2D(in, w, bias, got, p); err != nil {
-			t.Fatalf("zp=%d: %v", zp, err)
+		m := oneNodeModel(OpConv2D, p, in, out, w, bias)
+		if err := m.Validate(); err == nil {
+			t.Fatalf("zp=%d: Validate accepted the model", zp)
 		}
-		if err := evalConv2DInt8Ref(in, w, bias, want, p); err != nil {
-			t.Fatalf("zp=%d ref: %v", zp, err)
-		}
-		for i := range got.I8 {
-			if got.I8[i] != want.I8[i] {
-				t.Fatalf("zp=%d element %d: %d != ref %d", zp, i, got.I8[i], want.I8[i])
-			}
+		if _, err := NewInterpreter(m); err == nil {
+			t.Fatalf("zp=%d: NewInterpreter accepted the model", zp)
 		}
 	}
 }
 
-// TestInterpreterDynamicWeightsNotPrepped: when a graph produces its own
-// weight tensor at runtime (legal per Validate), the interpreter must not
-// bake zero-point corrections from the unfilled tensor at plan time — the
-// node has to fall back to per-Invoke evaluation of the live weights.
+// TestInterpreterDynamicWeightsNotPrepped: prep bakes weight and bias
+// contents into accumulator seeds and panels once, so a graph that produces
+// its own weight tensor at runtime has no correct prepped form. Validate
+// rejects it, and so does NewInterpreter.
 func TestInterpreterDynamicWeightsNotPrepped(t *testing.T) {
-	inQ := &QuantParams{Scale: 0.05, ZeroPoint: -128} // nonzero inZP makes stale acc0 visible
+	inQ := &QuantParams{Scale: 0.05, ZeroPoint: -128}
 	wQ := &QuantParams{Scale: 0.02, ZeroPoint: 0}
 	outQ := &QuantParams{Scale: 0.1, ZeroPoint: 3}
 	x := &Tensor{Name: "x", Type: Int8, Shape: []int{1, 4}, Quant: inQ}
@@ -370,7 +407,6 @@ func TestInterpreterDynamicWeightsNotPrepped(t *testing.T) {
 	w := &Tensor{Name: "w", Type: Int8, Shape: []int{3, 4}, Quant: wQ}
 	bias := &Tensor{Name: "b", Type: Int32, Shape: []int{3}, IsConst: true}
 	bias.Alloc()
-	copy(bias.I32, []int32{10, -20, 30})
 	out := &Tensor{Name: "out", Type: Int8, Shape: []int{1, 3}, Quant: outQ}
 	m := &Model{
 		Tensors: []*Tensor{x, wSrc, w, bias, out},
@@ -381,33 +417,11 @@ func TestInterpreterDynamicWeightsNotPrepped(t *testing.T) {
 		Inputs:  []int{0, 1},
 		Outputs: []int{4},
 	}
-	ip, err := NewInterpreter(m)
-	if err != nil {
-		t.Fatal(err)
+	if err := m.Validate(); err == nil {
+		t.Fatal("Validate accepted graph-produced weights")
 	}
-	r := rand.New(rand.NewSource(11))
-	for i := range x.I8 {
-		x.I8[i] = int8(r.Intn(256) - 128)
-	}
-	for i := range wSrc.I8 {
-		wSrc.I8[i] = int8(r.Intn(256) - 128)
-	}
-	if err := ip.Invoke(); err != nil {
-		t.Fatal(err)
-	}
-	// Reference: the same FC over the weights the graph produced at runtime.
-	wRef := &Tensor{Name: "w", Type: Int8, Shape: []int{3, 4}, Quant: wQ, IsConst: true}
-	wRef.Alloc()
-	copy(wRef.I8, wSrc.I8)
-	want := &Tensor{Name: "out", Type: Int8, Shape: []int{1, 3}, Quant: outQ}
-	want.Alloc()
-	if err := evalFullyConnectedRef(x, wRef, bias, want, FullyConnectedParams{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.I8 {
-		if out.I8[i] != want.I8[i] {
-			t.Fatalf("output %d: interpreter %d != ref %d (stale plan-time weight prep?)", i, out.I8[i], want.I8[i])
-		}
+	if _, err := NewInterpreter(m); err == nil {
+		t.Fatal("NewInterpreter accepted graph-produced weights")
 	}
 }
 

@@ -62,20 +62,12 @@ func activationApplyFloat(act Activation, x float32) float32 {
 	return x
 }
 
-// wantQuant asserts a tensor carries quantization parameters.
-func wantQuant(t *Tensor) error {
-	if t.Quant == nil {
-		return fmt.Errorf("tflm: tensor %q lacks quantization parameters", t.Name)
-	}
-	return nil
-}
-
 // requantMultiplier builds the accumulator→output multiplier
 // inScale·wScale/outScale used by conv and FC.
 func requantMultiplier(in, w, out *Tensor) (QuantizedMultiplier, error) {
 	for _, t := range []*Tensor{in, w, out} {
-		if err := wantQuant(t); err != nil {
-			return QuantizedMultiplier{}, err
+		if t.Quant == nil {
+			return QuantizedMultiplier{}, fmt.Errorf("tensor %q lacks quantization parameters", t.Name)
 		}
 	}
 	return NewQuantizedMultiplier(in.Quant.Scale * w.Quant.Scale / out.Quant.Scale)

@@ -1,35 +1,20 @@
 package tflm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Reference kernels: the original scalar implementations of Conv2D,
-// DepthwiseConv2D and FullyConnected, kept verbatim as the semantic ground
-// truth for the optimized im2col/GEMM kernels in gemm.go. Every optimized
-// kernel must stay bit-exact against its reference; kernels_equiv_test.go
-// enforces this over randomized shapes, paddings, strides and activations.
-// New ops must follow the same pattern: land a reference kernel first, then
-// an optimized one that is tested against it.
-
-// evalConv2DRef dispatches to the scalar reference kernels with the same
-// validation order as evalConv2D. The interpreter routes unprepped nodes
-// here, so the fallback path costs exactly what the seed engine did — no
-// per-Invoke prep or im2col scratch allocation.
-func evalConv2DRef(in, w, bias, out *Tensor, p Conv2DParams) error {
-	if p.StrideH <= 0 || p.StrideW <= 0 {
-		return fmt.Errorf("tflm: Conv2D stride %dx%d invalid", p.StrideH, p.StrideW)
-	}
-	if w.Dim(3) != in.Dim(3) {
-		return fmt.Errorf("tflm: Conv2D filter input channels %d != input channels %d", w.Dim(3), in.Dim(3))
-	}
-	switch in.Type {
-	case Int8:
-		return evalConv2DInt8Ref(in, w, bias, out, p)
-	case Float32:
-		return evalConv2DFloatRef(in, w, bias, out, p)
-	default:
-		return fmt.Errorf("tflm: Conv2D unsupported input type %v", in.Type)
-	}
-}
+// DepthwiseConv2D, FullyConnected and Softmax, kept verbatim as the semantic ground
+// truth for the optimized kernels in gemm.go. They are test oracles only:
+// the interpreter never calls them. The equivalence tests in
+// kernels_equiv_test.go build one-node models, run them through
+// NewInterpreter + Invoke (and, for int8 I/O, PlanBatch + InvokeBatch) and
+// compare the outputs with these kernels bit for bit, over randomized
+// shapes, paddings, strides and activations. New ops must follow the same
+// pattern: land a reference kernel first, then an optimized one that is
+// tested against it.
 
 func evalConv2DInt8Ref(in, w, bias, out *Tensor, p Conv2DParams) error {
 	batches, inH, inW, inC := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
@@ -239,4 +224,61 @@ func evalFullyConnectedRef(in, w, bias, out *Tensor, p FullyConnectedParams) err
 	default:
 		return fmt.Errorf("tflm: FullyConnected unsupported input type %v", in.Type)
 	}
+}
+
+// evalSoftmaxRef is the original softmax: over the last dimension, in
+// float64, dequantizing int8 input and requantizing int8 output.
+func evalSoftmaxRef(in, out *Tensor, p SoftmaxParams) error {
+	if in.NumElements() != out.NumElements() {
+		return fmt.Errorf("tflm: Softmax shape mismatch %v vs %v", in.Shape, out.Shape)
+	}
+	beta := p.Beta
+	if beta == 0 {
+		beta = 1
+	}
+	depth := in.Shape[len(in.Shape)-1]
+	outer := in.NumElements() / depth
+	logits := make([]float64, depth)
+	probs := make([]float64, depth)
+	for b := 0; b < outer; b++ {
+		switch in.Type {
+		case Int8:
+			for i := 0; i < depth; i++ {
+				logits[i] = in.Quant.Dequantize(in.I8[b*depth+i])
+			}
+		case Float32:
+			for i := 0; i < depth; i++ {
+				logits[i] = float64(in.F32[b*depth+i])
+			}
+		default:
+			return fmt.Errorf("tflm: Softmax unsupported type %v", in.Type)
+		}
+		maxV := logits[0]
+		for _, v := range logits[1:] {
+			if v > maxV {
+				maxV = v
+			}
+		}
+		var sum float64
+		for i, v := range logits {
+			probs[i] = math.Exp(beta * (v - maxV))
+			sum += probs[i]
+		}
+		for i := range probs {
+			probs[i] /= sum
+		}
+		switch out.Type {
+		case Int8:
+			for i := 0; i < depth; i++ {
+				out.I8[b*depth+i] = out.Quant.Quantize(probs[i])
+			}
+		case Float32:
+			for i := 0; i < depth; i++ {
+				out.F32[b*depth+i] = float32(probs[i])
+			}
+		default:
+			return fmt.Errorf("tflm: Softmax unsupported output type %v", out.Type)
+		}
+	}
+	return nil
 }

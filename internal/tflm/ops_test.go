@@ -87,11 +87,7 @@ func TestConv2DFloatKnownValues(t *testing.T) {
 		F32: []float32{1, 0, 0, 1}}
 	bias := &Tensor{Name: "b", Type: Float32, Shape: []int{1}, F32: []float32{0.5}}
 	out := &Tensor{Name: "out", Type: Float32, Shape: []int{1, 2, 2, 1}}
-	out.Alloc()
-	err := evalConv2D(in, w, bias, out, Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingValid})
-	if err != nil {
-		t.Fatal(err)
-	}
+	invokeOneNode(t, OpConv2D, Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingValid}, in, out, w, bias)
 	want := []float32{1 + 5 + 0.5, 2 + 6 + 0.5, 4 + 8 + 0.5, 5 + 9 + 0.5}
 	for i := range want {
 		if out.F32[i] != want[i] {
@@ -111,11 +107,8 @@ func TestConv2DInt8MatchesFloat(t *testing.T) {
 	fw := &Tensor{Type: Float32, Shape: []int{4, 3, 3, 3}, F32: wF}
 	fb := &Tensor{Type: Float32, Shape: []int{4}, F32: bF}
 	fout := &Tensor{Type: Float32, Shape: []int{1, 5, 4, 4}}
-	fout.Alloc()
 	p := Conv2DParams{StrideH: 2, StrideW: 2, Padding: PaddingSame, Activation: ActReLU}
-	if err := evalConv2D(fin, fw, fb, fout, p); err != nil {
-		t.Fatal(err)
-	}
+	invokeOneNode(t, OpConv2D, p, fin, fout, fw, fb)
 
 	// Quantized path.
 	qin := quantizeTensorF32("in", []int{1, 9, 7, 3}, inF)
@@ -132,10 +125,9 @@ func TestConv2DInt8MatchesFloat(t *testing.T) {
 	}
 	oq := ChooseQuantParams(outMin, outMax)
 	qout := &Tensor{Type: Int8, Shape: []int{1, 5, 4, 4}, Quant: &oq}
-	qout.Alloc()
-	if err := evalConv2D(qin, qw, qb, qout, p); err != nil {
-		t.Fatal(err)
-	}
+	checkOneNode(t, OpConv2D, p, qin, qout, func(in, out *Tensor) {
+		mustRef(t, evalConv2DInt8Ref(in, qw, qb, out, p))
+	}, qw, qb)
 
 	var maxErr float64
 	for i := range fout.F32 {
@@ -150,25 +142,30 @@ func TestConv2DInt8MatchesFloat(t *testing.T) {
 	}
 }
 
+// TestConv2DShapeAndStrideErrors: a zero stride, an output shape the
+// geometry does not produce, and a filter whose input channels differ from
+// the input's fail Validate.
 func TestConv2DShapeAndStrideErrors(t *testing.T) {
-	in := &Tensor{Type: Float32, Shape: []int{1, 4, 4, 1}}
-	in.Alloc()
-	w := &Tensor{Type: Float32, Shape: []int{1, 2, 2, 1}}
-	w.Alloc()
-	b := &Tensor{Type: Float32, Shape: []int{1}}
-	b.Alloc()
-	out := &Tensor{Type: Float32, Shape: []int{1, 4, 4, 1}}
-	out.Alloc()
-	if err := evalConv2D(in, w, b, out, Conv2DParams{StrideH: 0, StrideW: 1}); err == nil {
-		t.Fatal("zero stride accepted")
+	cases := []struct {
+		name  string
+		wC    int
+		outHW int
+		p     Conv2DParams
+	}{
+		{"zero stride", 1, 4, Conv2DParams{StrideH: 0, StrideW: 1}},
+		{"wrong output shape", 1, 4, Conv2DParams{StrideH: 2, StrideW: 2, Padding: PaddingSame}},
+		{"channel mismatch", 3, 4, Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingSame}},
 	}
-	if err := evalConv2D(in, w, b, out, Conv2DParams{StrideH: 2, StrideW: 2, Padding: PaddingSame}); err == nil {
-		t.Fatal("wrong output shape accepted")
-	}
-	wBad := &Tensor{Type: Float32, Shape: []int{1, 2, 2, 3}}
-	wBad.Alloc()
-	if err := evalConv2D(in, wBad, b, out, Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingSame}); err == nil {
-		t.Fatal("channel mismatch accepted")
+	for _, c := range cases {
+		in := &Tensor{Type: Float32, Shape: []int{1, 4, 4, 1}}
+		w := &Tensor{Type: Float32, Shape: []int{1, 2, 2, c.wC}}
+		w.Alloc()
+		b := &Tensor{Type: Float32, Shape: []int{1}}
+		b.Alloc()
+		out := &Tensor{Type: Float32, Shape: []int{1, c.outHW, c.outHW, 1}}
+		if err := oneNodeModel(OpConv2D, c.p, in, out, w, b).Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -183,10 +180,7 @@ func TestFullyConnectedInt8MatchesFloat(t *testing.T) {
 	fw := &Tensor{Type: Float32, Shape: []int{outN, inN}, F32: wF}
 	fb := &Tensor{Type: Float32, Shape: []int{outN}, F32: bF}
 	fout := &Tensor{Type: Float32, Shape: []int{1, outN}}
-	fout.Alloc()
-	if err := evalFullyConnected(fin, fw, fb, fout, FullyConnectedParams{}); err != nil {
-		t.Fatal(err)
-	}
+	invokeOneNode(t, OpFullyConnected, FullyConnectedParams{}, fin, fout, fw, fb)
 
 	qin := quantizeTensorF32("in", []int{1, inN}, inF)
 	qw := quantizeWeights("w", []int{outN, inN}, wF)
@@ -202,10 +196,9 @@ func TestFullyConnectedInt8MatchesFloat(t *testing.T) {
 	}
 	oq := ChooseQuantParams(outMin, outMax)
 	qout := &Tensor{Type: Int8, Shape: []int{1, outN}, Quant: &oq}
-	qout.Alloc()
-	if err := evalFullyConnected(qin, qw, qb, qout, FullyConnectedParams{}); err != nil {
-		t.Fatal(err)
-	}
+	checkOneNode(t, OpFullyConnected, FullyConnectedParams{}, qin, qout, func(in, out *Tensor) {
+		mustRef(t, evalFullyConnectedRef(in, qw, qb, out, FullyConnectedParams{}))
+	}, qw, qb)
 	for i := range fout.F32 {
 		got := oq.Dequantize(qout.I8[i])
 		if math.Abs(got-float64(fout.F32[i])) > 4*oq.Scale {
@@ -214,16 +207,16 @@ func TestFullyConnectedInt8MatchesFloat(t *testing.T) {
 	}
 }
 
+// TestFullyConnectedErrors: an input whose element count the weights' depth
+// does not divide fails Validate.
 func TestFullyConnectedErrors(t *testing.T) {
 	in := &Tensor{Type: Float32, Shape: []int{1, 7}}
-	in.Alloc()
 	w := &Tensor{Type: Float32, Shape: []int{3, 4}}
 	w.Alloc()
 	b := &Tensor{Type: Float32, Shape: []int{3}}
 	b.Alloc()
 	out := &Tensor{Type: Float32, Shape: []int{1, 3}}
-	out.Alloc()
-	if err := evalFullyConnected(in, w, b, out, FullyConnectedParams{}); err == nil {
+	if err := oneNodeModel(OpFullyConnected, FullyConnectedParams{}, in, out, w, b).Validate(); err == nil {
 		t.Fatal("indivisible input accepted")
 	}
 }
@@ -237,11 +230,10 @@ func TestDepthwiseConv2DKnownValues(t *testing.T) {
 	w := &Tensor{Type: Int8, Shape: []int{1, 1, 1, 2}, Quant: &unit, I8: []int8{1, 2}}
 	bias := &Tensor{Type: Int32, Shape: []int{2}, I32: []int32{0, 0}}
 	out := &Tensor{Type: Int8, Shape: []int{1, 2, 2, 2}, Quant: &unit}
-	out.Alloc()
-	err := evalDepthwiseConv2D(in, w, bias, out, Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingValid, DepthMultiplier: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Conv2DParams{StrideH: 1, StrideW: 1, Padding: PaddingValid, DepthMultiplier: 1}
+	checkOneNode(t, OpDepthwiseConv2D, p, in, out, func(in, out *Tensor) {
+		mustRef(t, evalDepthwiseConv2DRef(in, w, bias, out, p))
+	}, w, bias)
 	want := []int8{1, 20, 2, 40, 3, 60, 4, 80}
 	for i := range want {
 		if out.I8[i] != want[i] {
@@ -254,10 +246,11 @@ func TestReluQuantizedClampsAtZeroPoint(t *testing.T) {
 	q := QuantParams{Scale: 0.5, ZeroPoint: -10}
 	in := &Tensor{Type: Int8, Shape: []int{4}, Quant: &q, I8: []int8{-128, -11, -10, 50}}
 	out := &Tensor{Type: Int8, Shape: []int{4}, Quant: &q}
-	out.Alloc()
-	if err := evalRelu(in, out); err != nil {
-		t.Fatal(err)
-	}
+	checkOneNode(t, OpRelu, nil, in, out, func(in, out *Tensor) {
+		for i, v := range in.I8 {
+			out.I8[i] = max(v, int8(q.ZeroPoint))
+		}
+	})
 	want := []int8{-10, -10, -10, 50}
 	for i := range want {
 		if out.I8[i] != want[i] {
@@ -269,10 +262,9 @@ func TestReluQuantizedClampsAtZeroPoint(t *testing.T) {
 func TestSoftmaxFloat(t *testing.T) {
 	in := &Tensor{Type: Float32, Shape: []int{1, 3}, F32: []float32{1, 2, 3}}
 	out := &Tensor{Type: Float32, Shape: []int{1, 3}}
-	out.Alloc()
-	if err := evalSoftmax(in, out, SoftmaxParams{Beta: 1}); err != nil {
-		t.Fatal(err)
-	}
+	checkOneNode(t, OpSoftmax, SoftmaxParams{Beta: 1}, in, out, func(in, out *Tensor) {
+		mustRef(t, evalSoftmaxRef(in, out, SoftmaxParams{Beta: 1}))
+	})
 	var sum float64
 	for _, v := range out.F32 {
 		sum += float64(v)
@@ -290,10 +282,9 @@ func TestSoftmaxInt8(t *testing.T) {
 	oq := SoftmaxOutputParams()
 	in := &Tensor{Type: Int8, Shape: []int{1, 4}, Quant: &q, I8: []int8{0, 10, 20, 30}}
 	out := &Tensor{Type: Int8, Shape: []int{1, 4}, Quant: &oq}
-	out.Alloc()
-	if err := evalSoftmax(in, out, SoftmaxParams{Beta: 1}); err != nil {
-		t.Fatal(err)
-	}
+	checkOneNode(t, OpSoftmax, SoftmaxParams{Beta: 1}, in, out, func(in, out *Tensor) {
+		mustRef(t, evalSoftmaxRef(in, out, SoftmaxParams{Beta: 1}))
+	})
 	// Dequantized outputs approximately sum to 1 and are ordered.
 	var sum float64
 	prev := -1.0
@@ -315,48 +306,43 @@ func TestSoftmaxInt8(t *testing.T) {
 
 func TestMaxAndAvgPool(t *testing.T) {
 	unit := QuantParams{Scale: 1, ZeroPoint: 0}
-	in := &Tensor{Type: Int8, Shape: []int{1, 2, 2, 1}, Quant: &unit, I8: []int8{1, 3, 5, 7}}
-	out := &Tensor{Type: Int8, Shape: []int{1, 1, 1, 1}, Quant: &unit}
-	out.Alloc()
 	p := PoolParams{FilterH: 2, FilterW: 2, StrideH: 2, StrideW: 2, Padding: PaddingValid}
-	if err := evalPool(OpMaxPool2D, in, out, p); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		op   OpCode
+		in   *Tensor
+		want float64
+	}{
+		{OpMaxPool2D, &Tensor{Type: Int8, Shape: []int{1, 2, 2, 1}, Quant: &unit, I8: []int8{1, 3, 5, 7}}, 7},
+		{OpAvgPool2D, &Tensor{Type: Int8, Shape: []int{1, 2, 2, 1}, Quant: &unit, I8: []int8{1, 3, 5, 7}}, 4}, // (1+3+5+7)/4
+		{OpAvgPool2D, &Tensor{Type: Float32, Shape: []int{1, 2, 2, 1}, F32: []float32{1, 3, 5, 7}}, 4},
+	} {
+		out := &Tensor{Type: c.in.Type, Shape: []int{1, 1, 1, 1}, Quant: c.in.Quant}
+		invokeOneNode(t, c.op, p, c.in, out)
+		if got := tensorValue(out, 0); got != c.want {
+			t.Fatalf("%v %v = %v, want %v", c.in.Type, c.op, got, c.want)
+		}
 	}
-	if out.I8[0] != 7 {
-		t.Fatalf("maxpool = %d", out.I8[0])
+}
+
+// tensorValue reads element i of an int8 or float32 tensor as a float64.
+func tensorValue(t *Tensor, i int) float64 {
+	if t.Type == Int8 {
+		return float64(t.I8[i])
 	}
-	if err := evalPool(OpAvgPool2D, in, out, p); err != nil {
-		t.Fatal(err)
-	}
-	if out.I8[0] != 4 { // (1+3+5+7)/4
-		t.Fatalf("avgpool = %d", out.I8[0])
-	}
-	fin := &Tensor{Type: Float32, Shape: []int{1, 2, 2, 1}, F32: []float32{1, 3, 5, 7}}
-	fout := &Tensor{Type: Float32, Shape: []int{1, 1, 1, 1}}
-	fout.Alloc()
-	if err := evalPool(OpAvgPool2D, fin, fout, p); err != nil {
-		t.Fatal(err)
-	}
-	if fout.F32[0] != 4 {
-		t.Fatalf("float avgpool = %v", fout.F32[0])
-	}
+	return float64(t.F32[i])
 }
 
 func TestReshapePreservesData(t *testing.T) {
 	in := &Tensor{Type: Int8, Shape: []int{2, 3}, I8: []int8{1, 2, 3, 4, 5, 6}}
 	out := &Tensor{Type: Int8, Shape: []int{6}}
-	out.Alloc()
-	if err := evalReshape(in, out); err != nil {
-		t.Fatal(err)
-	}
+	invokeOneNode(t, OpReshape, nil, in, out)
 	for i := range in.I8 {
 		if out.I8[i] != in.I8[i] {
 			t.Fatal("reshape altered data")
 		}
 	}
 	bad := &Tensor{Type: Int8, Shape: []int{5}}
-	bad.Alloc()
-	if err := evalReshape(in, bad); err == nil {
+	if err := oneNodeModel(OpReshape, nil, in, bad).Validate(); err == nil {
 		t.Fatal("element count mismatch accepted")
 	}
 }

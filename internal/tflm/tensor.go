@@ -171,8 +171,8 @@ func (t *Tensor) Allocated() bool {
 	}
 }
 
-// Dim returns shape dimension i, or 1 when the axis does not exist, which
-// lets kernels treat lower-rank tensors as batch-1 NHWC.
+// Dim returns shape dimension i, or 1 when the axis does not exist.
+// Model.Validate fixes the rank of every tensor a kernel indexes this way.
 func (t *Tensor) Dim(i int) int {
 	if i < len(t.Shape) {
 		return t.Shape[i]
