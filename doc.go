@@ -142,13 +142,14 @@
 //
 // Server workers run every job through one planned InvokeBatch call: a
 // lone job is a batch of one, and when more are pending a worker drains up
-// to ServerConfig.MaxBatch of them into the same call. Submission tickets
-// recycle through a freelist (Pending.Release), keeping the steady-state
-// submission path allocation-free. Alongside ticket polling the server
-// offers a callback completion path — Server.SubmitFuncDeadline invokes
-// its callback on the completing worker, and Stream.OnResult delivers stream
-// results strictly in hop order through a per-stream sequencer — with a
-// drain-on-Close contract: every submission accepted before Close has
+// to ServerConfig.MaxBatch of them into the same call. Each job then
+// finishes through its one completion, whatever the submission form: a
+// ticket (Submit, RunBatch, a stream hop), which recycles through a
+// freelist (Pending.Release); the caller's callback
+// (Server.SubmitFuncDeadline, invoked on the completing worker); or, after
+// Stream.OnResult, a per-stream sequencer that delivers hop results
+// strictly in hop order. Submit, the callback forms and OnResult streams
+// allocate nothing in steady state, and Close drains: every submission accepted before Close has
 // completed (ticket resolved, callback fired) by the time Close returns.
 //
 // # Network serving edge

@@ -259,25 +259,25 @@ func (r *Registry) Health() []ModelHealth {
 // Like netfront's reqCtx, cb is bound to complete exactly once at pool-miss
 // construction so the steady-state dispatch path allocates nothing.
 type healthCb struct {
-	r  *Registry
-	sh *shard
-	fn func(Result)
-	cb func(Result)
+	r   *Registry
+	sh  *shard
+	fin completer
+	cb  func(Result)
 }
 
 // complete records the outcome against the shard, recycles the wrapper, and
 // forwards the result.
 func (h *healthCb) complete(res Result) {
-	fn, sh, r := h.fn, h.sh, h.r
-	h.fn, h.sh = nil, nil
-	r.cbPool.Put(h)
+	fin, sh, r := h.fin, h.sh, h.r
+	h.fin, h.sh = nil, nil
+	r.hcPool.Put(h)
 	r.recordOutcome(sh, res.Err)
-	fn(res)
+	fin.complete(res)
 }
 
 // getHealthCb draws a pooled wrapper, binding its callback on pool miss.
 func (r *Registry) getHealthCb() *healthCb {
-	if h, ok := r.cbPool.Get().(*healthCb); ok {
+	if h, ok := r.hcPool.Get().(*healthCb); ok {
 		return h
 	}
 	h := &healthCb{r: r}
@@ -287,8 +287,8 @@ func (r *Registry) getHealthCb() *healthCb {
 
 // putHealthCb recycles a wrapper whose submission never committed.
 func (r *Registry) putHealthCb(h *healthCb) {
-	h.fn, h.sh = nil, nil
-	r.cbPool.Put(h)
+	h.fin, h.sh = nil, nil
+	r.hcPool.Put(h)
 }
 
 // recordOutcome scores one completed job against its shard: successes clear
@@ -347,7 +347,7 @@ func (r *Registry) tripShard(sh *shard, from int32) {
 	if cooldown > r.breaker.CooldownMax {
 		cooldown = r.breaker.CooldownMax
 	}
-	sh.openUntil.Store(time.Now().Add(cooldown).UnixNano())
+	sh.openUntil.Store(r.now().Add(cooldown).UnixNano())
 	select {
 	case r.superKick <- struct{}{}:
 	default:
@@ -383,7 +383,7 @@ func (r *Registry) supervise() {
 			for _, sh := range set.shards {
 				if BreakerState(sh.state.Load()) == BreakerOpen &&
 					int(sh.consecTrips.Load()) >= r.breaker.RebuildAfter &&
-					!time.Now().Before(sh.rebuildAt) {
+					!r.now().Before(sh.rebuildAt) {
 					r.rebuildShard(e, set, sh)
 				}
 			}
@@ -418,7 +418,7 @@ func (r *Registry) rebuildShard(e *modelEntry, set *shardSet, sh *shard) {
 		if sh.rebuildDelay > r.breaker.CooldownMax {
 			sh.rebuildDelay = r.breaker.CooldownMax
 		}
-		sh.rebuildAt = time.Now().Add(sh.rebuildDelay)
+		sh.rebuildAt = r.now().Add(sh.rebuildDelay)
 		return
 	}
 	old := sh.setEngine(eng)

@@ -637,3 +637,145 @@ func TestRegistryDispatchAllocFree(t *testing.T) {
 		t.Fatalf("registry dispatch allocates %.2f objects/job, want 0", allocs)
 	}
 }
+
+// heldEngine parks every submission's callback until the test releases it,
+// so a half-open probe stays in flight.
+type heldEngine struct {
+	fakeHealthEngine
+	held chan func(Result)
+}
+
+func (h *heldEngine) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
+	return h.TrySubmitFuncDeadline(samples, deadline, fn)
+}
+
+func (h *heldEngine) TrySubmitFuncDeadline(_ []int16, _ time.Time, fn func(Result)) error {
+	h.held <- fn
+	return nil
+}
+
+// TestRegistryFakeClock drives the registry's time-dependent paths on a
+// fake clock that starts at the real time and then runs ahead of it: an
+// open breaker admits no work until the fake clock passes its cooldown,
+// then exactly one half-open probe; and an admitted job whose deadline
+// passes on the fake clock is shed at dispatch. Real time reaches neither
+// instant during the test, so both checks hold only if the registry reads
+// its own clock.
+func TestRegistryFakeClock(t *testing.T) {
+	model, err := tflm.BuildRandomTinyConv(1, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newReg := func(t *testing.T, cfg RegistryConfig) (*Registry, *fakeClock) {
+		t.Helper()
+		reg, err := NewRegistry(map[string]ModelConfig{"m": {Model: model}}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := &fakeClock{t: time.Now()}
+		reg.now = clk.now
+		return reg, clk
+	}
+
+	t.Run("breaker cooldown", func(t *testing.T) {
+		const cooldown = time.Hour
+		probe := &heldEngine{held: make(chan func(Result), 8)}
+		var built atomic.Int32
+		reg, clk := newReg(t, RegistryConfig{
+			Shards: 2,
+			Engine: func(*tflm.Model, ServerConfig) (Engine, error) {
+				if built.Add(1) == 1 {
+					return probe, nil // shard 0
+				}
+				return &fakeHealthEngine{}, nil
+			},
+			Breaker: BreakerConfig{Cooldown: cooldown, CooldownMax: cooldown, RebuildAfter: 1000},
+		})
+		defer reg.Close()
+		reg.tripShard(reg.entries["m"].cur.Load().shards[0], int32(BreakerClosed))
+
+		// Every job before the cooldown lands on the healthy shard.
+		healthyOnly := func() {
+			t.Helper()
+			for i := 0; i < 4; i++ {
+				if r := submitWait(t, reg, "m"); r.Err != nil || r.Label != 7 {
+					t.Fatalf("job %d: %+v, want label 7 from the healthy shard", i, r)
+				}
+			}
+			if n := len(probe.held); n != 0 {
+				t.Fatalf("open shard admitted %d jobs inside its cooldown", n)
+			}
+		}
+		healthyOnly()
+		clk.advance(cooldown - time.Nanosecond)
+		healthyOnly()
+		if s := shardStatus(t, reg, "m", 0); s.State != BreakerOpen {
+			t.Fatalf("shard 0 %v just before its cooldown ends, want open", s.State)
+		}
+
+		// Past the cooldown the rotation reaches shard 0 within two jobs:
+		// one probe is admitted and held, every other job goes to shard 1.
+		clk.advance(time.Nanosecond)
+		res := make(chan Result, 8)
+		const jobs = 6
+		for i := 0; i < jobs; i++ {
+			if err := reg.Submit("m", "t", []int16{1}, time.Time{}, func(r Result) { res <- r }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < jobs-1; i++ {
+			if r := <-res; r.Err != nil || r.Label != 7 {
+				t.Fatalf("job beside the probe: %+v, want label 7", r)
+			}
+		}
+		if s := shardStatus(t, reg, "m", 0); s.State != BreakerHalfOpen {
+			t.Fatalf("shard 0 %v with its probe in flight, want half-open", s.State)
+		}
+		if n := len(probe.held); n != 1 {
+			t.Fatalf("shard 0 admitted %d jobs after its cooldown, want one probe", n)
+		}
+		(<-probe.held)(Result{Label: 9})
+		if r := <-res; r.Err != nil || r.Label != 9 {
+			t.Fatalf("probe result %+v, want label 9", r)
+		}
+		if s := shardStatus(t, reg, "m", 0); s.State != BreakerClosed {
+			t.Fatalf("shard 0 %v after a successful probe, want closed", s.State)
+		}
+	})
+
+	t.Run("dispatch deadline", func(t *testing.T) {
+		eng := &gatedEngine{entered: make(chan struct{}, 8), gate: make(chan struct{})}
+		reg, clk := newReg(t, RegistryConfig{
+			Shards: 1,
+			Engine: func(*tflm.Model, ServerConfig) (Engine, error) { return eng, nil },
+		})
+		defer reg.Close()
+		openGate := sync.OnceFunc(func() { close(eng.gate) })
+		defer openGate() // runs before Close, which drains through the engine
+
+		res := make(chan Result, 2)
+		fn := func(r Result) { res <- r }
+		deadline := clk.now().Add(time.Minute)
+		// The first job holds the dispatcher in the engine; the second,
+		// with the same deadline, queues behind it while the fake clock
+		// passes that deadline.
+		if err := reg.Submit("m", "t", []int16{1}, deadline, fn); err != nil {
+			t.Fatal(err)
+		}
+		<-eng.entered
+		if err := reg.Submit("m", "t", []int16{1}, deadline, fn); err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(2 * time.Minute)
+		openGate()
+		if r := <-res; r.Err != nil || r.Label != 7 {
+			t.Fatalf("job dispatched before its deadline: %+v, want label 7", r)
+		}
+		if r := <-res; !errors.Is(r.Err, ErrDeadlineExceeded) {
+			t.Fatalf("job queued past its deadline: %+v, want ErrDeadlineExceeded", r)
+		}
+		if c := reg.TenantCounters("t"); c.Shed != 1 || c.Dispatched != 1 {
+			t.Fatalf("counters %+v, want one shed and one dispatched", c)
+		}
+	})
+}

@@ -168,7 +168,7 @@ type admJob struct {
 	samples  []int16
 	deadline time.Time
 	enq      time.Time // admission instant; sojourn feeds the overload controller
-	fn       func(Result)
+	fin      completer
 }
 
 // tenantState is one tenant's admission queue plus DRR bookkeeping. The
@@ -246,7 +246,7 @@ type Registry struct {
 	ids      []string               // sorted model ids: deterministic iteration
 	breaker  BreakerConfig          // resolved (withDefaults)
 	overload OverloadConfig         // resolved (withDefaults)
-	cbPool   sync.Pool              // *healthCb outcome wrappers
+	hcPool   sync.Pool              // *healthCb outcome wrappers
 
 	amu     sync.Mutex
 	cond    *sync.Cond // dispatcher wakeup: backlog appeared or closing
@@ -255,9 +255,10 @@ type Registry struct {
 	active  []*tenantState // backlogged tenants, DRR order
 	closed  bool
 
-	// now stamps admission and dispatch for the overload controller's
-	// sojourn; time.Now outside tests, which swap in a fake clock before the
-	// first Submit.
+	// now is the registry's one clock: admission and dispatch stamps for
+	// the overload controller, dispatch deadline shedding, breaker
+	// cooldowns and the supervisor's rebuild backoff. time.Now outside
+	// tests, which swap in a fake clock before the first Submit.
 	now func() time.Time
 
 	// Overload-controller state, guarded by amu.
@@ -512,6 +513,11 @@ func (r *Registry) TenantCounters(name string) TenantCounters {
 // passes. Work is only ever refused here: once admitted, a submission is
 // never dropped by overload control.
 func (r *Registry) Submit(model, tenant string, samples []int16, deadline time.Time, fn func(Result)) error {
+	return r.submit(model, tenant, samples, deadline, funcCompleter(fn))
+}
+
+// submit is Submit with the job's completion as a completer.
+func (r *Registry) submit(model, tenant string, samples []int16, deadline time.Time, fin completer) error {
 	e, ok := r.entries[model]
 	if !ok {
 		return ErrUnknownModel
@@ -541,7 +547,7 @@ func (r *Registry) Submit(model, tenant string, samples []int16, deadline time.T
 		t.busy.Add(1)
 		return &TenantBusyError{RetryAfter: retry}
 	}
-	t.q = append(t.q, admJob{entry: e, tenant: t, samples: samples, deadline: deadline, enq: r.now(), fn: fn})
+	t.q = append(t.q, admJob{entry: e, tenant: t, samples: samples, deadline: deadline, enq: r.now(), fin: fin})
 	r.backlog++
 	t.accepted.Add(1)
 	if !t.active {
@@ -623,9 +629,9 @@ const swapRetryLimit = 8
 // retired under it) re-resolves and retries — this is the mechanism that
 // makes swap drop zero accepted requests.
 func (r *Registry) dispatchOne(set *shardSet, j admJob) {
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
+	if !j.deadline.IsZero() && r.now().After(j.deadline) {
 		j.tenant.shed.Add(1)
-		j.fn(Result{Label: -1, Err: ErrDeadlineExceeded})
+		j.fin.complete(Result{Label: -1, Err: ErrDeadlineExceeded})
 		return
 	}
 	for attempt := 0; ; attempt++ {
@@ -639,7 +645,7 @@ func (r *Registry) dispatchOne(set *shardSet, j admJob) {
 			continue
 		}
 		j.tenant.shed.Add(1)
-		j.fn(Result{Label: -1, Err: err})
+		j.fin.complete(Result{Label: -1, Err: err})
 		return
 	}
 }
@@ -654,7 +660,7 @@ func (r *Registry) dispatchOne(set *shardSet, j admJob) {
 func (r *Registry) submitTo(set *shardSet, j admJob) error {
 	n := len(set.shards)
 	start := int(set.next.Add(1)-1) % n
-	now := time.Now().UnixNano()
+	now := r.now().UnixNano()
 	hc := r.getHealthCb()
 	var admitted *shard
 	for k := 0; k < n; k++ {
@@ -665,7 +671,7 @@ func (r *Registry) submitTo(set *shardSet, j admJob) error {
 		if admitted == nil {
 			admitted = sh
 		}
-		hc.sh, hc.fn = sh, j.fn
+		hc.sh, hc.fin = sh, j.fin
 		err := sh.engine().TrySubmitFuncDeadline(j.samples, j.deadline, hc.cb)
 		if err == nil {
 			return nil
@@ -681,7 +687,7 @@ func (r *Registry) submitTo(set *shardSet, j admJob) error {
 	if admitted == nil {
 		admitted = set.shards[start]
 	}
-	hc.sh, hc.fn = admitted, j.fn
+	hc.sh, hc.fin = admitted, j.fin
 	if err := admitted.engine().SubmitFuncDeadline(j.samples, j.deadline, hc.cb); err != nil {
 		r.putHealthCb(hc)
 		return err
@@ -693,39 +699,14 @@ func (r *Registry) submitTo(set *shardSet, j admJob) error {
 // control, returning one Result per utterance in order. A batch larger than
 // the tenant's queue cap paces itself: when admission reports
 // ErrTenantBusy while some of the batch's own utterances are still in
-// flight, RunBatch waits for one of them to complete and retries. An
+// flight, RunBatch waits for the oldest of them to complete and retries. An
 // utterance reports its admission error in place only when none of the
 // batch is in flight to wait for, or for any other error. This is the
 // netfront batch path's registry face.
 func (r *Registry) RunBatch(model, tenant string, utts [][]int16) []Result {
-	results := make([]Result, len(utts))
-	done := make(chan struct{}, len(utts))
-	inflight := 0
-	for i := range utts {
-		res := &results[i]
-		fn := func(rr Result) {
-			*res = rr
-			done <- struct{}{}
-		}
-		for {
-			err := r.Submit(model, tenant, utts[i], time.Time{}, fn)
-			if err == nil {
-				inflight++
-				break
-			}
-			if errors.Is(err, ErrTenantBusy) && inflight > 0 {
-				<-done
-				inflight--
-				continue
-			}
-			*res = Result{Label: -1, Err: err}
-			break
-		}
-	}
-	for ; inflight > 0; inflight-- {
-		<-done
-	}
-	return results
+	return runBatch(utts, func(samples []int16, c completer) error {
+		return r.submit(model, tenant, samples, time.Time{}, c)
+	})
 }
 
 // RegistryStream is a stream bound to one model generation. It delegates
@@ -925,8 +906,10 @@ func (r *Registry) Swap(id string, pkg *SwapPackage) error {
 		r.idle.Wait()
 	}
 	r.amu.Unlock()
+	// The old set is neither retired nor closed until after the flush, so
+	// dispatchOne's swap retry never fires here.
 	for _, j := range flush {
-		r.flushOne(old, j)
+		r.dispatchOne(old, j)
 	}
 
 	e.cur.Store(next)
@@ -936,23 +919,6 @@ func (r *Registry) Swap(id string, pkg *SwapPackage) error {
 	}
 	r.swaps.Add(1)
 	return nil
-}
-
-// flushOne dispatches one flushed job to the outgoing shard set during a
-// swap (deadline shedding as in dispatchOne; an outgoing engine cannot be
-// closed yet, so no retry loop is needed).
-func (r *Registry) flushOne(set *shardSet, j admJob) {
-	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-		j.tenant.shed.Add(1)
-		j.fn(Result{Label: -1, Err: ErrDeadlineExceeded})
-		return
-	}
-	if err := r.submitTo(set, j); err != nil {
-		j.tenant.shed.Add(1)
-		j.fn(Result{Label: -1, Err: err})
-		return
-	}
-	j.tenant.dispatched.Add(1)
 }
 
 // Close shuts the registry down with the drain contract: admission stops

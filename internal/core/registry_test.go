@@ -785,3 +785,35 @@ func TestRegistryStreamSwapped(t *testing.T) {
 		t.Fatalf("submit on retired generation: %v, want ErrModelSwapped", err)
 	}
 }
+
+// TestRegistrySubmitAllocFree pins Registry.Submit end to end over real
+// NewServer shards — admission, the dispatcher, the pooled breaker
+// callback, the worker's extract and InvokeBatch, and the completion — at
+// zero allocations per job with a preallocated callback.
+func TestRegistrySubmitAllocFree(t *testing.T) {
+	model, utts, _ := pipelineFixture(t, 1)
+	reg, err := NewRegistry(map[string]ModelConfig{"m": {Model: model}}, RegistryConfig{
+		Shards: 2,
+		Server: ServerConfig{Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	done := make(chan Result, 1)
+	fn := func(r Result) { done <- r }
+	submit := func() {
+		if err := reg.Submit("m", "t", utts[0], time.Time{}, fn); err != nil {
+			t.Fatal(err)
+		}
+		if r := <-done; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the tenant queue, the ring and the pools
+		submit()
+	}
+	if allocs := testing.AllocsPerRun(100, submit); allocs > 0 {
+		t.Fatalf("Registry.Submit over real shards allocates %.2f objects/job, want 0", allocs)
+	}
+}

@@ -9,8 +9,10 @@
 // whose incremental dsp.Streamer pays one FFT per hop and submits a
 // fingerprint-only job per completed window). Either way a worker runs
 // every job it dequeues through the interpreter's planned InvokeBatch, a
-// lone job as a batch of one, together with whatever backlog it drains.
-// The queue's bounded capacity is the backpressure mechanism.
+// lone job as a batch of one, together with whatever backlog it drains,
+// and finishes each job through its one completion: a ticket (Pending), a
+// stream hop or the caller's callback. The queue's bounded capacity is the
+// backpressure mechanism.
 package core
 
 import (
@@ -26,11 +28,12 @@ import (
 )
 
 // ErrServerClosed is returned by submissions after Close. The contract is
-// deterministic: once Close has been called, every submission path — Submit,
-// SubmitFuncDeadline, TrySubmitFuncDeadline, Stream.Submit, RunBatch (per
-// utterance) — reports this error and never panics, regardless of how the
-// call races Close (sends hold a read-lock over the closed flag for the full
-// channel send, so the queue cannot close under them).
+// deterministic: every submission form — Submit, SubmitFuncDeadline,
+// TrySubmitFuncDeadline, Stream.Submit, RunBatch (per utterance) — enqueues
+// through one send, so once Close has been called each reports this error
+// and never panics, however the call races Close (send holds a read-lock
+// over the closed flag for the full channel send, so the queue cannot close
+// under it).
 var ErrServerClosed = errors.New("core: server closed")
 
 // ErrQueueFull is returned by TrySubmitFuncDeadline when the submission
@@ -86,8 +89,9 @@ type pipeWorker struct {
 	ip *tflm.Interpreter
 	fp []uint8 // fingerprint scratch, reused across utterances
 	// batch is the job staging area for queue draining: its capacity is
-	// the planned InvokeBatch depth.
+	// the planned InvokeBatch depth. res[i] is batch[i]'s result.
 	batch []job
+	res   []Result
 }
 
 // newPipeWorker builds one worker over a clone of model, validating that the
@@ -116,6 +120,7 @@ func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*
 		ip:    ip,
 		fp:    make([]uint8, feCfg.FingerprintLen()),
 		batch: make([]job, 0, maxBatch),
+		res:   make([]Result, maxBatch),
 	}, nil
 }
 
@@ -123,8 +128,7 @@ func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*
 // of one — through the planned InvokeBatch path: each job's fingerprint
 // (extracted here for utterance jobs, precomputed for stream jobs) is staged
 // into the interpreter's stacked input slab, one InvokeBatch covers all of
-// them, and the results are written through the jobs' result pointers.
-// Completion is signalled per job, in order.
+// them, and the results land in w.res, one per job.
 func (w *pipeWorker) runJobs(jobs []job) {
 	for j := range jobs {
 		fp := jobs[j].fp
@@ -140,97 +144,64 @@ func (w *pipeWorker) runJobs(jobs []job) {
 	err := w.ip.InvokeBatch(len(jobs))
 	for j := range jobs {
 		if err != nil {
-			*jobs[j].res = Result{Label: -1, Err: err}
+			w.res[j] = Result{Label: -1, Err: err}
 		} else {
-			*jobs[j].res = Result{Label: tflm.ArgmaxI8(w.ip.BatchOutput(j))}
+			w.res[j] = Result{Label: tflm.ArgmaxI8(w.ip.BatchOutput(j))}
 		}
 	}
 }
 
+// completer is how a queued job finishes: the worker calls complete exactly
+// once per job, with the job's result — from inference, a deadline shed or
+// a recovered panic. *Pending, a stream's *hopSlot and funcCompleter
+// implement it.
+type completer interface{ complete(Result) }
+
+// funcCompleter adapts a caller's callback to a completer. A func value is
+// pointer-shaped, so the conversion to the interface allocates nothing.
+type funcCompleter func(Result)
+
+func (f funcCompleter) complete(r Result) { f(r) }
+
 // job is one unit of work on the queue. Exactly one of samples/fp describes
-// the input; the worker writes *res and then signals completion — through
-// done (ticket path) or by invoking cb (callback path) — so a batch can
-// share one results slice and one completion channel.
+// the input; the worker hands the result to fin.
 type job struct {
 	samples []int16
-	fp      []uint8      // precomputed fingerprint (stream path)
-	recycle chan []uint8 // fingerprint freelist to return fp to (may be nil)
-	res     *Result
-	done    chan<- struct{}
-	cb      *cbTicket // callback-path completion (done is nil when set)
+	fp      []uint8 // precomputed fingerprint (stream path)
 	// deadline, when nonzero, is the queue deadline: a worker that dequeues
 	// the job after it completes the job with ErrDeadlineExceeded without
 	// running inference.
 	deadline time.Time
-}
-
-// cbTicket is the callback-path counterpart of Pending: the worker writes
-// res, then either invokes fn directly (the …FuncDeadline paths) or hands the ticket to
-// its stream's sequencer for in-hop-order delivery. Tickets recycle through
-// cbPool, so the steady-state callback submission path allocates nothing.
-type cbTicket struct {
-	res Result
-	fn  func(Result)
-	seq uint64       // per-stream hop sequence (sequencer path)
-	sq  *seqDelivery // non-nil routes completion through the stream sequencer
-}
-
-// cbPool recycles callback tickets across submissions.
-var cbPool = sync.Pool{New: func() any { return new(cbTicket) }}
-
-// newCbTicket draws a recycled callback ticket and resets it.
-func newCbTicket(fn func(Result)) *cbTicket {
-	t := cbPool.Get().(*cbTicket)
-	t.res = Result{}
-	t.fn = fn
-	t.seq = 0
-	t.sq = nil
-	return t
-}
-
-// complete delivers a finished callback job: sequenced streams reorder
-// through their seqDelivery, plain submissions fire immediately. The ticket
-// returns to the pool either way.
-func (t *cbTicket) complete() {
-	if t.sq != nil {
-		t.sq.complete(t)
-		return
-	}
-	fn, res := t.fn, t.res
-	cbPool.Put(t)
-	fn(res)
+	fin      completer
 }
 
 // seqDelivery serializes one stream's result callbacks into hop order: the
-// pool's workers complete hops out of order, so each finished ticket parks
-// in pending until every earlier hop has fired. Callbacks run under the
-// sequencer lock — one at a time per stream, in submission order — on
+// pool's workers complete hops out of order, so each finished hop's result
+// parks in pending until every earlier hop has fired. Callbacks run under
+// the sequencer lock — one at a time per stream, in submission order — on
 // whichever worker goroutine completed the next-due hop.
 type seqDelivery struct {
 	mu      sync.Mutex
 	fn      func(hop uint64, r Result)
-	next    uint64               // next hop sequence to deliver
-	pending map[uint64]*cbTicket // finished hops waiting on earlier ones
+	next    uint64            // next hop sequence to deliver
+	pending map[uint64]Result // finished hops waiting on earlier ones
 }
 
-// complete files one finished hop and fires every consecutively ready
-// callback starting at next.
-func (q *seqDelivery) complete(t *cbTicket) {
+// deliver files hop's result and fires every consecutively ready callback
+// starting at next.
+func (q *seqDelivery) deliver(hop uint64, r Result) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if t.seq != q.next {
-		q.pending[t.seq] = t
+	if hop != q.next {
+		q.pending[hop] = r
 		return
 	}
-	for t != nil {
-		q.fn(t.seq, t.res)
+	for ok := true; ok; {
+		q.fn(q.next, r)
 		q.next++
-		nt, ok := q.pending[q.next]
-		if ok {
+		if r, ok = q.pending[q.next]; ok {
 			delete(q.pending, q.next)
 		}
-		cbPool.Put(t)
-		t = nt
 	}
 }
 
@@ -336,27 +307,17 @@ func (s *Server) start() {
 				fn()
 				return nil
 			}
-			finish := func(j job) {
+			finish := func(j job, r Result) {
 				// A panicking completion callback must not take down the
 				// worker (or strand the rest of a drained batch): callbacks
 				// are documented not to panic, but a hostile one is isolated
 				// like a panicking inference.
 				defer func() {
-					if r := recover(); r != nil {
+					if recover() != nil {
 						s.panics.Add(1)
 					}
 				}()
-				if j.fp != nil && j.recycle != nil {
-					select {
-					case j.recycle <- j.fp:
-					default:
-					}
-				}
-				if j.cb != nil {
-					j.cb.complete()
-					return
-				}
-				j.done <- struct{}{}
+				j.fin.complete(r)
 			}
 			// shed completes an expired job without running it; reports
 			// whether the job was shed.
@@ -365,8 +326,7 @@ func (s *Server) start() {
 					return false
 				}
 				s.shed.Add(1)
-				*j.res = Result{Label: -1, Err: ErrDeadlineExceeded}
-				finish(j)
+				finish(j, Result{Label: -1, Err: ErrDeadlineExceeded})
 				return true
 			}
 			for j := range s.jobs {
@@ -403,11 +363,11 @@ func (s *Server) start() {
 					// The batch died mid-InvokeBatch: no per-job result is
 					// trustworthy, so every job in it reports the panic.
 					for i := range batch {
-						*batch[i].res = Result{Label: -1, Err: err}
+						w.res[i] = Result{Label: -1, Err: err}
 					}
 				}
 				for i := range batch {
-					finish(batch[i])
+					finish(batch[i], w.res[i])
 				}
 			}
 		}(w)
@@ -490,8 +450,8 @@ type Pending struct {
 }
 
 // pendingPool recycles tickets (struct + completion channel) across
-// submissions; Submit and Stream.Submit draw from it and Release returns
-// to it.
+// submissions; Submit, Stream.Submit and RunBatch draw from it and Release
+// returns to it.
 var pendingPool = sync.Pool{New: func() any {
 	return &Pending{done: make(chan struct{}, 1)}
 }}
@@ -502,6 +462,12 @@ func newPending() *Pending {
 	p.res = Result{}
 	p.received = false
 	return p
+}
+
+// complete stores the worker's result and signals Wait.
+func (p *Pending) complete(r Result) {
+	p.res = r
+	p.done <- struct{}{}
 }
 
 // Wait returns the submission's result, blocking until it is ready.
@@ -526,7 +492,7 @@ func (p *Pending) Release() {
 // panics); see ErrServerClosed for the full after-Close contract.
 func (s *Server) Submit(samples []int16) (*Pending, error) {
 	p := newPending()
-	if err := s.send(job{samples: samples, res: &p.res, done: p.done}, true); err != nil {
+	if err := s.send(job{samples: samples, fin: p}, true); err != nil {
 		pendingPool.Put(p)
 		return nil, err
 	}
@@ -544,10 +510,10 @@ func (s *Server) Submit(samples []int16) (*Pending, error) {
 //
 // The callback runs on a worker goroutine: it must not block for long (it
 // stalls that worker) and must not submit back into the same server (a full
-// queue would deadlock the pool). There is nothing to Release: the completion state recycles internally, so the
+// queue would deadlock the pool). There is nothing to Release, and the
 // steady-state callback path is allocation-free.
 func (s *Server) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
-	return s.submitFunc(samples, deadline, fn, true)
+	return s.send(job{samples: samples, deadline: deadline, fin: funcCompleter(fn)}, true)
 }
 
 // TrySubmitFuncDeadline is SubmitFuncDeadline that fails with ErrQueueFull
@@ -557,38 +523,59 @@ func (s *Server) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func
 // requests stop costing workers the moment the queue backs up past their
 // patience.
 func (s *Server) TrySubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
-	return s.submitFunc(samples, deadline, fn, false)
-}
-
-// submitFunc enqueues one callback job; block selects waiting over
-// ErrQueueFull on a full queue.
-func (s *Server) submitFunc(samples []int16, deadline time.Time, fn func(Result), block bool) error {
-	t := newCbTicket(fn)
-	if err := s.send(job{samples: samples, res: &t.res, cb: t, deadline: deadline}, block); err != nil {
-		cbPool.Put(t)
-		return err
-	}
-	return nil
+	return s.send(job{samples: samples, deadline: deadline, fin: funcCompleter(fn)}, false)
 }
 
 // RunBatch classifies every utterance and returns one Result per input, in
 // order. Utterances are distributed dynamically over the worker pool, so a
-// slow utterance never stalls the rest of the batch. The batch shares one
-// results slice and one completion channel, so the per-utterance hot path
-// allocates nothing.
+// slow utterance never stalls the rest of the batch; each rides a pooled
+// ticket.
 func (s *Server) RunBatch(utts [][]int16) []Result {
+	return runBatch(utts, func(samples []int16, c completer) error {
+		return s.send(job{samples: samples, fin: c}, true)
+	})
+}
+
+// runBatch is RunBatch over any submission form: submit enqueues one
+// utterance with its completion. It returns one Result per utterance, in
+// order; a submission error is that utterance's Result. On ErrTenantBusy
+// while part of the batch is in flight it waits for the oldest in-flight
+// utterance and retries, so a batch larger than a tenant's queue cap paces
+// itself on its own work. A bare server never returns that error.
+func runBatch(utts [][]int16, submit func(samples []int16, c completer) error) []Result {
 	results := make([]Result, len(utts))
-	done := make(chan struct{}, len(utts))
-	submitted := 0
-	for i := range utts {
-		if err := s.send(job{samples: utts[i], res: &results[i], done: done}, true); err != nil {
-			results[i] = Result{Label: -1, Err: err}
-			continue
+	tickets := make([]*Pending, len(utts))
+	oldest := 0 // every ticket before oldest is settled
+	// collect settles the oldest in-flight utterance before upto; it
+	// reports false when none is in flight.
+	collect := func(upto int) bool {
+		for ; oldest < upto; oldest++ {
+			if p := tickets[oldest]; p != nil {
+				results[oldest] = p.Wait()
+				p.Release()
+				oldest++
+				return true
+			}
 		}
-		submitted++
+		return false
 	}
-	for ; submitted > 0; submitted-- {
-		<-done
+	for i := range utts {
+		p := newPending()
+		for {
+			err := submit(utts[i], p)
+			if err == nil {
+				tickets[i] = p
+				break
+			}
+			if errors.Is(err, ErrTenantBusy) && collect(i) {
+				continue
+			}
+			pendingPool.Put(p)
+			results[i] = Result{Label: -1, Err: err}
+			break
+		}
+	}
+	for collect(len(utts)) {
 	}
 	return results
 }
@@ -617,24 +604,47 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// streamScratch is how many fingerprint buffers a Stream owns: the queue
-// depth plus one per worker plus one, enough to keep the queue full while
-// one fingerprint is being assembled and others are on workers.
+// streamScratch is how many hop slots a Stream owns: the queue depth plus
+// one per worker plus one, enough to keep the queue full while one
+// fingerprint is being assembled and others are on workers.
 func (s *Server) streamScratch() int { return cap(s.jobs) + len(s.workers) + 1 }
 
 // Stream is one continuous audio source multiplexed onto a Server: it owns
-// an incremental dsp.Streamer (one FFT per hop) and a fixed pool of
-// fingerprint buffers that recycle through the workers, so steady-state
-// streaming allocates only the returned tickets. A Stream is not
-// goroutine-safe — it models a single microphone; open one per source.
+// an incremental dsp.Streamer (one FFT per hop) and a fixed set of hop
+// slots that recycle through the workers, so steady-state streaming
+// allocates only the returned tickets. A Stream is not goroutine-safe — it
+// models a single microphone; open one per source.
 type Stream struct {
 	srv  *Server
 	st   *dsp.Streamer
-	free chan []uint8
-	// Callback delivery (OnResult): hops carries the next hop sequence to
-	// assign and sq reorders worker completions back into hop order.
+	free chan *hopSlot
+	// hops is the next hop sequence to assign; sq, set by OnResult,
+	// reorders worker completions back into hop order.
 	hops uint64
 	sq   *seqDelivery
+}
+
+// hopSlot is one stream hop in flight and its completion: it owns a
+// fingerprint buffer, and delivers the hop's result to its ticket p or, in
+// OnResult mode, to the stream's sequencer sq.
+type hopSlot struct {
+	free chan *hopSlot
+	fp   []uint8
+	hop  uint64
+	p    *Pending
+	sq   *seqDelivery
+}
+
+// complete returns the slot to its stream's free list, then delivers r.
+// The fields are read first: the stream may reuse the slot at once.
+func (h *hopSlot) complete(r Result) {
+	hop, p, sq := h.hop, h.p, h.sq
+	h.free <- h
+	if p != nil {
+		p.complete(r)
+		return
+	}
+	sq.deliver(hop, r)
 }
 
 // OpenStream creates a stream over a private frontend with the server's
@@ -647,10 +657,10 @@ func (s *Server) OpenStream() (*Stream, error) {
 	st := &Stream{
 		srv:  s,
 		st:   dsp.NewStreamer(fe),
-		free: make(chan []uint8, s.streamScratch()),
+		free: make(chan *hopSlot, s.streamScratch()),
 	}
 	for i := 0; i < cap(st.free); i++ {
-		st.free <- make([]uint8, s.feCfg.FingerprintLen())
+		st.free <- &hopSlot{free: st.free, fp: make([]uint8, s.feCfg.FingerprintLen())}
 	}
 	return st, nil
 }
@@ -685,21 +695,20 @@ func (st *Stream) OnResult(fn func(hop uint64, r Result)) {
 	if fn == nil {
 		panic("core: Stream.OnResult(nil)")
 	}
-	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]*cbTicket)}
+	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]Result)}
 }
 
 // Submit advances the stream by chunk on the server that opened it and
 // submits one inference per newly completed hop once the stream is warm (a
 // full fingerprint window observed), returning the tickets in hop order —
 // or, after OnResult, no tickets: each hop's result is then delivered
-// through the stream's callback in hop order. When all of the stream's
-// fingerprint buffers are in flight it waits for a worker to recycle one —
-// the streaming face of queue backpressure. On error (ErrServerClosed
-// mid-chunk) the already submitted hops are unaffected — their tickets are
+// through the stream's callback in hop order. When all of the stream's hop
+// slots are in flight it waits for a worker to recycle one — the streaming
+// face of queue backpressure. On error (ErrServerClosed mid-chunk) the
+// already submitted hops are unaffected — their tickets are
 // returned/callbacks still fire — and the remainder of the chunk is
 // dropped; Submit never leaves a hop half-submitted.
 func (st *Stream) Submit(chunk []int16) ([]*Pending, error) {
-	s := st.srv
 	var tickets []*Pending
 	for len(chunk) > 0 {
 		n := min(st.st.NeedSamples(), len(chunk))
@@ -708,26 +717,26 @@ func (st *Stream) Submit(chunk []int16) ([]*Pending, error) {
 		if completed == 0 || !st.st.Ready() {
 			continue
 		}
-		fp := st.st.Fingerprint(<-st.free)
-		if st.sq != nil {
-			t := newCbTicket(nil)
-			t.seq, t.sq = st.hops, st.sq
-			if err := s.send(job{fp: fp, recycle: st.free, res: &t.res, cb: t}, true); err != nil {
-				st.free <- fp
-				cbPool.Put(t)
-				return tickets, err
-			}
-			st.hops++
-			continue
+		h := <-st.free
+		h.fp = st.st.Fingerprint(h.fp)
+		// p stays local: a worker may complete and recycle h before send
+		// returns.
+		var p *Pending
+		if st.sq == nil {
+			p = newPending()
 		}
-		p := newPending()
-		if err := s.send(job{fp: fp, recycle: st.free, res: &p.res, done: p.done}, true); err != nil {
-			st.free <- fp
-			pendingPool.Put(p)
+		h.hop, h.p, h.sq = st.hops, p, st.sq
+		if err := st.srv.send(job{fp: h.fp, fin: h}, true); err != nil {
+			st.free <- h
+			if p != nil {
+				pendingPool.Put(p)
+			}
 			return tickets, err
 		}
 		st.hops++
-		tickets = append(tickets, p)
+		if p != nil {
+			tickets = append(tickets, p)
+		}
 	}
 	return tickets, nil
 }

@@ -173,13 +173,16 @@ func TestSeqDeliveryReorders(t *testing.T) {
 	for _, order := range orders {
 		var got []uint64
 		q := &seqDelivery{
-			fn:      func(hop uint64, r Result) { got = append(got, hop) },
-			pending: make(map[uint64]*cbTicket),
+			fn: func(hop uint64, r Result) {
+				if r.Label != int(hop) {
+					t.Errorf("hop %d delivered label %d", hop, r.Label)
+				}
+				got = append(got, hop)
+			},
+			pending: make(map[uint64]Result),
 		}
 		for _, seq := range order {
-			tk := newCbTicket(nil)
-			tk.seq, tk.sq = uint64(seq), q
-			tk.complete()
+			q.deliver(uint64(seq), Result{Label: seq})
 		}
 		if len(got) != n {
 			t.Fatalf("order %v: %d callbacks, want %d", order, len(got), n)
@@ -190,7 +193,7 @@ func TestSeqDeliveryReorders(t *testing.T) {
 			}
 		}
 		if len(q.pending) != 0 {
-			t.Fatalf("order %v: %d tickets stuck in pending", order, len(q.pending))
+			t.Fatalf("order %v: %d results stuck in pending", order, len(q.pending))
 		}
 	}
 }
@@ -299,5 +302,65 @@ func TestSubmitFuncAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("SubmitFuncDeadline steady state allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestStreamOnResultAllocFree: callback-mode stream hops allocate nothing in
+// steady state — hop slots recycle through the workers and results reach
+// the sequencer by value — with one worker, and with two, where hops
+// complete out of order and park in the sequencer.
+func TestStreamOnResultAllocFree(t *testing.T) {
+	model, utts, _ := pipelineFixture(t, 2)
+	var signal []int16
+	for _, u := range utts {
+		signal = append(signal, u...)
+	}
+	for _, workers := range []int{1, 2} {
+		srv, err := NewServer(model, ServerConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := srv.OpenStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Room for every hop the stream can have in flight, so a callback
+		// never blocks its worker.
+		done := make(chan struct{}, stream.srv.streamScratch())
+		var failed atomic.Int32
+		stream.OnResult(func(_ uint64, r Result) {
+			if r.Err != nil {
+				failed.Add(1)
+			}
+			done <- struct{}{}
+		})
+		chunk := 4 * stream.Streamer().Frontend().Config().StrideSamples
+		off := 0
+		// run pushes four hops of audio, wrapping around the signal, and
+		// waits for every hop it submitted.
+		run := func() {
+			if off+chunk > len(signal) {
+				off = 0
+			}
+			before := stream.Hops()
+			if _, err := stream.Submit(signal[off : off+chunk]); err != nil {
+				t.Fatal(err)
+			}
+			off += chunk
+			for n := stream.Hops() - before; n > 0; n-- {
+				<-done
+			}
+		}
+		for i := 0; i < 2*len(signal)/chunk; i++ { // fill the window, warm the pools
+			run()
+		}
+		allocs := testing.AllocsPerRun(50, run)
+		srv.Close()
+		if n := failed.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d hops failed", workers, n)
+		}
+		if allocs > 0 {
+			t.Fatalf("workers=%d: OnResult stream allocates %.1f objects per 4 hops, want 0", workers, allocs)
+		}
 	}
 }

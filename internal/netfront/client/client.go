@@ -231,11 +231,6 @@ type Options struct {
 	Hedge HedgePolicy
 }
 
-// pendingReply is one in-flight request's reply slot.
-type pendingReply struct {
-	ch chan reply
-}
-
 // reply is one response frame, pre-parsed.
 type reply struct {
 	labels []int32 // one label (one-shot) or the batch's labels
@@ -310,7 +305,7 @@ type clientConn struct {
 
 	mu      sync.Mutex
 	nextID  uint32
-	pending map[uint32]*pendingReply
+	pending map[uint32]chan reply // reply channel per in-flight request id
 	streams map[uint32]*Stream
 	err     error // terminal connection error, set once
 	done    chan struct{}
@@ -357,23 +352,14 @@ func (c *Client) handshake(cc *clientConn) error {
 	if c.opts.Tenant == "" && c.opts.Model == "" {
 		return nil
 	}
-	id, p, err := cc.register()
-	if err != nil {
-		return err
-	}
-	bodyLen := 4 + 2 + len(c.opts.Tenant) + 2 + len(c.opts.Model)
-	err = cc.writeFrame(frameHello, bodyLen, func(b []byte) []byte {
-		return netfront.AppendHello(b, id, c.opts.Tenant, c.opts.Model)
-	})
-	if err != nil {
-		cc.deregister(id)
-		return err
-	}
 	var deadline time.Time
 	if c.opts.DialTimeout > 0 {
 		deadline = time.Now().Add(c.opts.DialTimeout)
 	}
-	r, err := cc.await(id, p, deadline)
+	bodyLen := 4 + 2 + len(c.opts.Tenant) + 2 + len(c.opts.Model)
+	r, err := cc.call(frameHello, bodyLen, func(b []byte, id uint32) []byte {
+		return netfront.AppendHello(b, id, c.opts.Tenant, c.opts.Model)
+	}, deadline, HedgePolicy{})
 	if err != nil {
 		return err
 	}
@@ -402,7 +388,7 @@ func newClientConn(c *Client, nc net.Conn) *clientConn {
 	cc := &clientConn{
 		owner:   c,
 		nc:      nc,
-		pending: make(map[uint32]*pendingReply),
+		pending: make(map[uint32]chan reply),
 		streams: make(map[uint32]*Stream),
 		done:    make(chan struct{}),
 	}
@@ -542,10 +528,10 @@ func (cc *clientConn) fail(err error) {
 	if cc.err == nil {
 		cc.err = err
 	}
-	pending := make([]*pendingReply, 0, len(cc.pending))
-	for id, p := range cc.pending {
+	pending := make([]chan reply, 0, len(cc.pending))
+	for id, ch := range cc.pending {
 		delete(cc.pending, id)
-		pending = append(pending, p)
+		pending = append(pending, ch)
 	}
 	streams := make([]*Stream, 0, len(cc.streams))
 	for id, s := range cc.streams {
@@ -554,8 +540,8 @@ func (cc *clientConn) fail(err error) {
 	}
 	err = cc.err
 	cc.mu.Unlock()
-	for _, p := range pending {
-		p.ch <- reply{err: err}
+	for _, ch := range pending {
+		ch <- reply{err: err}
 	}
 	for _, s := range streams {
 		s.err = ErrStreamBroken
@@ -725,34 +711,19 @@ func (cc *clientConn) failProto(what string, n int) {
 // dropped here).
 func (cc *clientConn) deliver(id uint32, r reply) {
 	cc.mu.Lock()
-	p := cc.pending[id]
+	ch := cc.pending[id]
 	delete(cc.pending, id)
 	cc.mu.Unlock()
-	if p != nil {
-		p.ch <- r
+	if ch != nil {
+		ch <- r
 	}
 }
 
-// register allocates a request id and its reply slot.
-func (cc *clientConn) register() (uint32, *pendingReply, error) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.err != nil {
-		return 0, nil, cc.err
-	}
-	id := cc.nextID
-	cc.nextID++
-	p := &pendingReply{ch: make(chan reply, 1)}
-	cc.pending[id] = p
-	return id, p, nil
-}
-
-// registerCh is register with a caller-supplied reply channel: hedged
-// attempts of one call share a single channel so the first completion wins
-// regardless of which attempt produced it. The channel must have capacity
-// for every id that will share it — deliver and fail send without
-// coordination.
-func (cc *clientConn) registerCh(ch chan reply) (uint32, error) {
+// register allocates a request id whose reply is delivered on ch. Hedged
+// attempts of one call share a channel, so the first completion wins
+// whichever attempt produced it; ch must have capacity for every id that
+// shares it — deliver and fail send without coordination.
+func (cc *clientConn) register(ch chan reply) (uint32, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.err != nil {
@@ -760,7 +731,7 @@ func (cc *clientConn) registerCh(ch chan reply) (uint32, error) {
 	}
 	id := cc.nextID
 	cc.nextID++
-	cc.pending[id] = &pendingReply{ch: ch}
+	cc.pending[id] = ch
 	return id, nil
 }
 
@@ -787,43 +758,116 @@ func (cc *clientConn) writeFrame(typ byte, bodyLen int, fill func([]byte) []byte
 	return nil
 }
 
-// await blocks for the request's reply, bounded by deadline.
-func (cc *clientConn) await(id uint32, p *pendingReply, deadline time.Time) (reply, error) {
-	if deadline.IsZero() {
-		r := <-p.ch
-		return r, r.err
+// call is every request's round trip: register on a reply channel, write
+// the frame (fill appends the body, which starts with the request id), and
+// wait for the reply, bounded by a nonzero deadline. With hedge.Delay > 0 a
+// call is up to 1+hedge.Max wire attempts sharing one reply channel: the
+// first immediately, each further one when the hedge delay elapses without
+// a reply, or at once when every outstanding attempt has already failed.
+// The first success wins; the losers are deregistered and their late
+// replies dropped by deliver. Unhedged, it is one attempt and no hedge
+// timer runs. No goroutine is spawned per hedge: one timer drives the
+// schedule.
+func (cc *clientConn) call(typ byte, bodyLen int, fill func(b []byte, id uint32) []byte, deadline time.Time, hedge HedgePolicy) (reply, error) {
+	attempts := 1
+	if hedge.Delay > 0 {
+		attempts += hedge.Max
 	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		cc.deregister(id)
-		return reply{}, ErrDeadlineExceeded
+	// The channel's capacity covers every attempt answering.
+	ch := make(chan reply, attempts)
+	ids := make([]uint32, 0, 4)
+	launch := func() error {
+		id, err := cc.register(ch)
+		if err != nil {
+			return err
+		}
+		err = cc.writeFrame(typ, bodyLen, func(b []byte) []byte { return fill(b, id) })
+		if err != nil {
+			cc.deregister(id)
+			return err
+		}
+		if len(ids) > 0 {
+			cc.owner.statHedges.Add(1)
+		}
+		ids = append(ids, id)
+		return nil
 	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case r := <-p.ch:
-		return r, r.err
-	case <-t.C:
-		cc.deregister(id)
-		return reply{}, ErrDeadlineExceeded
+	abandon := func() {
+		for _, id := range ids {
+			cc.deregister(id)
+		}
+	}
+	if err := launch(); err != nil {
+		return reply{}, err
+	}
+	outstanding := 1
+	var firstErr error
+	var hedger *time.Timer
+	var hedgeC <-chan time.Time
+	if attempts > 1 {
+		hedger = time.NewTimer(hedge.Delay)
+		defer hedger.Stop()
+		hedgeC = hedger.C
+	}
+	var deadlineC <-chan time.Time
+	if !deadline.IsZero() {
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			abandon()
+			return reply{}, ErrDeadlineExceeded
+		}
+		dt := time.NewTimer(wait)
+		defer dt.Stop()
+		deadlineC = dt.C
+	}
+	for {
+		select {
+		case r := <-ch:
+			outstanding--
+			if r.err == nil {
+				// First success wins. Deregister the losers so their late
+				// replies are dropped (the winner's id is already gone —
+				// deliver removed it — so this is loser-only cleanup).
+				abandon()
+				return r, nil
+			}
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			if outstanding > 0 {
+				continue
+			}
+			// Every attempt so far failed: don't sit out the rest of the
+			// hedge delay, spend remaining budget now or give up.
+			if len(ids) >= attempts || launch() != nil {
+				return reply{}, firstErr
+			}
+			outstanding++
+		case <-hedgeC:
+			if len(ids) < attempts {
+				// A hedge whose write fails is a failed attempt: the
+				// socket is dying, so the outstanding attempts are about
+				// to fail through this same channel — no special path.
+				if err := launch(); err == nil {
+					outstanding++
+				}
+			}
+			if len(ids) < attempts {
+				hedger.Reset(hedge.Delay)
+			}
+		case <-deadlineC:
+			abandon()
+			return reply{}, ErrDeadlineExceeded
+		}
 	}
 }
 
-// classify runs one request attempt on this generation.
-func (cc *clientConn) classify(samples []int16, deadline time.Time) (int, error) {
-	id, p, err := cc.register()
-	if err != nil {
-		return -1, err
-	}
-	err = cc.writeFrame(frameUtterance, 4+2*len(samples), func(b []byte) []byte {
+// classify runs one request, hedged per hedge, on this generation.
+func (cc *clientConn) classify(samples []int16, deadline time.Time, hedge HedgePolicy) (int, error) {
+	r, err := cc.call(frameUtterance, 4+2*len(samples), func(b []byte, id uint32) []byte {
 		b = binary.LittleEndian.AppendUint32(b, id)
 		return netfront.AppendSamples(b, samples)
-	})
-	if err != nil {
-		cc.deregister(id)
-		return -1, err
-	}
-	r, err := cc.await(id, p, deadline)
+	}, deadline, hedge)
 	if err != nil {
 		return -1, err
 	}
@@ -846,102 +890,6 @@ func (cc *clientConn) label(r reply) (int, error) {
 func (cc *clientConn) mismatch(what string, labels int) error {
 	cc.kill()
 	return fmt.Errorf("%w: %s %d labels", ErrConnLost, what, labels)
-}
-
-// classifyHedged runs one logical request as up to 1+max wire attempts:
-// the first immediately, each further one when the hedge delay elapses
-// without a reply, or immediately when every outstanding attempt has
-// already failed. All attempts share one buffered reply channel, so the
-// first success wins no matter which attempt produced it; the losers are
-// deregistered and their late replies dropped by deliver. The channel's
-// capacity (1+max) covers the worst case of every attempt answering —
-// deliver and fail never block. No goroutine is spawned per hedge: one
-// timer drives the schedule.
-func (cc *clientConn) classifyHedged(samples []int16, deadline time.Time, delay time.Duration, max int) (int, error) {
-	ch := make(chan reply, 1+max)
-	ids := make([]uint32, 0, 1+max)
-	launch := func() error {
-		id, err := cc.registerCh(ch)
-		if err != nil {
-			return err
-		}
-		err = cc.writeFrame(frameUtterance, 4+2*len(samples), func(b []byte) []byte {
-			b = binary.LittleEndian.AppendUint32(b, id)
-			return netfront.AppendSamples(b, samples)
-		})
-		if err != nil {
-			cc.deregister(id)
-			return err
-		}
-		if len(ids) > 0 {
-			cc.owner.statHedges.Add(1)
-		}
-		ids = append(ids, id)
-		return nil
-	}
-	abandon := func() {
-		for _, id := range ids {
-			cc.deregister(id)
-		}
-	}
-	if err := launch(); err != nil {
-		return -1, err
-	}
-	outstanding := 1
-	var firstErr error
-	hedger := time.NewTimer(delay)
-	defer hedger.Stop()
-	var deadlineC <-chan time.Time
-	if !deadline.IsZero() {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			abandon()
-			return -1, ErrDeadlineExceeded
-		}
-		dt := time.NewTimer(wait)
-		defer dt.Stop()
-		deadlineC = dt.C
-	}
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				// First success wins. Deregister the losers so their late
-				// replies are dropped (the winner's id is already gone —
-				// deliver removed it — so this is loser-only cleanup).
-				abandon()
-				return cc.label(r)
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding > 0 {
-				continue
-			}
-			// Every attempt so far failed: don't sit out the rest of the
-			// hedge delay, spend remaining budget now or give up.
-			if len(ids) >= 1+max || launch() != nil {
-				return -1, firstErr
-			}
-			outstanding++
-		case <-hedger.C:
-			if len(ids) < 1+max {
-				// A hedge whose write fails is a failed attempt: the
-				// socket is dying, so the outstanding attempts are about
-				// to fail through this same channel — no special path.
-				if err := launch(); err == nil {
-					outstanding++
-				}
-			}
-			if len(ids) < 1+max {
-				hedger.Reset(delay)
-			}
-		case <-deadlineC:
-			abandon()
-			return -1, ErrDeadlineExceeded
-		}
-	}
 }
 
 // retryable reports whether err is worth retrying: backpressure, transport
@@ -1004,12 +952,7 @@ func (c *Client) ClassifyDeadline(samples []int16, deadline time.Time) (int, err
 		if err != nil {
 			return -1, err
 		}
-		var label int
-		if hedge.Delay > 0 {
-			label, err = cc.classifyHedged(samples, deadline, hedge.Delay, hedge.Max)
-		} else {
-			label, err = cc.classify(samples, deadline)
-		}
+		label, err := cc.classify(samples, deadline, hedge)
 		if err == nil {
 			return label, nil
 		}
@@ -1034,18 +977,7 @@ func (c *Client) Health() ([]core.ModelHealth, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, p, err := cc.register()
-	if err != nil {
-		return nil, err
-	}
-	err = cc.writeFrame(frameHealth, 4, func(b []byte) []byte {
-		return binary.LittleEndian.AppendUint32(b, id)
-	})
-	if err != nil {
-		cc.deregister(id)
-		return nil, err
-	}
-	r, err := cc.await(id, p, time.Time{})
+	r, err := cc.call(frameHealth, 4, binary.LittleEndian.AppendUint32, time.Time{}, HedgePolicy{})
 	if err != nil {
 		return nil, err
 	}
@@ -1062,15 +994,11 @@ func (c *Client) ClassifyBatch(utts [][]int16) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, p, err := cc.register()
-	if err != nil {
-		return nil, err
-	}
 	bodyLen := 8
 	for _, u := range utts {
 		bodyLen += 4 + 2*len(u)
 	}
-	err = cc.writeFrame(frameBatch, bodyLen, func(b []byte) []byte {
+	r, err := cc.call(frameBatch, bodyLen, func(b []byte, id uint32) []byte {
 		b = binary.LittleEndian.AppendUint32(b, id)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(utts)))
 		for _, u := range utts {
@@ -1078,14 +1006,9 @@ func (c *Client) ClassifyBatch(utts [][]int16) ([]int, error) {
 			b = netfront.AppendSamples(b, u)
 		}
 		return b
-	})
+	}, time.Time{}, HedgePolicy{})
 	if err != nil {
-		cc.deregister(id)
 		return nil, err
-	}
-	r := <-p.ch
-	if r.err != nil {
-		return nil, r.err
 	}
 	if len(r.labels) != len(utts) {
 		return nil, cc.mismatch(fmt.Sprintf("reply to a %d-utterance batch carries", len(utts)), len(r.labels))
