@@ -460,7 +460,7 @@ func BenchmarkInterpreterInvoke(b *testing.B) {
 }
 
 // BenchmarkInvokeBatch measures the planned multi-utterance interpreter
-// path: B utterances stacked into one taller im2col/GEMM per node. The
+// path: B utterances stacked through one pass of the node list. The
 // utt/s metric compares directly against BenchmarkInterpreterInvoke's
 // inverse ns/op (batch=1 measures the planned path's own overhead; the
 // ISSUE acceptance bar is ≥1.15× serial throughput at batch ≥ 8).
@@ -498,26 +498,31 @@ func BenchmarkInvokeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMMicroKernel isolates the SWAR int8 GEMM inner kernel on the
-// hot shapes of the paper model — the conv patch GEMM (550 rows × 8 filters
-// × depth 80), the serial FC sweep (1 × 12 × 4400), and the batched FC
-// sweep (16 × 12 × 4400, the shape cache-blocked InvokeBatch feeds the
-// kernel) — reporting MAC throughput. This is the micro-benchmark to rerun
-// before retuning the kernel (ROADMAP rule), and the gated baseline any
-// lane-packing experiment (e.g. the rejected 4-depth/16-bit layout, see
-// swar.go) must beat. The shapes also stress the deep-K single-row sweep
-// and the panel-quad requantization tail.
+// BenchmarkGEMMMicroKernel isolates the int8 GEMM kernel on the hot shapes
+// of the paper model — the conv patch GEMM (550 rows × 8 filters × depth
+// 80, as contiguous rows), the serial FC sweep (1 × 12 × 4400), and the
+// batched FC sweep (16 × 12 × 4400, the shape cache-blocked InvokeBatch
+// feeds the kernel) — reporting MAC throughput, plus the tiny_conv conv
+// node as Invoke runs it (conv_node_49x43: the interior copy into the
+// padded image, then the implicit-GEMM kernel and its requantization over
+// 550 windows). This is the micro-benchmark to rerun before retuning the
+// kernel (ROADMAP rule), and the gated baseline any lane-packing experiment
+// (e.g. the rejected 4-depth/16-bit layout, see swar.go) must beat.
 func BenchmarkGEMMMicroKernel(b *testing.B) {
-	for _, shape := range []struct {
-		name    string
-		m, n, k int
+	gemm := func(m, n, k int) func() (*tflm.GEMMBench, error) {
+		return func() (*tflm.GEMMBench, error) { return tflm.NewGEMMBench(m, n, k, 42) }
+	}
+	for _, c := range []struct {
+		name  string
+		build func() (*tflm.GEMMBench, error)
 	}{
-		{"conv_550x8x80", 550, 8, 80},
-		{"fc_1x12x4400", 1, 12, 4400},
-		{"fc_16x12x4400", 16, 12, 4400},
+		{"conv_550x8x80", gemm(550, 8, 80)},
+		{"fc_1x12x4400", gemm(1, 12, 4400)},
+		{"fc_16x12x4400", gemm(16, 12, 4400)},
+		{"conv_node_49x43", func() (*tflm.GEMMBench, error) { return tflm.NewConvNodeBench(42), nil }},
 	} {
-		b.Run(shape.name, func(b *testing.B) {
-			gb, err := tflm.NewGEMMBench(shape.m, shape.n, shape.k, 42)
+		b.Run(c.name, func(b *testing.B) {
+			gb, err := c.build()
 			if err != nil {
 				b.Fatal(err)
 			}

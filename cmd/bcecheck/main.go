@@ -11,7 +11,7 @@
 // tiers" for the idioms). A refactor that reintroduces a check into one of
 // them fails CI with the exact file:line the compiler reported, instead of
 // silently costing a branch per inner-loop iteration. Functions whose checks
-// are data-dependent and irreducible (im2col replay, requantTail, the
+// are data-dependent and irreducible (the SWAR patch gather, requantTail, the
 // bit-reversal permutation) stay off the list on purpose.
 //
 // The tool also fails if a listed function no longer exists in its file, so

@@ -18,19 +18,23 @@
 //
 // # Inference hot path
 //
-// The engine's linear-algebra hot path is an im2col+GEMM pipeline
-// (internal/tflm/gemm.go): convolutions replay a plan-compiled im2col copy
-// program into a zero-point-prefilled column slab (padding handling and
-// clip arithmetic ran once at prep time) and run an int8×int8→int32 GEMM
-// with per-filter zero-point corrections bias[oc] − inZP·Σw[oc] folded into
-// the accumulator seeds. The MAC kernel is chosen from the hardware at prep
-// time, and prep builds only that kernel's weight image. On amd64 CPUs with
-// AVX2 it is an assembly micro-kernel (internal/tflm/gemm_avx2_amd64.s):
-// VPMOVSXBW widens 16 activations to int16, VPMADDWD multiplies them
-// against one filter's int16 weights and adds pairs into int32 lanes —
-// which cannot saturate on int8 operands, |pair| ≤ 2·128² — and wrapping
-// VPADDD accumulates eight filters at once; weights are packed once into
-// 8-filter × 16-depth panels zero-padded to that grid. Everywhere else,
+// The engine's linear-algebra hot path is an implicit GEMM
+// (internal/tflm/gemm.go): an int8 convolution copies its input's interior
+// rows into a padded image whose border prep filled with the input zero
+// point once, and every output position then reads its window of that
+// image in place through a prep-time table of 8-byte source offsets; a
+// fully-connected layer reads its input rows the same way. The
+// int8×int8→int32 sums start from per-filter seeds with the zero-point
+// corrections bias[oc] − inZP·Σw[oc] folded in. The MAC kernel is chosen
+// from the hardware at prep time, and prep builds only that kernel's
+// weight image. On amd64 CPUs with AVX2 it is an assembly kernel
+// (internal/tflm/gemm_avx2_amd64.s) that walks a whole output row per
+// call: VPMOVSXBW widens two 8-byte halves of activations to int16,
+// VPMADDWD multiplies them against one filter's int16 weights and adds
+// pairs into int32 lanes — which cannot saturate on int8 operands,
+// |pair| ≤ 2·128² — wrapping VPADDD accumulates eight filters at once,
+// and the requantization runs on the eight sums in registers; weights are
+// packed once into 8-filter × 16-depth panels. Everywhere else,
 // including the paper's ARM target, the portable SWAR kernel (internal/
 // tflm/swar.go) runs: it biases both operands to unsigned bytes and packs three depth
 // positions per uint64 at 21-bit lane spacing — activations ascending,
@@ -57,10 +61,10 @@
 // Interpreter.PlanBatch/InvokeBatch is the stacked-utterance face of the
 // same engine: up to the planned capacity of utterances are staged into
 // per-tensor slabs (BatchInput) and classified in one pass over the graph
-// — each convolution replays its im2col program and runs the patch rows of
-// each utterance through the shared weight panels while they are
+// — each convolution copies each utterance into the plan's padded image and
+// runs its windows through the shared weight panels while they are
 // cache-hot, pure-copy reshapes alias away entirely, and softmax sweeps
-// all stacked rows at once, with plan-owned im2col/GEMM/softmax scratch so
+// all stacked rows at once, with plan-owned image/GEMM/softmax scratch so
 // the zero-allocation invariant survives. The batch executes
 // cache-blocked: the node list sweeps a few utterances at a time (sized at
 // plan time so a tile's activation rows fit well inside L1d) so producer

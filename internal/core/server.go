@@ -185,6 +185,7 @@ type seqDelivery struct {
 	fn      func(hop uint64, r Result)
 	next    uint64            // next hop sequence to deliver
 	pending map[uint64]Result // finished hops waiting on earlier ones
+	panics  *atomic.Uint64    // the server's Panics counter
 }
 
 // deliver files hop's result and fires every consecutively ready callback
@@ -197,12 +198,25 @@ func (q *seqDelivery) deliver(hop uint64, r Result) {
 		return
 	}
 	for ok := true; ok; {
-		q.fn(q.next, r)
+		q.fire(r)
 		q.next++
 		if r, ok = q.pending[q.next]; ok {
 			delete(q.pending, q.next)
 		}
 	}
+}
+
+// fire runs the callback of hop next. A panic in it is recovered and
+// counted here, per hop, so the stream still goes on to its later hops:
+// left to the worker's guard, it would unwind deliver before next advanced
+// and park every later hop for good.
+func (q *seqDelivery) fire(r Result) {
+	defer func() {
+		if recover() != nil {
+			q.panics.Add(1)
+		}
+	}()
+	q.fn(q.next, r)
 }
 
 // Server is the persistent serving layer. Construct with NewServer, submit
@@ -687,15 +701,16 @@ func (st *Stream) Hops() uint64 { return st.hops }
 // back into the same server.
 //
 // Drain contract: Server.Close processes every hop accepted before it, so
-// after Close returns every accepted hop's callback has fired. A fn of nil
-// panics; OnResult must be called before the first Submit whose callbacks
+// after Close returns every accepted hop's callback has fired. A panic in
+// fn is recovered per hop and counted in Server.Panics; the stream goes on
+// to the next hop. A fn of nil panics; OnResult must be called before the first Submit whose callbacks
 // it should receive and cannot be un-set (the stream is single-goroutine
 // state, so "before the next Submit" is well defined).
 func (st *Stream) OnResult(fn func(hop uint64, r Result)) {
 	if fn == nil {
 		panic("core: Stream.OnResult(nil)")
 	}
-	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]Result)}
+	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]Result), panics: &st.srv.panics}
 }
 
 // Submit advances the stream by chunk on the server that opened it and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -362,5 +363,95 @@ func TestStreamOnResultAllocFree(t *testing.T) {
 		if allocs > 0 {
 			t.Fatalf("workers=%d: OnResult stream allocates %.1f objects per 4 hops, want 0", workers, allocs)
 		}
+	}
+}
+
+// runPanickingStream streams exactly 51 hops through a server with the
+// given worker count whose OnResult callback panics at the hops panicAt
+// names, then closes the server. Every other hop must have been delivered exactly once, in hop
+// order; nothing may stay parked in the sequencer; and Panics must count
+// each panicking hop once.
+func runPanickingStream(t *testing.T, workers int, panicAt map[uint64]bool) {
+	t.Helper()
+	const hops = 51
+	model, utts, _ := pipelineFixture(t, 3)
+	srv, err := NewServer(model, ServerConfig{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := srv.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stream.Streamer().Frontend().Config()
+	var signal []int16
+	for _, u := range utts {
+		signal = append(signal, u...)
+	}
+	signal = signal[:cfg.UtteranceSamples()+(hops-1)*cfg.StrideSamples]
+	var delivered []uint64
+	stream.OnResult(func(hop uint64, r Result) {
+		if panicAt[hop] {
+			panic("callback panic")
+		}
+		if r.Err != nil {
+			t.Errorf("hop %d: %v", hop, r.Err)
+		}
+		delivered = append(delivered, hop)
+	})
+	if _, err := stream.Submit(signal); err != nil {
+		t.Fatal(err)
+	}
+	if n := stream.Hops(); n != hops {
+		t.Fatalf("stream submitted %d hops, want %d", n, hops)
+	}
+	srv.Close()
+	var want []uint64
+	for hop := uint64(0); hop < hops; hop++ {
+		if !panicAt[hop] {
+			want = append(want, hop)
+		}
+	}
+	if len(delivered) != len(want) {
+		t.Fatalf("after Close: %d callbacks delivered, want %d (panics at %v)", len(delivered), len(want), panicAt)
+	}
+	for i, hop := range delivered {
+		if hop != want[i] {
+			t.Fatalf("callback %d carried hop %d, want %d", i, hop, want[i])
+		}
+	}
+	stream.sq.mu.Lock()
+	parked := len(stream.sq.pending)
+	stream.sq.mu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d results left parked in the sequencer", parked)
+	}
+	if got := srv.Panics(); got != uint64(len(panicAt)) {
+		t.Fatalf("Panics() = %d, want %d", got, len(panicAt))
+	}
+}
+
+// TestStreamOnResultPanicDoesNotStall: with one worker, a callback that
+// panics at hop 2 costs that hop only — the other 50 still arrive, in
+// order, by Close.
+func TestStreamOnResultPanicDoesNotStall(t *testing.T) {
+	runPanickingStream(t, 1, map[uint64]bool{2: true})
+}
+
+// TestStreamOnResultRandomPanics is TestStreamOnResultPanicDoesNotStall
+// with the callback panicking at seeded random hops, the first and the last
+// hop among the candidates, and two workers, so hops also complete out of
+// order and park in the sequencer.
+func TestStreamOnResultRandomPanics(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		panicAt := map[uint64]bool{}
+		for hop := uint64(0); hop < 51; hop++ {
+			if r.Intn(6) == 0 {
+				panicAt[hop] = true
+			}
+		}
+		panicAt[uint64(r.Intn(2))*50] = true
+		runPanickingStream(t, 2, panicAt)
 	}
 }

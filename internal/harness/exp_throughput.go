@@ -16,7 +16,7 @@ func init() {
 // runE11 measures the host-side serving path: core.Server.RunBatch fanning
 // a batch of utterances across worker pools of increasing size. The paper's device
 // numbers are simulated elsewhere (E1/E2); this experiment characterizes
-// how fast the reproduction itself can serve traffic — the im2col/GEMM
+// how fast the reproduction itself can serve traffic — the implicit-GEMM
 // kernels plus the zero-alloc DSP frontend under concurrency.
 func runE11(ctx *Ctx) (*Table, error) {
 	batch := 256

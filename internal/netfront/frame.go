@@ -79,6 +79,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -252,10 +253,22 @@ func DecodeSamples(dst []int16, b []byte) ([]int16, error) {
 	return dst, nil
 }
 
-// AppendSamples appends chunk as PCM16 bytes.
+// AppendSamples appends chunk as PCM16 bytes. It grows dst once, then
+// stores four samples per 8-byte little-endian write and the last 0–3 one
+// at a time: no per-sample capacity check, and a quarter of the loop
+// iterations, so the speed no longer hinges on where the loop's branches
+// land in the instruction stream.
 func AppendSamples(dst []byte, chunk []int16) []byte {
-	for _, s := range chunk {
-		dst = append(dst, byte(s), byte(uint16(s)>>8))
+	n := len(dst)
+	dst = slices.Grow(dst, 2*len(chunk))[:n+2*len(chunk)]
+	out := dst[n:]
+	for len(chunk) >= 4 && len(out) >= 8 {
+		binary.LittleEndian.PutUint64(out, uint64(uint16(chunk[0]))|uint64(uint16(chunk[1]))<<16|
+			uint64(uint16(chunk[2]))<<32|uint64(uint16(chunk[3]))<<48)
+		chunk, out = chunk[4:], out[8:]
+	}
+	for i, s := range chunk {
+		binary.LittleEndian.PutUint16(out[2*i:], uint16(s))
 	}
 	return dst
 }

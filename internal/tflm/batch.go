@@ -4,11 +4,10 @@ import "fmt"
 
 // Batched execution: PlanBatch sizes a stacked-utterance twin of the graph
 // once, and InvokeBatch runs up to that many utterances through one pass of
-// the node list — one taller im2col/GEMM per convolution (M→B·M patch
-// rows), one wider GEMM per fully-connected layer, one sweep per
-// elementwise node. Per-node dispatch is paid once per batch instead of
-// once per utterance, and the packed weight panels stay L1-resident across
-// the stacked rows.
+// the node list — each convolution over every stacked utterance, one wider
+// GEMM per fully-connected layer, one sweep per elementwise node. Per-node
+// dispatch is paid once per batch instead of once per utterance, and the
+// packed weight panels stay L1-resident across the stacked rows.
 //
 // The plan owns stacked int8 slabs for every non-constant tensor; utterance
 // j's input is staged via BatchInput(j) and its result read via
@@ -17,7 +16,7 @@ import "fmt"
 // bit-exact with running each utterance through Invoke serially: the
 // batched kernels are the same kernels over stacked rows, and the batch
 // slabs are disjoint from the serial tensors. The plan owns its kernel
-// scratch — im2col column slabs (padding prefilled per conv node), GEMM
+// scratch — a padded input image per conv node (border filled once), GEMM
 // row scratch, softmax staging — so InvokeBatch allocates nothing. Cycle
 // metering charges b× the per-utterance node costs: batching, like the
 // SWAR and AVX2 kernels, is a host-side optimization invisible to the
@@ -25,7 +24,7 @@ import "fmt"
 
 // batchShard is the kernel scratch a batched node sweep needs.
 type batchShard struct {
-	cols     [][]int8 // per conv node column slab, padding prefilled
+	imgs     [][]int8 // per conv node padded input image (convPrep.newImage)
 	gemmX    []uint64
 	smLogits []float64
 	smProbs  []float64
@@ -51,97 +50,6 @@ type batchPlan struct {
 	// per-utterance slab footprint; purely an iteration-order change, so
 	// results are bit-identical to the untiled sweep.
 	tileB int
-}
-
-// colCopy is one replayed im2col transfer: col[dst:dst+n] = src[src:src+n].
-type colCopy struct{ dst, src, n int32 }
-
-// recordIm2col compiles the im2col traversal of one utterance (all original
-// batches) into a copy program: the clip arithmetic, branch structure and
-// padding fills run once at plan time; InvokeBatch replays only the
-// surviving contiguous copies. Padding positions are never recorded — the
-// plan prefills the column slab with the zero point once, and no replay
-// touches those bytes again. Adjacent transfers that abut in both source
-// and destination are merged.
-func recordIm2col(g convGeom) []colCopy {
-	var prog []colCopy
-	rowLen := g.kW * g.inC
-	add := func(dst, src, n int) {
-		if n <= 0 {
-			return
-		}
-		if len(prog) > 0 {
-			last := &prog[len(prog)-1]
-			if int(last.dst)+int(last.n) == dst && int(last.src)+int(last.n) == src {
-				last.n += int32(n)
-				return
-			}
-		}
-		prog = append(prog, colCopy{int32(dst), int32(src), int32(n)})
-	}
-	m := 0
-	for b := 0; b < g.batches; b++ {
-		for oy := 0; oy < g.outH; oy++ {
-			iy0 := oy*g.strideH - g.padT
-			kyLo, kyHi := 0, g.kH
-			if iy0 < 0 {
-				kyLo = -iy0
-			}
-			if iy0+g.kH > g.inH {
-				kyHi = g.inH - iy0
-			}
-			for ox := 0; ox < g.outW; ox++ {
-				ix0 := ox*g.strideW - g.padL
-				kxLo, kxHi := 0, g.kW
-				if ix0 < 0 {
-					kxLo = -ix0
-				}
-				if ix0+g.kW > g.inW {
-					kxHi = g.inW - ix0
-				}
-				for ky := kyLo; ky < kyHi; ky++ {
-					if kxHi <= kxLo {
-						break
-					}
-					add(m*g.K+ky*rowLen+kxLo*g.inC,
-						((b*g.inH+iy0+ky)*g.inW+ix0+kxLo)*g.inC,
-						(kxHi-kxLo)*g.inC)
-				}
-				m++
-			}
-		}
-	}
-	return prog
-}
-
-// replayIm2col replays a compiled copy program into col, reading src at a
-// byte offset (0 for serial Invoke, the utterance base for InvokeBatch).
-// Short transfers move inline: the program is dominated by single-kernel-row
-// segments a few bytes long, where memmove's call overhead dwarfs the move.
-func replayIm2col(prog []colCopy, col, src []int8, off int) {
-	for i := range prog {
-		c := &prog[i]
-		s := src[off+int(c.src) : off+int(c.src)+int(c.n)]
-		d := col[c.dst : int(c.dst)+int(c.n)]
-		if len(s) == 8 && len(d) == 8 {
-			// The dominant record shape is one full kernel row of the
-			// single-channel conv — exactly eight bytes, compiled to one
-			// word-sized load/store pair instead of a byte loop.
-			*(*[8]int8)(d) = *(*[8]int8)(s)
-		} else if len(s) <= 16 {
-			for j, v := range s {
-				d[j] = v
-			}
-		} else {
-			copy(d, s)
-		}
-	}
-}
-
-// convColSpec records one conv node's column-slab requirement.
-type convColSpec struct {
-	length int
-	fill   int8
 }
 
 // PlanBatch prepares the interpreter to run up to maxB stacked utterances
@@ -178,7 +86,7 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 	// serial fallback.
 	slab(m.Inputs[0])
 	slab(m.Outputs[0])
-	var cols []convColSpec
+	var convs []*convPrep
 	maxGemmX, maxDepth := 0, 0
 	runs := make([]func(sc *batchShard, u0, u1 int), len(m.Nodes))
 	for ni, n := range m.Nodes {
@@ -203,26 +111,18 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 		switch n.Op {
 		case OpConv2D:
 			cp := ip.preps[ni].(*convPrep)
-			g, pr := cp.g, cp.pr
-			// Dedicated column slab per conv node, prefilled
-			// with the node's padding zero point so the replayed copy
-			// program never has to re-fill padding. The slab holds one
-			// utterance: replay and GEMM interleave per utterance so
-			// the column data is consumed while still cache-hot (a
-			// single B·M-row sweep would stream B×col through the
-			// cache between write and read).
-			ci := len(cols)
-			cols = append(cols, convColSpec{length: g.batches * g.colLen(), fill: int8(pr.inZP)})
-			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
-			prog := cp.prog // compiled once at prepNodes time
+			// Each utterance's interior is copied into the shard's own
+			// image of this node and its windows run while still
+			// cache-hot.
+			ci := len(convs)
+			convs = append(convs, cp)
+			maxGemmX = max(maxGemmX, cp.pr.gemmScratchLen())
+			g := cp.g
 			uttIn := g.batches * g.inH * g.inW * g.inC
-			rows := g.batches * g.M
-			uttOut := rows * g.outC
+			uttOut := g.batches * g.M * g.outC
 			runs[ni] = func(sc *batchShard, u0, u1 int) {
-				col := sc.cols[ci]
 				for u := u0; u < u1; u++ {
-					replayIm2col(prog, col, src, u*uttIn)
-					gemmInt8Requant(rows, col, dst[u*uttOut:(u+1)*uttOut], pr, sc.gemmX)
+					cp.run(src[u*uttIn:(u+1)*uttIn], sc.imgs[ci], dst[u*uttOut:(u+1)*uttOut], sc.gemmX)
 				}
 			}
 		case OpFullyConnected:
@@ -231,7 +131,7 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
 			inRow, outRow := rows*pr.k, rows*pr.n
 			runs[ni] = func(sc *batchShard, u0, u1 int) {
-				gemmInt8Requant((u1-u0)*rows, src[u0*inRow:u1*inRow], dst[u0*outRow:u1*outRow], pr, sc.gemmX)
+				pr.fcRows(src[u0*inRow:u1*inRow], dst[u0*outRow:u1*outRow], (u1-u0)*rows, sc.gemmX)
 			}
 		case OpSoftmax:
 			sp := ip.preps[ni].(*softmaxPrep)
@@ -263,11 +163,9 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 	if runs != nil {
 		bp.runs = runs
 		bp.tileB = batchTile(bp.slabs, maxB)
-		sc := &batchShard{cols: make([][]int8, len(cols))}
-		for i, spec := range cols {
-			col := make([]int8, spec.length)
-			fillSlice(col, spec.fill)
-			sc.cols[i] = col
+		sc := &batchShard{imgs: make([][]int8, len(convs))}
+		for i, cp := range convs {
+			sc.imgs[i] = cp.newImage()
 		}
 		if maxGemmX > 0 {
 			sc.gemmX = make([]uint64, maxGemmX)
@@ -284,8 +182,8 @@ func (ip *Interpreter) PlanBatch(maxB int) error {
 
 // batchTileBudget is the activation working set one cache-blocking tile may
 // occupy, in bytes. It deliberately undershoots a typical 32 KiB L1d: the
-// packed weight panels, the column slab rows and the GEMM row scratch stream
-// through the same cache while a tile is in flight.
+// packed weight panels, the padded conv images and the GEMM row scratch
+// stream through the same cache while a tile is in flight.
 const batchTileBudget = 16 << 10
 
 // batchTile sizes the cache-blocking tile from the plan's stacked slabs:

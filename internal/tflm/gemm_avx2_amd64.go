@@ -1,8 +1,8 @@
 package tflm
 
-// dot8AVX2 computes the eight wrapped int32 dot products of one activation
-// row (blocks·16 int8 values at a) with one AVX2 weight panel (at w, see
-// packPanelsAVX2) into sums. Implemented in gemm_avx2_amd64.s.
+// gemmRowsAVX2 runs count positions of the implicit GEMM against the AVX2
+// panel image and requantizes in registers (see gemmRows, which checks the
+// ranges first). Implemented in gemm_avx2_amd64.s.
 //
 //go:noescape
-func dot8AVX2(a *int8, w *int16, blocks int, sums *[avx2Panel]int32)
+func gemmRowsAVX2(src *int8, stride, count int, dst *int8, n int, w *int16, offs *int32, blocks int, seeds *int32, rq *requantConsts)

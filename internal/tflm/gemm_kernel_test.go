@@ -1,6 +1,7 @@
 package tflm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -70,19 +71,17 @@ func TestGEMMPrepBuildsOneImage(t *testing.T) {
 
 // FuzzGEMMKernel checks both GEMM kernels against the scalar reference on
 // every fuzzed shape: m ∈ [1,8] rows, n ∈ [1,24] filters (so n%8 and n%4
-// take every residue), k ∈ [1,4400] depths (every residue mod 16 and mod
+// take every residue), k ∈ [1,4400] depths (every residue mod 16, 8 and
 // 3), any input zero point and a requant shift. Activations and weights
 // cycle through data, so a one-byte 0x80 input is the all −128 corner.
 // The checked-in corpus (testdata/fuzz/FuzzGEMMKernel) pins k = 1, 15, 17,
 // 80 and 4400, partial panels of both grids and that corner under a
 // nonzero input zero point.
 //
-// Two levels are compared. The kernels are called directly on each row:
-// dot8AVX2 on the packed AVX2 panels, and swarExpandRow + gemmRowPanel on
-// the SWAR panels with the seeds folded in; each must equal acc0 plus the
-// wrapped int32 dot product exactly, before requantization can hide an
-// error. Then gemmInt8Requant under each kernel, given dirty scratch, must
-// equal evalFullyConnectedRef (op_ref_test.go) byte for byte.
+// Two levels are compared. Each row's raw accumulators go through
+// checkRawSums, before requantization can hide an error. Then fcRows under
+// each kernel, given dirty scratch, must equal evalFullyConnectedRef
+// (op_ref_test.go) byte for byte.
 func FuzzGEMMKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mb, nb uint8, kb uint16, inZP int8, shift uint8, data []byte) {
 		if len(data) == 0 {
@@ -117,22 +116,18 @@ func FuzzGEMMKernel(f *testing.F) {
 			got := &Tensor{Name: "out", Type: Int8, Shape: []int{m, n}, Quant: outQ}
 			got.Alloc()
 			restore := useGEMMKernel(kc.avx2)
-			pr := prepLinearInt8(in, w, bias, got, ActNone, n, k)
+			pr := prepLinearInt8(in, w, bias, got, ActNone, n, 1, k, 0)
 			restore()
 			for r := 0; r < m; r++ {
-				row := in.I8[r*k : (r+1)*k]
-				accs := rawAccumulators(pr, row)
-				for o := 0; o < n; o++ {
-					if exact := pr.acc0[o] + refDotI8(row, w.I8[o*k:(o+1)*k]); accs[o] != exact {
-						t.Fatalf("%s m=%d n=%d k=%d: row %d filter %d accumulator %d, want %d", kc.name, m, n, k, r, o, accs[o], exact)
-					}
+				if err := checkRawSums(pr, in.I8[r*k:(r+1)*k], w.I8); err != nil {
+					t.Fatalf("%s m=%d n=%d k=%d: row %d: %v", kc.name, m, n, k, r, err)
 				}
 			}
 			// The scratch holds another op's leftovers in a shared arena;
 			// the kernel must not depend on its contents.
 			xb := make([]uint64, pr.gemmScratchLen())
 			fillSlice(xb, ^uint64(0))
-			gemmInt8Requant(m, in.I8, got.I8, pr, xb)
+			pr.fcRows(in.I8, got.I8, m, xb)
 			for i := range got.I8 {
 				if got.I8[i] != want.I8[i] {
 					t.Fatalf("%s m=%d n=%d k=%d inZP=%d: output %d = %d, want %d", kc.name, m, n, k, inZP, i, got.I8[i], want.I8[i])
@@ -142,29 +137,26 @@ func FuzzGEMMKernel(f *testing.F) {
 	})
 }
 
-// rawAccumulators returns the seeded int32 accumulators the prepped kernel
-// produces for one activation row, one per filter, before requantization.
-func rawAccumulators(pr *linearPrep, row []int8) []int32 {
-	accs := make([]int32, 0, len(pr.seeds))
-	if pr.wq != nil {
-		padded := make([]int8, pr.kb*avx2Depth)
-		copy(padded, row)
-		var sums [avx2Panel]int32
-		for p := 0; p < len(pr.seeds)/avx2Panel; p++ {
-			dot8AVX2(&padded[0], &pr.wq[p*pr.kb*avx2Panel*avx2Depth], pr.kb, &sums)
-			for j, s := range sums {
-				accs = append(accs, pr.seeds[p*avx2Panel+j]+s)
-			}
-		}
-		return accs
+// checkRawSums runs one row through a copy of pr whose epilogue is the
+// identity (multiplier 2^30, shift 1: Apply(x) = x for |x| < 2^30) and
+// whose seeds subtract each filter's exact accumulator acc0 + Σ row·w. Every
+// output must then be 0: the kernel's raw sum equals the wrapped dot
+// product exactly, whatever the requantization would later round away. w is
+// the n×len(row) source weight matrix.
+func checkRawSums(pr *linearPrep, row, w []int8) error {
+	n, k := pr.n, pr.k
+	raw := *pr
+	raw.rq = requantFor(QuantizedMultiplier{Multiplier: 1 << 30, Shift: 1}, 0, -128, 127)
+	raw.seeds = append([]int32(nil), pr.seeds...)
+	for o := 0; o < n; o++ {
+		raw.seeds[o] -= pr.acc0[o] + refDotI8(row, w[o*k:(o+1)*k])
 	}
-	x := make([]uint64, pr.kg)
-	adj := swarExpandRow(row, x)
-	for p := 0; p < len(pr.seeds)/gemmPanel; p++ {
-		m0, m1, m2, m3 := gemmRowPanel(x, pr.panels[p*pr.kg:(p+1)*pr.kg])
-		for j, mid := range [gemmPanel]uint64{m0, m1, m2, m3} {
-			accs = append(accs, pr.seeds[p*gemmPanel+j]+adj+int32(mid))
+	dst := make([]int8, n)
+	raw.fcRows(row, dst, 1, make([]uint64, raw.gemmScratchLen()))
+	for o, d := range dst {
+		if d != 0 {
+			return fmt.Errorf("filter %d raw accumulator off by %d", o, d)
 		}
 	}
-	return accs
+	return nil
 }

@@ -16,8 +16,9 @@ type Meter interface {
 // At construction the interpreter preps every node into one exec, its only
 // execution path: requantization multipliers are decomposed once,
 // per-filter zero-point corrections (bias[oc] - inZP·Σw[oc]) are folded
-// into accumulator seeds, weights are packed into the GEMM panel image, and
-// the im2col/softmax scratch is sized to the largest node. Invoke therefore
+// into accumulator seeds, weights are packed into the GEMM panel image, each
+// int8 convolution gets its padded input image, and the float im2col and
+// softmax scratch is sized to the largest node. Invoke therefore
 // performs no heap allocation and no floating-point requant setup on the
 // hot path. Prep relies on Model.Validate — every node's dtypes, ranks,
 // quantization, geometry and constant weights were checked at load — and
@@ -34,30 +35,18 @@ type Interpreter struct {
 	// re-deriving geometry or repacking weights.
 	preps []any
 	// Shared kernel scratch, sized at plan time to the largest consumer
-	// (int8 convolutions instead own a dedicated column slab per node, in
-	// their convPrep, so the plan-compiled copy program can prefill padding
-	// once).
+	// (int8 convolutions instead own their padded input image, in their
+	// convPrep, so its border is filled once).
 	colF32   []float32
-	gemmX    []uint64 // gemmInt8Requant scratch: SWAR packed rows or the AVX2 staging row
+	gemmX    []uint64 // gemmRows scratch: the SWAR patch and packed rows (none for AVX2)
 	smLogits []float64
 	smProbs  []float64
 	// batch is the optional stacked-utterance plan built by PlanBatch.
 	batch *batchPlan
 }
 
-// Per-node prep records stashed by prepNodes for reuse by PlanBatch.
-type convPrep struct {
-	g  convGeom
-	pr *linearPrep
-	// prog is the plan-compiled im2col copy program (recordIm2col) and col
-	// the node's dedicated, zero-point-prefilled column slab: serial Invoke
-	// replays only the surviving contiguous copies — the clip arithmetic
-	// and padding fills ran once at prep time. PlanBatch reuses prog with
-	// per-shard column slabs.
-	prog []colCopy
-	col  []int8
-}
-
+// Per-node prep records stashed by prepNodes for reuse by PlanBatch (the
+// int8 Conv2D's is convPrep, gemm.go).
 type fcPrep struct {
 	batches int
 	pr      *linearPrep
@@ -108,16 +97,10 @@ func (ip *Interpreter) prepNodes() {
 				ip.execs[ni] = func() { convFloatGemm(in, w, bias, out, g, p.Activation, ip.colF32) }
 				break
 			}
-			pr := prepLinearInt8(in, w, bias, out, p.Activation, g.outC, g.K)
-			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
-			cp := &convPrep{g: g, pr: pr, prog: recordIm2col(g), col: make([]int8, g.batches*g.colLen())}
-			fillSlice(cp.col, int8(pr.inZP))
-			rows := g.batches * g.M
+			cp := prepConvInt8(in, w, bias, out, g, p.Activation)
+			maxGemmX = max(maxGemmX, cp.pr.gemmScratchLen())
 			ip.preps[ni] = cp
-			ip.execs[ni] = func() {
-				replayIm2col(cp.prog, cp.col, in.I8, 0)
-				gemmInt8Requant(rows, cp.col, out.I8, pr, ip.gemmX)
-			}
+			ip.execs[ni] = func() { cp.run(in.I8, cp.img, out.I8, ip.gemmX) }
 		case OpDepthwiseConv2D:
 			w, bias := m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2])
 			dp := prepDepthwiseInt8(in, w, bias, out, windowGeom(m, n), n.Params.(Conv2DParams).Activation)
@@ -130,10 +113,10 @@ func (ip *Interpreter) prepNodes() {
 				ip.execs[ni] = func() { gemmFloat(batches, outN, inN, in.F32, w.F32, bias.F32, act, out.F32) }
 				break
 			}
-			pr := prepLinearInt8(in, w, bias, out, act, outN, inN)
+			pr := prepLinearInt8(in, w, bias, out, act, outN, 1, inN, 0)
 			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
 			ip.preps[ni] = &fcPrep{batches: batches, pr: pr}
-			ip.execs[ni] = func() { gemmInt8Requant(batches, in.I8, out.I8, pr, ip.gemmX) }
+			ip.execs[ni] = func() { pr.fcRows(in.I8, out.I8, batches, ip.gemmX) }
 		case OpSoftmax:
 			beta := 1.0
 			if p, ok := n.Params.(SoftmaxParams); ok && p.Beta != 0 {
@@ -178,14 +161,14 @@ func (ip *Interpreter) Model() *Model { return ip.model }
 // ArenaSize returns the planned activation arena in bytes (peak RAM).
 func (ip *Interpreter) ArenaSize() int { return ip.plan.Total }
 
-// ScratchSize returns the bytes of kernel scratch (im2col columns — shared
-// for float, per conv node for int8 — GEMM row scratch, softmax staging) the
-// interpreter owns on top of the activation arena.
+// ScratchSize returns the bytes of kernel scratch (the float im2col
+// columns, each int8 convolution's padded input image, GEMM row scratch,
+// softmax staging) the interpreter owns on top of the activation arena.
 func (ip *Interpreter) ScratchSize() int {
 	total := 4*len(ip.colF32) + 8*len(ip.gemmX) + 8*len(ip.smLogits) + 8*len(ip.smProbs)
 	for _, p := range ip.preps {
 		if cp, ok := p.(*convPrep); ok {
-			total += len(cp.col)
+			total += len(cp.img)
 		}
 	}
 	return total
@@ -214,7 +197,7 @@ func (ip *Interpreter) Invoke() error {
 
 // NodeCycles estimates the simulated-core cost of one operator application
 // using the calibrated hw cost model. The cost model is a property of the
-// modeled device, not of the host kernels: the im2col/GEMM rewrite speeds
+// modeled device, not of the host kernels: the implicit-GEMM kernels speed
 // up the simulator, it does not change the simulated cycle counts.
 func NodeCycles(m *Model, n Node) uint64 {
 	switch n.Op {

@@ -12,7 +12,7 @@ import (
 // geometries, paddings, strides, activations and quantization parameters.
 // Each case runs as a one-node model through the interpreter, so the test
 // covers the code every served model runs: the prep pass, the int8
-// convolution's compiled im2col copy program and, for int8 I/O, the batch
+// convolution's padded image and offset table and, for int8 I/O, the batch
 // plan.
 
 // oneNodeModel wires in → op → out into a model, with consts as the node's
@@ -248,10 +248,12 @@ func TestDepthwiseConv2DOptMatchesRef(t *testing.T) {
 }
 
 func TestFullyConnectedGemmMatchesRef(t *testing.T) {
-	// The GEMM shapes cover both kernels' tails: depths 1, 15 and 17 around
-	// the AVX2 16-depth block (staged rows) and 80/4400 (tiny_conv's conv
-	// and FC, whole blocks); filter counts off the 8-filter AVX2 and
-	// 4-filter SWAR panel grids; several row counts. allMin cases fill the
+	// The GEMM shapes cover both kernels' tails: depths 1, 3, 5 and 7 (rows
+	// shorter than one 8-byte half, whose trailing rows fcRows runs from a
+	// copy, at row counts either side of that boundary), 15 and 17 (a last
+	// half that overlaps its predecessor) and 80/4400 (tiny_conv's conv and
+	// FC, whole blocks); filter counts off the 8-filter AVX2 and 4-filter
+	// SWAR panel grids; several row counts. allMin cases fill the
 	// activations and weights with −128 under a nonzero input zero point,
 	// the −128·−128 product corner.
 	cases := []struct {
@@ -272,6 +274,10 @@ func TestFullyConnectedGemmMatchesRef(t *testing.T) {
 		{2, 4400, 3, ActNone, false},
 		{6, 15, 10, ActNone, true},
 		{3, 4400, 12, ActNone, true},
+		{10, 1, 9, ActNone, false},
+		{4, 3, 9, ActReLU, false},
+		{3, 5, 6, ActNone, false},
+		{2, 7, 9, ActNone, false},
 	}
 	for ci, c := range cases {
 		t.Run(fmt.Sprintf("int8_case%d", ci), func(t *testing.T) {
@@ -371,8 +377,8 @@ func TestInterpreterInvokeMatchesRefKernels(t *testing.T) {
 }
 
 // TestConv2DInt8OutOfRangeZeroPoint: QuantParams.ZeroPoint is an int32, but
-// an int8 tensor's zero point outside [-128, 127] cannot be the im2col
-// padding fill of the int8 convolution. Validate rejects such a model, and
+// an int8 tensor's zero point outside [-128, 127] cannot be the padding
+// fill of the int8 convolution's image. Validate rejects such a model, and
 // so does NewInterpreter.
 func TestConv2DInt8OutOfRangeZeroPoint(t *testing.T) {
 	for _, zp := range []int32{200, -300, 1 << 20} {

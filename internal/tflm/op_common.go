@@ -36,9 +36,10 @@ func activationRangeQuantized(act Activation, q QuantParams) (lo, hi int32) {
 		if q.ZeroPoint > lo {
 			lo = q.ZeroPoint
 		}
-		upper := q.ZeroPoint + int32(math.Round(6/q.Scale))
-		if upper < hi {
-			hi = upper
+		// Compared in float64: through int32 a tiny scale wrapped the bound
+		// below lo, and the vector clamp (max, then min) needs lo ≤ hi.
+		if upper := float64(q.ZeroPoint) + math.Round(6/q.Scale); upper < float64(hi) {
+			hi = int32(upper)
 		}
 	}
 	return lo, hi

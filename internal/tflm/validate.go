@@ -146,9 +146,16 @@ func checkConv(m *Model, n Node, in, out *Tensor) error {
 	if err := checkOutShape(n.Op, out, g); err != nil {
 		return err
 	}
-	// A Conv2D owns an im2col column slab of this size.
+	// A float Conv2D owns an im2col column slab of this size; the bound
+	// holds for every Conv2D.
 	if n.Op == OpConv2D && int64(g.batches*g.M)*int64(g.K) > maxTensorElements {
 		return fmt.Errorf("Conv2D im2col scratch %d×%d exceeds %d elements", g.batches*g.M, g.K, maxTensorElements)
+	}
+	// An int8 Conv2D owns a padded input image (convPrep), which padding
+	// can make far larger than the input.
+	if rows, cols := g.paddedDims(); n.Op == OpConv2D && in.Type == Int8 &&
+		(int64(rows)*int64(cols) > maxTensorElements || int64(rows*cols)*int64(g.batches*g.inC) > maxTensorElements) {
+		return fmt.Errorf("Conv2D padded input image %d×%d×%d exceeds %d elements", rows, cols, g.inC, maxTensorElements)
 	}
 	return nil
 }

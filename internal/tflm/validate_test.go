@@ -130,6 +130,16 @@ var malformedGraphs = []struct {
 		m.Tensor(m.Nodes[0].Inputs[1]).Quant = &QuantParams{Scale: math.NaN()}
 	}},
 	{"pool_rank3_input", OpMaxPool2D, Float32, func(m *Model) { m.Tensor(m.Nodes[0].Inputs[0]).Shape = []int{1, 4, 4} }},
+	{"conv_int8_padded_image_2^26", OpConv2D, Int8, func(m *Model) {
+		// 8192 input bytes and 8192 weights, but SAME padding of an
+		// 8192-row kernel over an 8192-wide row needs an 8192×8192 image.
+		n := &m.Nodes[0]
+		n.Params = Conv2DParams{StrideH: 1, StrideW: 8192, Padding: PaddingSame}
+		m.Tensor(n.Inputs[0]).Shape = []int{1, 1, 8192, 1}
+		m.Tensors[n.Inputs[1]] = constTensor("w", Int8, 1, 8192, 1, 1)
+		m.Tensors[n.Inputs[2]] = constTensor("b", Int32, 1)
+		m.Tensor(n.Outputs[0]).Shape = []int{1, 1, 1, 1}
+	}},
 }
 
 // retype gives a non-constant tensor another dtype, with quantization
