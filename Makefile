@@ -4,7 +4,7 @@
 GO ?= go
 REV := $(shell git rev-parse --short HEAD)
 
-.PHONY: all help build test test-386 vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke fuzz-smoke ci
+.PHONY: all help build test test-386 race vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check bench bench-save bench-cmp bench-gate bench-gate-smoke chaos slo-smoke fuzz-smoke ci
 
 all: build
 
@@ -14,6 +14,7 @@ help:
 	@echo "make vet         go vet"
 	@echo "make vet-cross   go vet the kernel packages for arm64 (the non-AVX2 fallback must compile)"
 	@echo "make test-386    run the kernel package tests as GOARCH=386 (the non-amd64 kernels, executed)"
+	@echo "make race        run the core package tests under the race detector (workers, streams, registry)"
 	@echo "make fmt-check   fail if gofmt would change anything"
 	@echo "make docs-check  fail on undocumented exported identifiers (cmd/docscheck)"
 	@echo "make examples-check  build + vet the examples so they cannot rot silently"
@@ -30,7 +31,7 @@ help:
 	@echo "make chaos       fault-matrix chaos suite under -race -count=2 (netfront resilience gate)"
 	@echo "make slo-smoke   one-second open-loop load run against a live front end (zero protocol errors)"
 	@echo "make fuzz-smoke  run every Fuzz* target for FUZZTIME (default 5s) each"
-	@echo "make ci          tier-1 gate: build + vet + vet-cross + fmt-check + docs/examples/bce checks + test + test-386"
+	@echo "make ci          tier-1 gate: build + vet + vet-cross + fmt-check + docs/examples/bce checks + test + test-386 + race"
 	@echo "                 + perfbench-check + chaos + slo-smoke + bench-gate-smoke + fuzz-smoke"
 
 build:
@@ -55,6 +56,12 @@ vet-cross:
 # package, and has a 32-bit int, so it also catches int-overflow constants.
 test-386:
 	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/dsp ./internal/tflm
+
+# The server workers, stream sequencer and registry are lock- and
+# channel-heavy; run their whole test suite under the race detector, not
+# just the netfront fault matrix that `chaos` covers.
+race:
+	$(GO) test -race -count=1 ./internal/core/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -125,9 +132,9 @@ GATE_SLO_TOL ?= 100
 GATE_BENCHES ?= $(GATE_DEFAULT_BENCHES)|$(GATE_SLO_BENCHES)
 # The inference and frontend hot loops get a tighter leash: the PR-5-era 15%
 # InterpreterInvoke regression class must fail the gate, not slide under the
-# generous noise tolerance above. InvokeBatch and StreamingExtract joined
-# after the kernel-tier-2 pass (cache-blocked batching, fused frontend) so
-# those wins cannot silently erode either.
+# generous noise tolerance above. InvokeBatch (now one Invoke per staged
+# row) and StreamingExtract joined after the kernel-tier-2 pass so those
+# paths cannot silently erode either.
 GATE_TIGHT_BENCHES ?= BenchmarkInterpreterInvoke|BenchmarkInvokeBatch|BenchmarkStreamingExtract
 GATE_TIGHT_TOL ?= 12
 GATE_BENCHTIME ?=
@@ -187,5 +194,5 @@ fuzz-smoke:
 		done; \
 	done
 
-ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test test-386 chaos slo-smoke bench-gate-smoke fuzz-smoke
+ci: build vet vet-cross fmt-check docs-check examples-check bce-check perfbench-check test test-386 race chaos slo-smoke bench-gate-smoke fuzz-smoke
 	@echo "ci: OK"

@@ -203,7 +203,7 @@ func main() {
 	flag.StringVar(&cfg.UnixPath, "unix", "", "Unix socket path (empty disables)")
 	flag.IntVar(&cfg.Workers, "workers", 0, "workers per shard server (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.Queue, "queue", 0, "submission queue depth per shard (0 = 2×workers)")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "max utterances per drained InvokeBatch (0 = default 8, 1 = one per call)")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "max utterances a worker drains per wakeup (0 = default 8, 1 = one at a time)")
 	flag.IntVar(&cfg.Shards, "shards", 1, "shard servers per model (0 = 1)")
 	flag.StringVar(&cfg.Models, "models", "default=1:7", "served models as name=mul:seed,... (tiny_conv width multiplier and weight seed)")
 	flag.StringVar(&cfg.Tenants, "tenants", "", "tenant policies as name=weight:cap,... (DRR weight and queue cap; unnamed tenants get defaults)")

@@ -54,27 +54,18 @@
 // Invoke is allocation-free. The inner loops are additionally restructured
 // so the compiler proves every slice access in range — the functions listed
 // in bce_clean.txt compile with zero bounds checks, a contract `make
-// bce-check` enforces; ARCHITECTURE.md "Kernel tiers" documents the idioms,
-// the cache-blocking tile sizes and the experiments that were measured and
-// rejected.
+// bce-check` enforces; ARCHITECTURE.md "Kernel tiers" documents the idioms
+// and the experiments that were measured and rejected.
 //
-// Interpreter.PlanBatch/InvokeBatch is the stacked-utterance face of the
-// same engine: up to the planned capacity of utterances are staged into
-// per-tensor slabs (BatchInput) and classified in one pass over the graph
-// — each convolution copies each utterance into the plan's padded image and
-// runs its windows through the shared weight panels while they are
-// cache-hot, pure-copy reshapes alias away entirely, and softmax sweeps
-// all stacked rows at once, with plan-owned image/GEMM/softmax scratch so
-// the zero-allocation invariant survives. The batch executes
-// cache-blocked: the node list sweeps a few utterances at a time (sized at
-// plan time so a tile's activation rows fit well inside L1d) so producer
-// output is consumed while still resident — an iteration-order change
-// only, bit-identical results, but it makes batching a throughput win even
-// on one core. Output rows (BatchOutput) stay valid until the next
-// InvokeBatch. Results are bit-exact with serial Invoke, and cycle
-// metering still charges every utterance's full simulated cost. Host
+// Invoke's prepped node execs are the only way a node runs.
+// Interpreter.PlanBatch/InvokeBatch is a thin staging form over them:
+// PlanBatch allocates stacked input and output rows (BatchInput,
+// BatchOutput), and InvokeBatch(b) copies each of the first b rows into
+// the model input, calls Invoke and copies the output row out — 0 alloc,
+// b× the metered cycles, results identical to Invoke because they are
+// Invoke. Only perfbench's tflm.batch layer calls it. Host
 // parallelism comes from the serving layer's worker pool, one interpreter
-// per worker, not from inside a batch.
+// per worker.
 //
 // Model.Validate accepts exactly what Invoke runs: every node is checked
 // against its kernel's dtype, rank, quantization, constness and geometry
@@ -144,17 +135,18 @@
 // recomputation in steady state, with zero allocations, and bit-exact
 // against ExtractInto (BenchmarkStreamingExtract, E12).
 //
-// Server workers run every job through one planned InvokeBatch call: a
-// lone job is a batch of one, and when more are pending a worker drains up
-// to ServerConfig.MaxBatch of them into the same call. Each job then
-// finishes through its one completion, whatever the submission form: a
+// Server workers run every job through one Invoke. When more jobs are
+// pending a worker drains up to ServerConfig.MaxBatch of them per wakeup,
+// runs them in turn and completes them together. Each job finishes
+// through its one completion, whatever the submission form: a
 // ticket (Submit, RunBatch, a stream hop), which recycles through a
 // freelist (Pending.Release); the caller's callback
 // (Server.SubmitFuncDeadline, invoked on the completing worker); or, after
 // Stream.OnResult, a per-stream sequencer that delivers hop results
 // strictly in hop order. Submit, the callback forms and OnResult streams
-// allocate nothing in steady state, and Close drains: every submission accepted before Close has
-// completed (ticket resolved, callback fired) by the time Close returns.
+// allocate nothing in steady state, and Close drains: every submission
+// accepted before Close has completed (ticket resolved, callback fired) by
+// the time Close returns.
 //
 // # Network serving edge
 //
@@ -234,9 +226,9 @@
 //
 // On the protected path, KWSApp.QueryBatch(n) runs n capture→extract→invoke
 // iterations inside a single enclave Run, pulling several utterances per
-// SMC round trip through the shared-SW window, classifying each
-// window-full through one stacked InvokeBatch, and reusing app-owned
-// scratch, which amortizes the world-switch overhead of the per-query
-// Table-I path (visible in E12's simulated-time column; host wall time is
+// SMC round trip through the shared-SW window, classifying each utterance
+// through the same Invoke as Query, and reusing app-owned scratch, which
+// amortizes the world-switch overhead of the per-query Table-I path
+// (visible in E12's simulated-time column; host wall time is
 // extraction/GEMM-bound and therefore at parity).
 package repro

@@ -220,15 +220,6 @@ func (a *KWSApp) Initialize(resp *KeyResponse) error {
 			return err
 		}
 		interp.SetMeter(env.Core())
-		// Plan the stacked-utterance path for QueryBatch: capacity is the
-		// number of utterances one mic SMC round trip deposits in the
-		// shared-SW window, the natural batch unit of the enclave serving
-		// loop. Models the batched engine cannot plan (multi-output,
-		// non-int8 I/O) simply keep the serial per-utterance path —
-		// QueryBatch checks BatchCapacity before staging.
-		if perCall := a.utterancesPerSMC(); perCall > 1 {
-			_ = interp.PlanBatch(perCall)
-		}
 		a.interp = interp
 		a.version = pkg.Version
 		a.modelLen = len(plain)
@@ -238,7 +229,7 @@ func (a *KWSApp) Initialize(resp *KeyResponse) error {
 
 // utterancesPerSMC returns how many whole utterances fit in the enclave's
 // shared secure-world window — the batch granularity of QueryBatch's mic
-// capture and of its stacked InvokeBatch.
+// capture.
 func (a *KWSApp) utterancesPerSMC() int {
 	perCall := int(a.enclave.SWSize()/2) / a.fe.Config().SampleRate
 	if perCall < 1 {
@@ -328,12 +319,12 @@ func (a *KWSApp) lastLabel() int { return tflm.Argmax(a.interp.Output(0)) }
 // amortizing the per-query enclave overhead that dominates the Table-I OMG
 // column: microphone capture batches as many utterances per SMC round trip
 // as the shared-SW window holds (one world switch per window-full instead
-// of per utterance), each window-full is classified through one stacked
-// tflm.InvokeBatch call (planned at Initialize), and all per-utterance
-// state lives in app-owned scratch plus one flat probability slab for the
-// whole batch. The n utterances must already be queued in the microphone
-// FIFO; missing audio classifies as silence, exactly as in Query. Unlike
-// Query's, the returned results own their probability storage.
+// of per utterance), each utterance is classified through the same infer
+// (one Invoke) as Query, and all per-utterance state lives in app-owned
+// scratch plus one flat probability slab for the whole batch. The n
+// utterances must already be queued in the microphone FIFO; missing audio
+// classifies as silence, exactly as in Query. Unlike Query's, the returned
+// results own their probability storage.
 func (a *KWSApp) QueryBatch(n int) ([]QueryResult, error) {
 	if a.interp == nil {
 		return nil, errors.New("core: enclave not initialized")
@@ -344,7 +335,6 @@ func (a *KWSApp) QueryBatch(n int) ([]QueryResult, error) {
 	rate := a.fe.Config().SampleRate
 	perCall := a.utterancesPerSMC()
 	classes := a.interp.Output(0).NumElements()
-	outQ := a.interp.Output(0).Quant
 	results := make([]QueryResult, n)
 	flat := make([]float64, n*classes)
 	err := a.enclave.Run(func(env *sanctuary.Env) error {
@@ -356,7 +346,6 @@ func (a *KWSApp) QueryBatch(n int) ([]QueryResult, error) {
 			if err != nil {
 				return err
 			}
-			batched := m > 1 && a.interp.BatchCapacity() >= m
 			for j := 0; j < m; j++ {
 				take := min(rate, max(0, got-j*rate))
 				utt, err := env.ReadMicWindow(a.capBuf, j*rate, take)
@@ -366,34 +355,11 @@ func (a *KWSApp) QueryBatch(n int) ([]QueryResult, error) {
 				a.capBuf = utt
 				a.fpScratch = a.fe.ExtractInto(a.fpScratch, utt)
 				env.Core().Charge(a.fe.Cycles())
-				if !batched {
-					probs, err := a.infer(a.fpScratch, flat[(k+j)*classes:(k+j)*classes:(k+j+1)*classes])
-					if err != nil {
-						return err
-					}
-					results[k+j] = QueryResult{Label: a.lastLabel(), Probs: probs}
-					continue
-				}
-				in := a.interp.BatchInput(j)
-				for i, f := range a.fpScratch {
-					in[i] = int8(int32(f) - 128)
-				}
-			}
-			if batched {
-				// The whole window-full classifies in one stacked pass over
-				// the graph; per-utterance outputs are then dequantized into
-				// each result's slice of the flat probability slab.
-				if err := a.interp.InvokeBatch(m); err != nil {
+				probs, err := a.infer(a.fpScratch, flat[(k+j)*classes:(k+j)*classes:(k+j+1)*classes])
+				if err != nil {
 					return err
 				}
-				for j := 0; j < m; j++ {
-					out := a.interp.BatchOutput(j)
-					probs := flat[(k+j)*classes : (k+j+1)*classes]
-					for i, q := range out {
-						probs[i] = outQ.Dequantize(q)
-					}
-					results[k+j] = QueryResult{Label: tflm.ArgmaxI8(out), Probs: probs}
-				}
+				results[k+j] = QueryResult{Label: a.lastLabel(), Probs: probs}
 			}
 			k += m
 		}

@@ -788,7 +788,7 @@ func TestRegistryStreamSwapped(t *testing.T) {
 
 // TestRegistrySubmitAllocFree pins Registry.Submit end to end over real
 // NewServer shards — admission, the dispatcher, the pooled breaker
-// callback, the worker's extract and InvokeBatch, and the completion — at
+// callback, the worker's extract and Invoke, and the completion — at
 // zero allocations per job with a preallocated callback.
 func TestRegistrySubmitAllocFree(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 1)

@@ -7,12 +7,11 @@
 // utterances (Submit, the callback forms and RunBatch; the worker extracts
 // the fingerprint) or continuous audio (Stream.Submit over an open Stream,
 // whose incremental dsp.Streamer pays one FFT per hop and submits a
-// fingerprint-only job per completed window). Either way a worker runs
-// every job it dequeues through the interpreter's planned InvokeBatch, a
-// lone job as a batch of one, together with whatever backlog it drains,
-// and finishes each job through its one completion: a ticket (Pending), a
-// stream hop or the caller's callback. The queue's bounded capacity is the
-// backpressure mechanism.
+// fingerprint-only job per completed window). Either way a worker drains
+// the job it dequeues together with up to MaxBatch of the backlog, runs
+// each through one interpreter Invoke, and then finishes each job through
+// its one completion: a ticket (Pending), a stream hop or the caller's
+// callback. The queue's bounded capacity is the backpressure mechanism.
 package core
 
 import (
@@ -61,10 +60,10 @@ type ServerConfig struct {
 	// queue blocks Submit and fails TrySubmitFuncDeadline, bounding the
 	// memory a burst of submissions can pin.
 	Queue int
-	// MaxBatch caps how many queued utterances a worker drains into one
-	// planned tflm.InvokeBatch call when the queue is backed up; a lone
-	// job runs as a batch of one. <= 0 means the default of 8; 1 runs
-	// exactly one job per InvokeBatch call.
+	// MaxBatch caps how many queued utterances a worker drains per wakeup
+	// when the queue is backed up; it runs them one Invoke each and then
+	// completes them together. <= 0 means the default of 8; 1 completes
+	// each job before dequeuing the next.
 	MaxBatch int
 	// Frontend configures feature extraction; the zero value means
 	// dsp.DefaultFrontend().
@@ -89,16 +88,16 @@ type pipeWorker struct {
 	ip *tflm.Interpreter
 	fp []uint8 // fingerprint scratch, reused across utterances
 	// batch is the job staging area for queue draining: its capacity is
-	// the planned InvokeBatch depth. res[i] is batch[i]'s result.
+	// MaxBatch. res[i] is batch[i]'s result.
 	batch []job
 	res   []Result
 }
 
-// newPipeWorker builds one worker over a clone of model, validating that the
-// model input matches the frontend's fingerprint geometry, and plans the
-// interpreter's stacked InvokeBatch path at maxBatch — the worker's only
-// execution path, so a model PlanBatch rejects (more than one input or
-// output tensor, non-int8 output) cannot be served.
+// newPipeWorker builds one worker over a clone of model. The worker stages
+// one int8 fingerprint into the model's only input and reads the label off
+// its only output, so a model with more than one input or output tensor,
+// an input that does not match the frontend's fingerprint geometry or a
+// non-int8 output cannot be served.
 func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*pipeWorker, error) {
 	ip, err := tflm.NewInterpreter(model.Clone())
 	if err != nil {
@@ -108,12 +107,15 @@ func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*
 	if err != nil {
 		return nil, err
 	}
-	in := ip.Input(0)
+	if m := ip.Model(); len(m.Inputs) != 1 || len(m.Outputs) != 1 {
+		return nil, fmt.Errorf("core: model has %d inputs and %d outputs, want one of each", len(m.Inputs), len(m.Outputs))
+	}
+	in, out := ip.Input(0), ip.Output(0)
 	if in.Type != tflm.Int8 || in.NumElements() != feCfg.FingerprintLen() {
 		return nil, fmt.Errorf("core: model input %s incompatible with %d-feature fingerprint", in, feCfg.FingerprintLen())
 	}
-	if err := ip.PlanBatch(maxBatch); err != nil {
-		return nil, err
+	if out.Type != tflm.Int8 {
+		return nil, fmt.Errorf("core: model output %s is not int8", out)
 	}
 	return &pipeWorker{
 		fe:    fe,
@@ -124,30 +126,26 @@ func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*
 	}, nil
 }
 
-// runJobs classifies a drained batch of queued jobs — a lone job is a batch
-// of one — through the planned InvokeBatch path: each job's fingerprint
-// (extracted here for utterance jobs, precomputed for stream jobs) is staged
-// into the interpreter's stacked input slab, one InvokeBatch covers all of
-// them, and the results land in w.res, one per job.
+// runJobs classifies a drained batch of queued jobs, one Invoke each: each
+// job's fingerprint (extracted here for utterance jobs, precomputed for
+// stream jobs) is staged into the interpreter's input, and the label lands
+// in w.res, one per job.
 func (w *pipeWorker) runJobs(jobs []job) {
+	in, out := w.ip.Input(0).I8, w.ip.Output(0).I8
 	for j := range jobs {
 		fp := jobs[j].fp
 		if fp == nil {
 			w.fp = w.fe.ExtractInto(w.fp, jobs[j].samples)
 			fp = w.fp
 		}
-		in := w.ip.BatchInput(j)
 		for i, f := range fp {
 			in[i] = int8(int32(f) - 128)
 		}
-	}
-	err := w.ip.InvokeBatch(len(jobs))
-	for j := range jobs {
-		if err != nil {
+		if err := w.ip.Invoke(); err != nil {
 			w.res[j] = Result{Label: -1, Err: err}
-		} else {
-			w.res[j] = Result{Label: tflm.ArgmaxI8(w.ip.BatchOutput(j))}
+			continue
 		}
+		w.res[j] = Result{Label: tflm.ArgmaxI8(out)}
 	}
 }
 
@@ -240,8 +238,8 @@ type Server struct {
 
 // NewServer builds the worker pool over clones of model (constant weight
 // tensors are shared, activations are private per worker) and starts its
-// goroutines. It fails for a model whose input does not match the
-// frontend's fingerprint or that tflm's PlanBatch cannot plan.
+// goroutines. It fails for a model the workers cannot serve (newPipeWorker):
+// anything but one int8 input of fingerprint length and one int8 output.
 func NewServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 	s, err := newServer(model, cfg)
 	if err != nil {
@@ -286,10 +284,9 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 
 // start launches one goroutine per worker. Each loops on the shared queue
 // until Close closes it, so no per-call goroutine spawn or WaitGroup churn
-// remains on the serving path. Every dequeued job runs through one
-// tflm.InvokeBatch call: when the queue is backed up a worker drains up to
-// its planned batch capacity into that call, and a lone job is a batch of
-// one.
+// remains on the serving path. When the queue is backed up a worker drains
+// up to MaxBatch jobs per wakeup, runs them one Invoke each and only then
+// completes them, so a drained batch's completions go out together.
 //
 // Fault isolation: inference runs under a recover guard — a panic (model
 // bug, hostile input, injected chaos) completes every job of the batch with
@@ -374,7 +371,7 @@ func (s *Server) start() {
 					}
 				}
 				if err := guard(func() { w.runJobs(batch) }); err != nil {
-					// The batch died mid-InvokeBatch: no per-job result is
+					// The batch died mid-inference: no per-job result is
 					// trustworthy, so every job in it reports the panic.
 					for i := range batch {
 						w.res[i] = Result{Label: -1, Err: err}

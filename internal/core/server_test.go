@@ -11,9 +11,10 @@ import (
 	"repro/internal/tflm"
 )
 
-// TestNewServerRejectsUnplannableModel: InvokeBatch is the worker's only
-// execution path, so a model PlanBatch cannot plan (here: two output
-// tensors) fails NewServer instead of being served some other way.
+// TestNewServerRejectsUnplannableModel: the worker stages one fingerprint
+// into the model's only input and reads its only output, so a model
+// outside that shape (here: two output tensors) fails NewServer instead of
+// being served some other way.
 func TestNewServerRejectsUnplannableModel(t *testing.T) {
 	b := tflm.NewBuilder("two outputs", 1)
 	q := tflm.QuantParams{Scale: 1.0 / 128}
@@ -34,12 +35,12 @@ func TestNewServerRejectsUnplannableModel(t *testing.T) {
 	srv, err := NewServer(model, ServerConfig{Workers: 1})
 	if err == nil {
 		srv.Close()
-		t.Fatal("NewServer accepted a model PlanBatch rejects")
+		t.Fatal("NewServer accepted a two-output model")
 	}
 }
 
-// TestServerMaxBatchOne: MaxBatch 1 runs one job per InvokeBatch call and
-// still reproduces the serial classification.
+// TestServerMaxBatchOne: MaxBatch 1 completes each job before dequeuing the
+// next and still reproduces the serial classification.
 func TestServerMaxBatchOne(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 12)
 	want := serialResults(t, model, utts)
@@ -280,8 +281,8 @@ func TestServerStreamMatchesWindows(t *testing.T) {
 
 // TestServerMixedSubmitRunBatch runs concurrent Submit callers against
 // concurrent RunBatch callers on a small queue, so workers constantly drain
-// mixed batches through InvokeBatch while backpressure cycles — the -race
-// target for the batched draining path. Every result must match the serial
+// mixed batches while backpressure cycles — the -race target for the
+// draining path. Every result must match the serial
 // classification.
 func TestServerMixedSubmitRunBatch(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 12)

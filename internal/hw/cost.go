@@ -56,12 +56,13 @@ const (
 // through frontend+tiny_conv ≈ 3.79 ms at 2.4 GHz, Table I]
 //
 // The cost model is a property of the MODELED device, not of the host
-// kernels that simulate it: the engine's SWAR GEMM retires three int8 MACs
-// per 64-bit host multiply and the parallel InvokeBatch fans utterances
-// across host cores, but both change only wall time — CyclesPerMAC still
-// prices the portable scalar kernel the paper's device runs, and metering
-// still charges every utterance's full cycle count on its (single) enclave
-// core. Recalibrate these constants only if the modeled device changes.
+// kernels that simulate it: the engine's SWAR and AVX2 GEMM kernels retire
+// several int8 MACs per host instruction and the serving layer's worker
+// pool spreads utterances across host cores, but both change only wall
+// time — CyclesPerMAC still prices the portable scalar kernel the paper's
+// device runs, and metering still charges every utterance's full cycle
+// count on its (single) enclave core. Recalibrate these constants only if
+// the modeled device changes.
 const (
 	CyclesPerMAC           = 18         // int8 MAC incl. requantization amortization
 	CyclesPerButterfly     = 14         // fixed-point radix-2 FFT butterfly

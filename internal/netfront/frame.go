@@ -237,7 +237,9 @@ func DecodeID(body []byte) (id uint32, rest []byte, err error) {
 }
 
 // DecodeSamples converts a PCM16 payload into dst, reusing dst's backing
-// array when its capacity suffices. An odd byte count is malformed.
+// array when its capacity suffices. An odd byte count is malformed. It
+// loads four samples per 8-byte little-endian read and the last 0–3 one at
+// a time, the mirror of AppendSamples.
 func DecodeSamples(dst []int16, b []byte) ([]int16, error) {
 	if len(b)%2 != 0 {
 		return nil, fmt.Errorf("%w: odd sample payload (%d bytes)", ErrMalformedFrame, len(b))
@@ -247,8 +249,14 @@ func DecodeSamples(dst []int16, b []byte) ([]int16, error) {
 		dst = make([]int16, n)
 	}
 	dst = dst[:n]
-	for i := range dst {
-		dst[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
+	out := dst
+	for len(out) >= 4 && len(b) >= 8 {
+		v := binary.LittleEndian.Uint64(b)
+		out[0], out[1], out[2], out[3] = int16(v), int16(v>>16), int16(v>>32), int16(v>>48)
+		out, b = out[4:], b[8:]
+	}
+	for i := range out {
+		out[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
 	}
 	return dst, nil
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,7 +29,9 @@ func goldenSamples(n int) []int16 {
 // TestAppendSamplesGolden pins the PCM16 encoding byte for byte: little
 // endian two's complement, appended after whatever dst already holds.
 // The short cases are spelled out; the 16000-sample utterance is pinned by
-// its SHA-256.
+// its SHA-256. DecodeSamples must turn each pinned byte string back into its
+// samples, into a fresh slice and into a reused one (its backing array kept,
+// whatever stale samples it held).
 func TestAppendSamplesGolden(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -49,12 +52,48 @@ func TestAppendSamplesGolden(t *testing.T) {
 		if h := hex.EncodeToString(got[len(c.prefix):]); h != c.want {
 			t.Fatalf("%s: appended %s, want %s", c.name, h, c.want)
 		}
+		raw, err := hex.DecodeString(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecodeGolden(t, c.name, raw, c.in)
 	}
-	got := AppendSamples(nil, goldenSamples(16000))
+	in := goldenSamples(16000)
+	got := AppendSamples(nil, in)
 	sum := sha256.Sum256(got)
 	const want = "f601fd540d5e8143b3df20a178be666fae7d20f31ca7d262bbc74c6263a4f6ac"
 	if len(got) != 32000 || hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("16000 samples: %d bytes, sha256 %x, want 32000 bytes, %s", len(got), sum, want)
+	}
+	checkDecodeGolden(t, "16000 samples", got, in)
+}
+
+// checkDecodeGolden requires DecodeSamples(dst, raw) to equal want, both
+// into a nil dst and into a dst of spare capacity pre-filled with a stale
+// pattern, whose backing array must be reused.
+func checkDecodeGolden(t *testing.T, name string, raw []byte, want []int16) {
+	t.Helper()
+	out, err := DecodeSamples(nil, raw)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if !slices.Equal(out, want) {
+		t.Fatalf("%s: decoded %v, want %v", name, out, want)
+	}
+	stale := make([]int16, len(want)+5)
+	for i := range stale {
+		stale[i] = 0x5a5a
+	}
+	stale = stale[:3]
+	out, err = DecodeSamples(stale, raw)
+	if err != nil {
+		t.Fatalf("%s: decode into reused dst: %v", name, err)
+	}
+	if !slices.Equal(out, want) {
+		t.Fatalf("%s: decoded into reused dst %v, want %v", name, out, want)
+	}
+	if &out[:1][0] != &stale[:1][0] {
+		t.Fatalf("%s: decode reallocated a dst of capacity %d for %d samples", name, cap(stale), len(want))
 	}
 }
 

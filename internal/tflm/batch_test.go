@@ -8,8 +8,7 @@ import (
 
 // buildRandomConvModel assembles a Conv2D→Reshape→FullyConnected→Softmax
 // graph over a randomized geometry, the same op chain as tiny_conv but with
-// arbitrary shapes, so batched equivalence is exercised beyond the paper
-// model.
+// arbitrary shapes, so InvokeBatch is exercised beyond the paper model.
 func buildRandomConvModel(t *testing.T, r *rand.Rand) *Model {
 	t.Helper()
 	inH := 5 + r.Intn(12)
@@ -82,9 +81,9 @@ func buildRandomConvModel(t *testing.T, r *rand.Rand) *Model {
 
 // TestInvokeBatchMatchesSerial: over randomized conv geometries (plus the
 // paper tiny_conv), planned capacities from 1 to 11 and every batch size up
-// to the capacity, the stacked InvokeBatch must be bit-exact with running
-// each utterance through serial Invoke — which the kernel equivalence tests
-// in turn pin to the scalar reference kernels.
+// to the capacity, InvokeBatch's output rows must be bit-exact with running
+// each utterance through a separate interpreter's Invoke — which the kernel
+// equivalence tests in turn pin to the scalar reference kernels.
 func TestInvokeBatchMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		trial := trial
@@ -148,11 +147,11 @@ func TestInvokeBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchTilingMatchesSerial: the cache-blocking tile is a pure
-// iteration-order change, so every forced tile width — untiled, degenerate
-// 1, widths that do not divide the batch (odd tails), and widths beyond the
-// batch — must stay bit-exact with serial Invoke, over randomized models and
-// batch sizes including B=1 and B=MaxBatch.
+// TestInvokeBatchTilingMatchesSerial: staged rows survive InvokeBatch, so
+// one staging reruns at any batch size — a prefix (b=1, MaxBatch-1), the
+// whole plan, and again after the shorter runs — and every output row
+// stays bit-exact with serial Invoke, over randomized models. (The name
+// predates the thin InvokeBatch; the stacked engine it once tiled is gone.)
 func TestInvokeBatchTilingMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		trial := trial
@@ -180,13 +179,6 @@ func TestInvokeBatchTilingMatchesSerial(t *testing.T) {
 				if err := batched.PlanBatch(maxB); err != nil {
 					t.Fatal(err)
 				}
-				if batched.batch.runs == nil {
-					t.Skip("degraded serial fallback: no tiling to exercise")
-				}
-				if tb := batched.batch.tileB; tb < 2 || tb > maxB {
-					t.Fatalf("planned tileB = %d outside [2, %d]", tb, maxB)
-				}
-				inElems := serial.Input(0).NumElements()
 				outElems := serial.Output(0).NumElements()
 				// Stage maxB utterances once and precompute the serial truth.
 				want := make([][]int8, maxB)
@@ -201,53 +193,22 @@ func TestInvokeBatchTilingMatchesSerial(t *testing.T) {
 					}
 					want[j] = append([]int8(nil), serial.Output(0).I8[:outElems]...)
 				}
-				_ = inElems
-				for _, tile := range []int{0, 1, 2, 3, maxB - 1, maxB, maxB + 3} {
-					batched.batch.tileB = tile
-					for _, b := range []int{1, maxB - 1, maxB} {
-						if err := batched.InvokeBatch(b); err != nil {
-							t.Fatalf("tile=%d b=%d: %v", tile, b, err)
-						}
-						for j := 0; j < b; j++ {
-							got := batched.BatchOutput(j)
-							for i := 0; i < outElems; i++ {
-								if got[i] != want[j][i] {
-									t.Fatalf("tile=%d b=%d utterance %d output %d: batched %d != serial %d",
-										tile, b, j, i, got[i], want[j][i])
-								}
+				for _, b := range []int{1, maxB - 1, maxB, 1, maxB} {
+					if err := batched.InvokeBatch(b); err != nil {
+						t.Fatalf("b=%d: %v", b, err)
+					}
+					for j := 0; j < b; j++ {
+						got := batched.BatchOutput(j)
+						for i := 0; i < outElems; i++ {
+							if got[i] != want[j][i] {
+								t.Fatalf("b=%d utterance %d output %d: batched %d != serial %d",
+									b, j, i, got[i], want[j][i])
 							}
 						}
 					}
 				}
 			})
 		})
-	}
-}
-
-// TestBatchTile: the tile sizer respects its floor (2, the GEMM row
-// pairing), its cap (the plan capacity), counts aliased slabs once, and
-// degrades to the capacity when there are no slabs to measure.
-func TestBatchTile(t *testing.T) {
-	mk := func(n int) []int8 { return make([]int8, n) }
-	if got := batchTile(nil, 16); got != 16 {
-		t.Fatalf("no slabs: tile = %d, want capB 16", got)
-	}
-	// Huge per-utterance footprint → floor of 2.
-	if got := batchTile([][]int8{mk(16 * 64 << 10)}, 16); got != 2 {
-		t.Fatalf("huge slab: tile = %d, want 2", got)
-	}
-	// Tiny footprint → capped at capB.
-	if got := batchTile([][]int8{mk(16 * 4)}, 16); got != 16 {
-		t.Fatalf("tiny slab: tile = %d, want 16", got)
-	}
-	// Mid footprint: 16 utterances × 2 KiB rows → 8 rows per 16 KiB budget.
-	if got := batchTile([][]int8{mk(16 * 2048)}, 16); got != 8 {
-		t.Fatalf("mid slab: tile = %d, want 8", got)
-	}
-	// An aliased slab (Reshape) must not double-count its bytes.
-	shared := mk(16 * 2048)
-	if got := batchTile([][]int8{shared, shared}, 16); got != 8 {
-		t.Fatalf("aliased slabs: tile = %d, want 8", got)
 	}
 }
 
@@ -278,9 +239,9 @@ func TestInvokeBatchValidation(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchZeroAlloc: like Invoke, the planned batched path must not
-// touch the heap, whether the batch fills the plan, leaves a partial tile
-// or is a lone utterance.
+// TestInvokeBatchZeroAlloc: like Invoke, InvokeBatch must not touch the
+// heap, whether the batch fills the plan, falls one short or is a lone
+// utterance.
 func TestInvokeBatchZeroAlloc(t *testing.T) {
 	forEachGEMMKernel(t, func(t *testing.T) {
 		model, err := BuildRandomTinyConv(1, 7)

@@ -7,10 +7,9 @@ import (
 )
 
 // FuzzConvKernel turns fuzz bytes into one-node int8 Conv2D models and
-// requires Invoke and InvokeBatch (checkOneNode) to equal
-// evalConv2DInt8Ref under both GEMM kernels. The geometry covers kernel
-// rows shorter than, equal to and longer than one 8-byte half, with every
-// residue of kW·inC mod 8; strides 1–3; SAME and VALID padding, including
+// requires Invoke (checkOneNode) to equal evalConv2DInt8Ref under both GEMM
+// kernels. The geometry covers kernel rows shorter than, equal to and
+// longer than one 8-byte half, with every residue of kW·inC mod 8; strides 1–3; SAME and VALID padding, including
 // VALID windows that run past the input; any input and output zero point
 // (−128 and 127 among them); and 1–20 filters, on and off the 8-filter
 // grid. Activations and weights cycle through data. The checked-in corpus

@@ -354,23 +354,16 @@ func prepConvInt8(in, w, bias, out *Tensor, g convGeom, act Activation) *convPre
 	cp := &convPrep{g: g, rowStride: cols * g.inC}
 	cp.imgLen = rows * cp.rowStride
 	cp.pr = prepLinearInt8(in, w, bias, out, act, g.outC, g.kH, g.kW*g.inC, cp.rowStride)
-	cp.img = cp.newImage()
+	cp.img = make([]int8, g.batches*cp.imgLen+8)
+	fillSlice(cp.img, int8(cp.pr.inZP))
 	return cp
 }
 
-// newImage returns a padded image for this conv, every byte set to the
-// input zero point.
-func (cp *convPrep) newImage() []int8 {
-	img := make([]int8, cp.g.batches*cp.imgLen+8)
-	fillSlice(img, int8(cp.pr.inZP))
-	return img
-}
-
 // run evaluates the conv over one utterance: it copies the interior rows of
-// in into img (an image from newImage), then runs each output row as one
-// gemmRows call over the windows of that row.
-func (cp *convPrep) run(in, img, out []int8, xb []uint64) {
-	g, pr := &cp.g, cp.pr
+// in into the padded image, then runs each output row as one gemmRows call
+// over the windows of that row.
+func (cp *convPrep) run(in, out []int8, xb []uint64) {
+	g, pr, img := &cp.g, cp.pr, cp.img
 	rowLen := g.inW * g.inC
 	inLen, outRow := g.inH*rowLen, g.outW*pr.n
 	for b := 0; b < g.batches; b++ {

@@ -80,7 +80,7 @@ func (gb *GEMMBench) MACs() int { return gb.mRows * gb.pr.n * gb.pr.k }
 // Run executes the kernel once over the prepped operands (no allocation).
 func (gb *GEMMBench) Run() {
 	if gb.conv != nil {
-		gb.conv.run(gb.a, gb.conv.img, gb.dst, gb.xb)
+		gb.conv.run(gb.a, gb.dst, gb.xb)
 		return
 	}
 	gb.pr.fcRows(gb.a, gb.dst, gb.mRows, gb.xb)

@@ -30,31 +30,16 @@ type Interpreter struct {
 	meter Meter
 	// execs[i] runs node i through its prepped kernel.
 	execs []func()
-	// preps[i] records the plan-time state behind execs[i] so other
-	// execution modes (the batched InvokeBatch plan) can reuse it without
-	// re-deriving geometry or repacking weights.
-	preps []any
 	// Shared kernel scratch, sized at plan time to the largest consumer
 	// (int8 convolutions instead own their padded input image, in their
-	// convPrep, so its border is filled once).
+	// convPrep, so its border is filled once; imgBytes totals those).
 	colF32   []float32
 	gemmX    []uint64 // gemmRows scratch: the SWAR patch and packed rows (none for AVX2)
 	smLogits []float64
 	smProbs  []float64
-	// batch is the optional stacked-utterance plan built by PlanBatch.
+	imgBytes int
+	// batch holds the stacked I/O rows built by PlanBatch.
 	batch *batchPlan
-}
-
-// Per-node prep records stashed by prepNodes for reuse by PlanBatch (the
-// int8 Conv2D's is convPrep, gemm.go).
-type fcPrep struct {
-	batches int
-	pr      *linearPrep
-}
-
-type softmaxPrep struct {
-	depth, outer int
-	beta         float64
 }
 
 // NewInterpreter validates the model, plans the arena, allocates activation
@@ -83,7 +68,6 @@ func NewInterpreter(m *Model) (*Interpreter, error) {
 func (ip *Interpreter) prepNodes() {
 	m := ip.model
 	ip.execs = make([]func(), len(m.Nodes))
-	ip.preps = make([]any, len(m.Nodes))
 	maxColF32, maxDepth, maxGemmX := 0, 0, 0
 	for ni, n := range m.Nodes {
 		in, out := m.Tensor(n.Inputs[0]), m.Tensor(n.Outputs[0])
@@ -99,8 +83,8 @@ func (ip *Interpreter) prepNodes() {
 			}
 			cp := prepConvInt8(in, w, bias, out, g, p.Activation)
 			maxGemmX = max(maxGemmX, cp.pr.gemmScratchLen())
-			ip.preps[ni] = cp
-			ip.execs[ni] = func() { cp.run(in.I8, cp.img, out.I8, ip.gemmX) }
+			ip.imgBytes += len(cp.img)
+			ip.execs[ni] = func() { cp.run(in.I8, out.I8, ip.gemmX) }
 		case OpDepthwiseConv2D:
 			w, bias := m.Tensor(n.Inputs[1]), m.Tensor(n.Inputs[2])
 			dp := prepDepthwiseInt8(in, w, bias, out, windowGeom(m, n), n.Params.(Conv2DParams).Activation)
@@ -115,7 +99,6 @@ func (ip *Interpreter) prepNodes() {
 			}
 			pr := prepLinearInt8(in, w, bias, out, act, outN, 1, inN, 0)
 			maxGemmX = max(maxGemmX, pr.gemmScratchLen())
-			ip.preps[ni] = &fcPrep{batches: batches, pr: pr}
 			ip.execs[ni] = func() { pr.fcRows(in.I8, out.I8, batches, ip.gemmX) }
 		case OpSoftmax:
 			beta := 1.0
@@ -124,7 +107,6 @@ func (ip *Interpreter) prepNodes() {
 			}
 			depth := in.Shape[len(in.Shape)-1]
 			maxDepth = max(maxDepth, depth)
-			ip.preps[ni] = &softmaxPrep{depth: depth, outer: in.NumElements() / depth, beta: beta}
 			ip.execs[ni] = func() { softmax(in, out, beta, ip.smLogits, ip.smProbs) }
 		case OpReshape:
 			ip.execs[ni] = func() { reshapeCopy(in, out) }
@@ -165,13 +147,7 @@ func (ip *Interpreter) ArenaSize() int { return ip.plan.Total }
 // columns, each int8 convolution's padded input image, GEMM row scratch,
 // softmax staging) the interpreter owns on top of the activation arena.
 func (ip *Interpreter) ScratchSize() int {
-	total := 4*len(ip.colF32) + 8*len(ip.gemmX) + 8*len(ip.smLogits) + 8*len(ip.smProbs)
-	for _, p := range ip.preps {
-		if cp, ok := p.(*convPrep); ok {
-			total += len(cp.img)
-		}
-	}
-	return total
+	return 4*len(ip.colF32) + 8*len(ip.gemmX) + 8*len(ip.smLogits) + 8*len(ip.smProbs) + ip.imgBytes
 }
 
 // Input returns the i-th model input tensor.
@@ -230,7 +206,7 @@ func InferenceCycles(m *Model) uint64 {
 
 // ArgmaxI8 returns the index of the maximum element of an int8 slice
 // (first maximum wins), or -1 when empty — the slice-level decision rule
-// used by batched paths that read stacked output rows.
+// of callers that hold the output as a plain int8 slice.
 func ArgmaxI8(xs []int8) int {
 	best := -1
 	for i, v := range xs {

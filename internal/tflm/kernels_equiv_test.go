@@ -33,7 +33,7 @@ func oneNodeModel(op OpCode, params any, in, out *Tensor, consts ...*Tensor) *Mo
 
 // invokeOneNode loads oneNodeModel(op, params, in, out, consts...) with
 // NewInterpreter and runs Invoke once; out then holds the result.
-func invokeOneNode(t *testing.T, op OpCode, params any, in, out *Tensor, consts ...*Tensor) *Interpreter {
+func invokeOneNode(t *testing.T, op OpCode, params any, in, out *Tensor, consts ...*Tensor) {
 	t.Helper()
 	ip, err := NewInterpreter(oneNodeModel(op, params, in, out, consts...))
 	if err != nil {
@@ -42,54 +42,18 @@ func invokeOneNode(t *testing.T, op OpCode, params any, in, out *Tensor, consts 
 	if err := ip.Invoke(); err != nil {
 		t.Fatal(err)
 	}
-	return ip
 }
 
 // checkOneNode runs the one-node model the way a served model runs —
-// NewInterpreter + Invoke and, when in and out are int8, PlanBatch +
-// InvokeBatch at b = 1 and b = 3 over distinct inputs — and requires every
-// output to equal oracle's over the same input, bit for bit. out holds the
-// serial result afterwards.
+// NewInterpreter + Invoke — and requires the output to equal oracle's over
+// the same input, bit for bit. out holds the result afterwards.
 func checkOneNode(t *testing.T, op OpCode, params any, in, out *Tensor, oracle func(in, out *Tensor), consts ...*Tensor) {
 	t.Helper()
-	ip := invokeOneNode(t, op, params, in, out, consts...)
+	invokeOneNode(t, op, params, in, out, consts...)
 	want := &Tensor{Name: out.Name, Type: out.Type, Shape: out.Shape, Quant: out.Quant}
 	want.Alloc()
 	oracle(in, want)
 	requireSameData(t, "Invoke", out, want)
-	if in.Type != Int8 || out.Type != Int8 {
-		return
-	}
-	// The batch runs on a clone: a plan that degrades to serial Invoke
-	// stages each utterance through the clone's own tensors.
-	ip, err := NewInterpreter(ip.Model().Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ip.PlanBatch(3); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []int{1, 3} {
-		inputs := make([]*Tensor, b)
-		for j := range inputs {
-			// Utterance j is in with every element XORed with 37·j.
-			v := &Tensor{Name: in.Name, Type: Int8, Shape: in.Shape, Quant: in.Quant}
-			v.Alloc()
-			for i, x := range in.I8 {
-				v.I8[i] = x ^ int8(37*j)
-			}
-			copy(ip.BatchInput(j), v.I8)
-			inputs[j] = v
-		}
-		if err := ip.InvokeBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range inputs {
-			oracle(v, want)
-			got := &Tensor{Type: Int8, Shape: out.Shape, I8: ip.BatchOutput(j)}
-			requireSameData(t, fmt.Sprintf("InvokeBatch(%d) utterance %d", b, j), got, want)
-		}
-	}
 }
 
 // requireSameData fails unless got and want hold the same bits.

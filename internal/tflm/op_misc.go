@@ -3,8 +3,7 @@ package tflm
 import "math"
 
 // reluI8 is the standalone int8 ReLU (same quantization in and out): values
-// below the zero point clamp to it. Serial Invoke and the batch plan both
-// run it, over tensor storage and stacked slabs.
+// below the zero point clamp to it.
 func reluI8(src, dst []int8, zp int32) {
 	for i, v := range src {
 		if int32(v) < zp {
@@ -61,36 +60,6 @@ func softmax(in, out *Tensor, beta float64, logits, probs []float64) {
 			} else {
 				out.F32[b*depth+i] = float32(probs[i] / sum)
 			}
-		}
-	}
-}
-
-// softmaxRowsI8 computes softmax over rows of depth int8 logits, bit for
-// bit what softmax computes on int8 tensors; the batched InvokeBatch plan
-// runs it over many utterances' stacked rows in one call. The staging
-// buffers must hold depth float64 each.
-func softmaxRowsI8(in, out []int8, rows, depth int, beta float64, inQ, outQ *QuantParams, logits, probs []float64) {
-	logits = logits[:depth]
-	probs = probs[:depth]
-	for b := 0; b < rows; b++ {
-		row := in[b*depth : (b+1)*depth]
-		for i, q := range row {
-			logits[i] = inQ.Dequantize(q)
-		}
-		maxV := logits[0]
-		for _, v := range logits[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for i, v := range logits {
-			probs[i] = math.Exp(beta * (v - maxV))
-			sum += probs[i]
-		}
-		orow := out[b*depth : (b+1)*depth]
-		for i, p := range probs {
-			orow[i] = outQ.Quantize(p / sum)
 		}
 	}
 }

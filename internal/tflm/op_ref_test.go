@@ -10,9 +10,8 @@ import (
 // truth for the optimized kernels in gemm.go. They are test oracles only:
 // the interpreter never calls them. The equivalence tests in
 // kernels_equiv_test.go build one-node models, run them through
-// NewInterpreter + Invoke (and, for int8 I/O, PlanBatch + InvokeBatch) and
-// compare the outputs with these kernels bit for bit, over randomized
-// shapes, paddings, strides and activations. New ops must follow the same
+// NewInterpreter + Invoke and compare the outputs with these kernels bit
+// for bit, over randomized shapes, paddings, strides and activations. New ops must follow the same
 // pattern: land a reference kernel first, then an optimized one that is
 // tested against it.
 
