@@ -13,6 +13,7 @@ help:
 	@echo "make test        run the test suite"
 	@echo "make vet         go vet"
 	@echo "make vet-cross   go vet the kernel packages for arm64 (the non-AVX2 fallback must compile)"
+	@echo "                 and the PCM16 codec for s390x (its big-endian file)"
 	@echo "make test-386    run the kernel package tests as GOARCH=386 (the non-amd64 kernels, executed)"
 	@echo "make race        run the core package tests under the race detector (workers, streams, registry)"
 	@echo "make fmt-check   fail if gofmt would change anything"
@@ -47,15 +48,19 @@ vet:
 # AVX2 frame kernel and the CPUID probe) with a pure-Go fallback for every
 # other GOARCH, including the paper's ARM target. An amd64 build never
 # compiles the fallback files, so vet them for arm64 too; amd64 `go vet`
-# already checks the assembly frame layouts.
+# already checks the assembly frame layouts. The PCM16 codec's
+# word-at-a-time file builds only on big-endian GOARCHes, so it is vetted
+# for s390x; no big-endian host runs it.
 vet-cross:
 	GOARCH=arm64 $(GO) vet ./internal/cpufeat ./internal/tflm ./internal/dsp
+	GOARCH=s390x $(GO) vet ./internal/pcm
 
 # Vetting compiles the fallback files; this runs them. A 386 binary executes
 # on an amd64 host without emulation, takes the !amd64 build of every kernel
-# package, and has a 32-bit int, so it also catches int-overflow constants.
+# package, and has a 32-bit int, so it also catches int-overflow constants
+# (the cache model's 64-bit addresses and the codec's byte views included).
 test-386:
-	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/dsp ./internal/tflm
+	GOARCH=386 $(GO) test ./internal/cpufeat ./internal/dsp ./internal/tflm ./internal/pcm ./internal/hw
 
 # The server workers, stream sequencer and registry are lock- and
 # channel-heavy; run their whole test suite under the race detector, not
@@ -119,7 +124,7 @@ bench-cmp:
 # exactly the listed benchmarks and their sub-benchmarks, never a longer
 # name that merely starts with a listed one. The `go test -bench` selector
 # stays unanchored.
-GATE_DEFAULT_BENCHES ?= BenchmarkFFTFixed512|BenchmarkFrontendExtract|BenchmarkInterpreterInvoke|BenchmarkInvokeBatch|BenchmarkStreamingExtract|BenchmarkGEMMMicroKernel|BenchmarkNetServerThroughput|BenchmarkRegistryThroughput|BenchmarkRegistrySwapUnderLoad|BenchmarkRegistryDegraded
+GATE_DEFAULT_BENCHES ?= BenchmarkFFTFixed512|BenchmarkFrontendExtract|BenchmarkInterpreterInvoke|BenchmarkInvokeBatch|BenchmarkStreamingExtract|BenchmarkGEMMMicroKernel|BenchmarkNetServerThroughput|BenchmarkRegistryThroughput|BenchmarkRegistrySwapUnderLoad|BenchmarkRegistryDegraded|BenchmarkTable1QueryOMG|BenchmarkSecureMicCapture
 GATE_TOL ?= 25
 # The SLO gate (ISSUE 10): BenchmarkServedTailLatency's median-of-3 p99
 # under open-loop load. A p99 is an order statistic of a live queueing

@@ -7,7 +7,8 @@ package repro
 //	Table I / E1  BenchmarkTable1QueryPlain, BenchmarkTable1QueryOMG
 //	E2            derived from the sim-ms metrics of the E1 benchmarks
 //	E3            BenchmarkModelEncode, BenchmarkModelDecrypt
-//	E4            BenchmarkWorldSwitch, BenchmarkSecureMicCapture
+//	E4            BenchmarkWorldSwitch, BenchmarkSecureMicCapture,
+//	              BenchmarkTable1Phases
 //	E5 / Fig. 2   BenchmarkPreparePhase, BenchmarkInitializePhase
 //	E6            BenchmarkEnclaveLifecycle, BenchmarkDeterministicRSAKey
 //	E7            BenchmarkHEInference, BenchmarkMPCInference
@@ -41,6 +42,7 @@ import (
 	"repro/internal/netfront"
 	"repro/internal/netfront/client"
 	"repro/internal/omgcrypto"
+	"repro/internal/sanctuary"
 	"repro/internal/speechcmd"
 	"repro/internal/tflm"
 	"repro/internal/train"
@@ -221,6 +223,68 @@ func BenchmarkSecureMicCapture(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(encCore.Elapsed().Microseconds())/1000/float64(b.N), "sim-ms/op")
+}
+
+// BenchmarkTable1Phases splits one protected query (BenchmarkTable1QueryOMG)
+// into its §V step 7–8 phases on one enclave, each with its host wall time
+// and the simulated time it charges the enclave core: world_switch is a
+// no-op SMC; mic_smc is Speak plus the SMC that drains the secure
+// microphone and deposits PCM16 in the shared window (its world switch
+// included); window_decode reads that window back inside the enclave;
+// extract and invoke are the frontend and the interpreter, metered to the
+// enclave core as Query meters them. ARCHITECTURE.md's Table I attribution
+// is read from it.
+func BenchmarkTable1Phases(b *testing.B) {
+	s := benchSession(b, "t1phases")
+	enc := s.App.Enclave()
+	s.Device.Monitor.Register("bench.noop", func(*trustzone.SecureContext, any) (any, error) { return nil, nil })
+	fe, err := dsp.NewFrontend(dsp.DefaultFrontend())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ip, err := tflm.NewInterpreter(fixModel.Clone())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rate := fe.Config().SampleRate
+	var window []int16
+	fp := fe.Extract(fixUtt)
+	phase := func(name string, op func(env *sanctuary.Env) error) {
+		b.Run(name, func(b *testing.B) {
+			c := enc.Core()
+			before := c.Cycles()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := enc.Run(op); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(c.Cycles()-before)/float64(c.Hz())*1e3/float64(b.N), "sim-ms/op")
+		})
+	}
+	phase("world_switch", func(env *sanctuary.Env) error {
+		_, err := env.SecureCall("bench.noop", nil)
+		return err
+	})
+	phase("mic_smc", func(env *sanctuary.Env) error {
+		s.Device.Speak(fixUtt)
+		_, err := env.CaptureMicBulk(rate)
+		return err
+	})
+	phase("window_decode", func(env *sanctuary.Env) (err error) {
+		window, err = env.ReadMicWindow(window, 0, rate)
+		return err
+	})
+	phase("extract", func(env *sanctuary.Env) error {
+		fp = fe.ExtractInto(fp, fixUtt)
+		env.Core().Charge(fe.Cycles())
+		return nil
+	})
+	phase("invoke", func(env *sanctuary.Env) error {
+		ip.SetMeter(env.Core())
+		return ip.Invoke()
+	})
 }
 
 // BenchmarkPreparePhase runs the full preparation phase (E5 / Fig. 2 1–4).

@@ -36,7 +36,8 @@ import (
 )
 
 // defaultDirs is the audited API surface: the engine packages ISSUE 5's
-// godoc audit covers, plus the serving edge added with it.
+// godoc audit covers, plus the serving edge added with it and the PCM16
+// codec the edge and the secure capture path share.
 var defaultDirs = []string{
 	"internal/core",
 	"internal/tflm",
@@ -45,6 +46,7 @@ var defaultDirs = []string{
 	"internal/netfront/client",
 	"internal/netfront/faultconn",
 	"internal/loadgen",
+	"internal/pcm",
 }
 
 func main() {

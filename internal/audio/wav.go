@@ -7,12 +7,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/pcm"
 )
 
 // EncodeWAV serializes mono PCM16 samples into a canonical RIFF/WAVE file.
 func EncodeWAV(samples []int16, sampleRate int) []byte {
 	dataLen := len(samples) * 2
-	buf := make([]byte, 44+dataLen)
+	buf := make([]byte, 44, 44+dataLen)
 	copy(buf[0:4], "RIFF")
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(36+dataLen))
 	copy(buf[8:12], "WAVE")
@@ -26,10 +28,7 @@ func EncodeWAV(samples []int16, sampleRate int) []byte {
 	binary.LittleEndian.PutUint16(buf[34:36], 16)                   // bits per sample
 	copy(buf[36:40], "data")
 	binary.LittleEndian.PutUint32(buf[40:44], uint32(dataLen))
-	for i, s := range samples {
-		binary.LittleEndian.PutUint16(buf[44+2*i:], uint16(s))
-	}
-	return buf
+	return pcm.Append(buf, samples)
 }
 
 // DecodeWAV parses a mono PCM16 WAV file, tolerating extra chunks between
@@ -67,12 +66,7 @@ func DecodeWAV(data []byte) (samples []int16, sampleRate int, err error) {
 			if !fmtSeen {
 				return nil, 0, errors.New("audio: data chunk before fmt")
 			}
-			n := size / 2
-			samples = make([]int16, n)
-			for i := 0; i < n; i++ {
-				samples[i] = int16(binary.LittleEndian.Uint16(data[body+2*i:]))
-			}
-			return samples, sampleRate, nil
+			return pcm.Decode(nil, data[body:body+size]), sampleRate, nil
 		}
 		pos = body + size
 		if size%2 == 1 {

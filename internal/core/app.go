@@ -278,7 +278,7 @@ func (a *KWSApp) Query() (*QueryResult, error) {
 		a.capBuf = samples
 		a.fpScratch = a.fe.ExtractInto(a.fpScratch, samples)
 		env.Core().Charge(a.fe.Cycles())
-		if a.probs, err = a.infer(a.fpScratch, a.probs); err != nil {
+		if a.probs, err = infer(a.interp, a.fpScratch, a.probs); err != nil {
 			return err
 		}
 		a.res = QueryResult{Label: a.lastLabel(), Probs: a.probs}
@@ -290,18 +290,18 @@ func (a *KWSApp) Query() (*QueryResult, error) {
 	return &a.res, nil
 }
 
-// infer quantizes a fingerprint into the interpreter input, invokes the
-// model, and dequantizes the output into probs (grown only when needed).
-// The caller reads the label via lastLabel.
-func (a *KWSApp) infer(fp []uint8, probs []float64) ([]float64, error) {
-	in := a.interp.Input(0)
+// infer quantizes a fingerprint into ip's input, invokes the model, and
+// dequantizes the output into probs (grown only when needed). The caller
+// reads the label as the argmax of ip's output.
+func infer(ip *tflm.Interpreter, fp []uint8, probs []float64) ([]float64, error) {
+	in := ip.Input(0)
 	for i, f := range fp {
 		in.I8[i] = int8(int32(f) - 128)
 	}
-	if err := a.interp.Invoke(); err != nil {
+	if err := ip.Invoke(); err != nil {
 		return probs, err
 	}
-	out := a.interp.Output(0)
+	out := ip.Output(0)
 	if cap(probs) < out.NumElements() {
 		probs = make([]float64, out.NumElements())
 	}
@@ -355,7 +355,7 @@ func (a *KWSApp) QueryBatch(n int) ([]QueryResult, error) {
 				a.capBuf = utt
 				a.fpScratch = a.fe.ExtractInto(a.fpScratch, utt)
 				env.Core().Charge(a.fe.Cycles())
-				probs, err := a.infer(a.fpScratch, flat[(k+j)*classes:(k+j)*classes:(k+j+1)*classes])
+				probs, err := infer(a.interp, a.fpScratch, flat[(k+j)*classes:(k+j)*classes:(k+j+1)*classes])
 				if err != nil {
 					return err
 				}
@@ -377,10 +377,11 @@ func (a *KWSApp) QueryBatch(n int) ([]QueryResult, error) {
 func (a *KWSApp) CaptureOnly() (int, error) {
 	var n int
 	err := a.enclave.Run(func(env *sanctuary.Env) error {
-		samples, err := env.CaptureMic(a.fe.Config().SampleRate)
+		samples, err := env.CaptureMicInto(a.capBuf, a.fe.Config().SampleRate)
 		if err != nil {
 			return err
 		}
+		a.capBuf = samples
 		n = len(samples)
 		return nil
 	})

@@ -18,6 +18,12 @@ type PlainRunner struct {
 	core   *hw.Core
 	fe     *dsp.Frontend
 	interp *tflm.Interpreter
+	// Query's scratch, reused across calls: a one-second capture, the
+	// fingerprint, the probabilities and the result itself.
+	capBuf []int16
+	fp     []uint8
+	probs  []float64
+	res    QueryResult
 }
 
 // NewPlainRunner builds the unprotected runner on the given core. The model
@@ -33,7 +39,8 @@ func NewPlainRunner(soc *hw.SoC, coreID int, model *tflm.Model) (*PlainRunner, e
 	}
 	core := soc.Core(coreID)
 	interp.SetMeter(core)
-	return &PlainRunner{soc: soc, core: core, fe: fe, interp: interp}, nil
+	return &PlainRunner{soc: soc, core: core, fe: fe, interp: interp,
+		capBuf: make([]int16, fe.Config().SampleRate)}, nil
 }
 
 // Core returns the core the runner executes on.
@@ -41,28 +48,22 @@ func (r *PlainRunner) Core() *hw.Core { return r.core }
 
 // Query reads the microphone directly from the normal world (possible only
 // because this configuration never assigned it to the secure world) and
-// runs one inference.
+// runs one inference. Like KWSApp.Query it runs in runner-owned scratch, so
+// the returned result — pointer, Label and Probs alike — is only valid
+// until the next Query on this runner.
 func (r *PlainRunner) Query() (*QueryResult, error) {
-	samples, err := r.soc.ReadMic(r.core, r.fe.Config().SampleRate)
+	got, err := r.soc.ReadMicInto(r.core, r.capBuf)
 	if err != nil {
 		return nil, err
 	}
-	if len(samples) == 0 {
+	if got == 0 {
 		return nil, errors.New("core: microphone empty")
 	}
-	features := r.fe.Extract(samples)
+	r.fp = r.fe.ExtractInto(r.fp, r.capBuf[:got])
 	r.core.Charge(r.fe.Cycles())
-	in := r.interp.Input(0)
-	for i, f := range features {
-		in.I8[i] = int8(int32(f) - 128)
-	}
-	if err := r.interp.Invoke(); err != nil {
+	if r.probs, err = infer(r.interp, r.fp, r.probs); err != nil {
 		return nil, err
 	}
-	out := r.interp.Output(0)
-	probs := make([]float64, out.NumElements())
-	for i, q := range out.I8 {
-		probs[i] = out.Quant.Dequantize(q)
-	}
-	return &QueryResult{Label: tflm.Argmax(out), Probs: probs}, nil
+	r.res = QueryResult{Label: tflm.Argmax(r.interp.Output(0)), Probs: r.probs}
+	return &r.res, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -593,6 +594,63 @@ func TestOMGOverheadIsSmall(t *testing.T) {
 		t.Fatalf("OMG overhead %.1f%% too large (paper: ~2%%)", overhead*100)
 	}
 	t.Logf("plain %v, OMG %v, overhead %.1f%%", plainTime, protectedTime, overhead*100)
+}
+
+// TestTable1QueriesAllocationFree pins the steady-state heap cost of both
+// Table I queries, Speak included: each reuses its capture, fingerprint,
+// probabilities and result, and the microphone FIFO its backing array, so
+// the plain query allocates nothing and the protected one stays under
+// 1 KB (the SMC request and reply boxes).
+func TestTable1QueriesAllocationFree(t *testing.T) {
+	s := newTestSession(t, "allocs")
+	if err := s.Prepare(s.Vendor.Public()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Initialize(); err != nil {
+		t.Fatal(err)
+	}
+	plainSoC := hw.NewSoC(hw.Config{BigCores: 1, LittleCores: 0, DRAMSize: 16 << 20})
+	plain, err := NewPlainRunner(plainSoC, 0, testTinyConv(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	utt := speechcmd.NewGenerator(speechcmd.DefaultConfig()).Utterance("yes", 3, 0)
+	omg := func() {
+		s.Device.Speak(utt)
+		if _, err := s.Query(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unprotected := func() {
+		plainSoC.Microphone().Feed(utt)
+		if _, err := plain.Query(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(20, unprotected); a != 0 {
+		t.Errorf("plain query: %v allocs/op, want 0", a)
+	}
+	for _, q := range []struct {
+		name string
+		op   func()
+	}{{"OMG", omg}, {"plain", unprotected}} {
+		if b := heapBytesPerOp(20, q.op); b >= 1024 {
+			t.Errorf("%s query: %.0f heap B/op, want < 1024", q.name, b)
+		}
+	}
+}
+
+// heapBytesPerOp returns the heap bytes op allocates per call, averaged
+// over n calls after one warm-up call.
+func heapBytesPerOp(n int, op func()) float64 {
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
 func TestVendorValidation(t *testing.T) {

@@ -1,5 +1,10 @@
 package hw
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Cache models a set-associative cache with true-LRU replacement. It tracks
 // which line-aligned addresses are resident so the simulator can charge
 // realistic hit/miss latencies and so cache side-channel experiments
@@ -13,16 +18,24 @@ type Cache struct {
 	sets     int
 	ways     int
 	lineSize int
-	// lines[set][way] holds the line-aligned address, valid[set][way] its
-	// validity, and lru[set][way] a per-set LRU stamp (higher = more recent).
-	lines    [][]PhysAddr
-	valid    [][]bool
-	lru      [][]uint64
+	// lineShift and setMask find a line's set: (line >> lineShift) & setMask.
+	lineShift uint
+	setMask   uint64
+	// way holds every way of every set flat: set s is way[s*ways:(s+1)*ways].
+	way      []cacheWay
 	stamp    uint64
 	excluded []addrRange
 
 	hits   uint64
 	misses uint64
+}
+
+// cacheWay is one way of a set: the line-aligned address it holds, its
+// validity and its LRU stamp (higher = more recent).
+type cacheWay struct {
+	line  PhysAddr
+	lru   uint64
+	valid bool
 }
 
 type addrRange struct {
@@ -34,19 +47,21 @@ func (r addrRange) contains(a PhysAddr) bool {
 	return a >= r.base && uint64(a-r.base) < r.size
 }
 
-// NewCache constructs a cache with the given geometry.
+// NewCache constructs a cache with the given geometry. sets and lineSize
+// must be powers of two and ways positive; it panics otherwise.
 func NewCache(sets, ways, lineSize int) *Cache {
-	c := &Cache{sets: sets, ways: ways, lineSize: lineSize}
-	c.lines = make([][]PhysAddr, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		c.lines[i] = make([]PhysAddr, ways)
-		c.valid[i] = make([]bool, ways)
-		c.lru[i] = make([]uint64, ways)
+	if !isPow2(sets) || !isPow2(lineSize) || ways <= 0 {
+		panic(fmt.Sprintf("hw: cache geometry %d sets × %d ways × %d B: sets and line size must be powers of two, ways positive", sets, ways, lineSize))
 	}
-	return c
+	return &Cache{
+		sets: sets, ways: ways, lineSize: lineSize,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setMask:   uint64(sets - 1),
+		way:       make([]cacheWay, sets*ways),
+	}
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
@@ -66,13 +81,11 @@ func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 // Exclude registers [base, base+size) as uncacheable. Subsequent accesses to
 // the range bypass the cache; lines already resident are evicted.
 func (c *Cache) Exclude(base PhysAddr, size uint64) {
-	c.excluded = append(c.excluded, addrRange{base: base, size: size})
 	r := addrRange{base: base, size: size}
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			if c.valid[s][w] && r.contains(c.lines[s][w]) {
-				c.valid[s][w] = false
-			}
+	c.excluded = append(c.excluded, r)
+	for i := range c.way {
+		if c.way[i].valid && r.contains(c.way[i].line) {
+			c.way[i].valid = false
 		}
 	}
 }
@@ -104,12 +117,42 @@ func (c *Cache) Bypasses(addr PhysAddr) bool {
 	return false
 }
 
+// bypassRun reports whether line (line-aligned) is excluded and returns
+// the first line boundary after it, capped at limit, at which that could
+// change: the next line at which some excluded range starts or stops
+// covering line addresses. Every line in [line, end) bypasses exactly when
+// line does, so a walk decides exclusion once per run instead of per line.
+func (c *Cache) bypassRun(line, limit PhysAddr) (bypass bool, end PhysAddr) {
+	end = limit
+	m := uint64(c.lineSize - 1)
+	for _, r := range c.excluded {
+		if r.contains(line) {
+			bypass = true
+		}
+		// r covers exactly the lines from base to base+size, each rounded
+		// up to a line. A bound above the last line rounds to 0, past
+		// which no line lies, and is ignored.
+		for _, b := range [2]uint64{uint64(r.base), uint64(r.base) + r.size} {
+			if b = (b + m) &^ m; b > uint64(line) && b < uint64(end) {
+				end = PhysAddr(b)
+			}
+		}
+	}
+	return bypass, end
+}
+
 func (c *Cache) lineAddr(addr PhysAddr) PhysAddr {
 	return addr &^ PhysAddr(c.lineSize-1)
 }
 
 func (c *Cache) setIndex(line PhysAddr) int {
-	return int(uint64(line) / uint64(c.lineSize) % uint64(c.sets))
+	return int(uint64(line) >> c.lineShift & c.setMask)
+}
+
+// set returns the ways of the set line maps to.
+func (c *Cache) set(line PhysAddr) []cacheWay {
+	i := c.setIndex(line) * c.ways
+	return c.way[i : i+c.ways : i+c.ways]
 }
 
 // Access simulates a load/store of the line containing addr. It returns
@@ -120,37 +163,50 @@ func (c *Cache) Access(addr PhysAddr) (hit bool, evicted PhysAddr, hadVictim boo
 		c.misses++
 		return false, 0, false
 	}
-	line := c.lineAddr(addr)
-	set := c.setIndex(line)
+	return c.fill(c.lineAddr(addr))
+}
+
+// lookup is Access for a walk that has already decided whether line
+// (line-aligned) bypasses; it reports only whether the line hit.
+func (c *Cache) lookup(line PhysAddr, bypass bool) bool {
+	if bypass {
+		c.misses++
+		return false
+	}
+	hit, _, _ := c.fill(line)
+	return hit
+}
+
+// fill is Access for a cacheable line-aligned address.
+func (c *Cache) fill(line PhysAddr) (hit bool, evicted PhysAddr, hadVictim bool) {
+	set := c.set(line)
 	c.stamp++
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == line {
-			c.lru[set][w] = c.stamp
+	for w := range set {
+		if set[w].valid && set[w].line == line {
+			set[w].lru = c.stamp
 			c.hits++
 			return true, 0, false
 		}
 	}
 	c.misses++
 	// Fill: prefer an invalid way, otherwise evict the LRU way.
-	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[set][w] {
+	victim := -1
+	for w := range set {
+		if !set[w].valid {
 			victim = w
-			goto fill
+			break
 		}
 	}
-	for w := 1; w < c.ways; w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
-			victim = w
+	if victim < 0 {
+		victim = 0
+		for w := 1; w < len(set); w++ {
+			if set[w].lru < set[victim].lru {
+				victim = w
+			}
 		}
+		evicted, hadVictim = set[victim].line, true
 	}
-	if c.valid[set][victim] {
-		evicted, hadVictim = c.lines[set][victim], true
-	}
-fill:
-	c.lines[set][victim] = line
-	c.valid[set][victim] = true
-	c.lru[set][victim] = c.stamp
+	set[victim] = cacheWay{line: line, lru: c.stamp, valid: true}
 	return false, evicted, hadVictim
 }
 
@@ -162,9 +218,8 @@ func (c *Cache) Probe(addr PhysAddr) bool {
 		return false
 	}
 	line := c.lineAddr(addr)
-	set := c.setIndex(line)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.lines[set][w] == line {
+	for _, w := range c.set(line) {
+		if w.valid && w.line == line {
 			return true
 		}
 	}
@@ -173,10 +228,8 @@ func (c *Cache) Probe(addr PhysAddr) bool {
 
 // Flush invalidates every line.
 func (c *Cache) Flush() {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			c.valid[s][w] = false
-		}
+	for i := range c.way {
+		c.way[i].valid = false
 	}
 }
 

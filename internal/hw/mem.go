@@ -74,14 +74,8 @@ func (m *PhysMem) Zero(addr PhysAddr, n uint64) {
 		if span > remaining {
 			span = remaining
 		}
-		clearBytes(p[in : in+span])
+		clear(p[in : in+span])
 		off += span
 		remaining -= span
-	}
-}
-
-func clearBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
 	}
 }

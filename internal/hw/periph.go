@@ -57,7 +57,9 @@ func (p *PeriphController) Check(a Access, id PeriphID) error {
 // MMIO cost per transfer burst. The microphone holds whatever audio the
 // "environment" produced; access control decides who may read it.
 type Microphone struct {
-	pending []int16
+	// fifo[head:] are the buffered samples; fifo[:head] were drained.
+	fifo []int16
+	head int
 	// SampleRate is informational (the frontend assumes 16 kHz).
 	SampleRate int
 }
@@ -68,29 +70,26 @@ func NewMicrophone() *Microphone {
 }
 
 // Feed appends samples to the FIFO, as if the user spoke into the device.
+// It reuses the FIFO's backing array: the drained prefix is reclaimed before
+// the array would have to grow, so a feed that fits the array beside the
+// undrained samples does not allocate.
 func (m *Microphone) Feed(samples []int16) {
-	m.pending = append(m.pending, samples...)
+	if m.head > 0 && len(m.fifo)+len(samples) > cap(m.fifo) {
+		m.fifo = m.fifo[:copy(m.fifo, m.fifo[m.head:])]
+		m.head = 0
+	}
+	m.fifo = append(m.fifo, samples...)
 }
 
 // Pending returns the number of buffered samples.
-func (m *Microphone) Pending() int { return len(m.pending) }
-
-// Drain removes and returns up to n samples from the FIFO.
-func (m *Microphone) Drain(n int) []int16 {
-	if n > len(m.pending) {
-		n = len(m.pending)
-	}
-	out := make([]int16, n)
-	m.DrainInto(out)
-	return out
-}
+func (m *Microphone) Pending() int { return len(m.fifo) - m.head }
 
 // DrainInto removes up to len(dst) samples from the FIFO into dst and
 // returns how many were transferred — the allocation-free drain the secure
 // peripheral driver uses on its hot path.
 func (m *Microphone) DrainInto(dst []int16) int {
-	n := copy(dst, m.pending)
-	m.pending = m.pending[n:]
+	n := copy(dst, m.fifo[m.head:])
+	m.head += n
 	return n
 }
 

@@ -170,20 +170,30 @@ func (s *SoC) access(c *Core, addr PhysAddr, readBuf, writeData []byte) error {
 	return nil
 }
 
-// chargeMemory walks the cache hierarchy line by line and charges latency.
+// chargeMemory walks the cache hierarchy line by line and charges latency:
+// each line hits L1, else L2, else goes to DRAM, and L2 sees only L1's
+// misses. Exclusion is decided once per run of lines (Cache.bypassRun) and
+// the walk's cycles are charged once; hit, miss, eviction and LRU state end
+// exactly as if each line were an Access.
 func (s *SoC) chargeMemory(c *Core, addr PhysAddr, n int) {
 	line := PhysAddr(uint64(addr) &^ uint64(CacheLineSize-1))
-	end := uint64(addr) + uint64(n)
-	for uint64(line) < end {
-		if hit, _, _ := c.l1.Access(line); hit {
-			c.Charge(L1HitCycles)
-		} else if hit, _, _ := s.l2.Access(line); hit {
-			c.Charge(L2HitCycles)
-		} else {
-			c.Charge(DRAMCycles)
+	end := PhysAddr(uint64(addr) + uint64(n))
+	var cycles uint64
+	for line < end {
+		l1Bypass, stop := c.l1.bypassRun(line, end)
+		l2Bypass, l2Stop := s.l2.bypassRun(line, stop)
+		for stop = l2Stop; line < stop; line += CacheLineSize {
+			switch {
+			case c.l1.lookup(line, l1Bypass):
+				cycles += L1HitCycles
+			case s.l2.lookup(line, l2Bypass):
+				cycles += L2HitCycles
+			default:
+				cycles += DRAMCycles
+			}
 		}
-		line += PhysAddr(CacheLineSize)
 	}
+	c.Charge(cycles)
 }
 
 // MeasureAccess performs a read like Read but returns the cycles it cost,
@@ -215,20 +225,9 @@ func (s *SoC) DMARead(addr PhysAddr, buf []byte) error {
 	return nil
 }
 
-// ReadMic drains up to n samples from the microphone on behalf of core c,
-// enforcing the TZPC assignment and charging FIFO transfer cost.
-func (s *SoC) ReadMic(c *Core, n int) ([]int16, error) {
-	buf := make([]int16, n)
-	got, err := s.ReadMicInto(c, buf)
-	if err != nil {
-		return nil, err
-	}
-	return buf[:got], nil
-}
-
-// ReadMicInto is ReadMic draining into caller-owned storage (up to len(dst)
-// samples), returning the transferred count; the secure peripheral driver
-// uses it to keep the capture path allocation-free.
+// ReadMicInto drains up to len(dst) microphone samples into dst on behalf
+// of core c, enforcing the TZPC assignment and charging FIFO transfer cost,
+// and returns the transferred count.
 func (s *SoC) ReadMicInto(c *Core, dst []int16) (int, error) {
 	a := Access{Core: c.id, World: c.world, Len: len(dst)}
 	if err := s.tzpc.Check(a, PeriphMicrophone); err != nil {

@@ -3,6 +3,7 @@ package hw
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,22 +125,23 @@ func TestSoCMicrophoneAssignment(t *testing.T) {
 	s := testSoC()
 	s.Microphone().Feed(make([]int16, 160))
 	// Default: normal world may read.
-	if _, err := s.ReadMic(s.Core(0), 80); err != nil {
+	buf := make([]int16, 80)
+	if _, err := s.ReadMicInto(s.Core(0), buf); err != nil {
 		t.Fatalf("normal-world mic read with default assignment: %v", err)
 	}
 	if err := s.TZPC().Assign(SecureWorld, PeriphMicrophone, SecureWorld); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadMic(s.Core(0), 80); err == nil {
+	if _, err := s.ReadMicInto(s.Core(0), buf); err == nil {
 		t.Fatal("normal world read secure-assigned microphone")
 	}
 	s.Core(1).SetWorld(SecureWorld)
-	got, err := s.ReadMic(s.Core(1), 80)
+	got, err := s.ReadMicInto(s.Core(1), buf)
 	if err != nil {
 		t.Fatalf("secure-world mic read: %v", err)
 	}
-	if len(got) != 80 {
-		t.Fatalf("drained %d samples, want 80", len(got))
+	if got != 80 {
+		t.Fatalf("drained %d samples, want 80", got)
 	}
 	if s.Microphone().Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", s.Microphone().Pending())
@@ -226,5 +228,36 @@ func TestMemZeroScrubs(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("byte %d = %#x after scrub", i, b)
 		}
+	}
+}
+
+// TestMicrophoneFeedReusesDrainedFIFO: Speak feeds a drained FIFO once per
+// query, so a feed that fits the backing array must not allocate, and
+// samples fed behind undrained ones come out in order.
+func TestMicrophoneFeedReusesDrainedFIFO(t *testing.T) {
+	m := NewMicrophone()
+	utt := make([]int16, 16000)
+	for i := range utt {
+		utt[i] = int16(i)
+	}
+	dst := make([]int16, len(utt))
+	m.Feed(utt)
+	m.DrainInto(dst)
+	if a := testing.AllocsPerRun(20, func() {
+		m.Feed(utt)
+		m.DrainInto(dst)
+	}); a != 0 {
+		t.Fatalf("Feed into a drained FIFO: %v allocs/op, want 0", a)
+	}
+	m.Feed(utt[:100])
+	if got := m.DrainInto(dst[:40]); got != 40 || m.Pending() != 60 {
+		t.Fatalf("drained %d, %d pending; want 40, 60", got, m.Pending())
+	}
+	m.Feed(utt)
+	m.Feed(utt[:5])
+	want := append(append(append([]int16(nil), utt[40:100]...), utt...), utt[:5]...)
+	got := make([]int16, len(want)+10)
+	if n := m.DrainInto(got); !slices.Equal(got[:n], want) || m.Pending() != 0 {
+		t.Fatalf("drained %d samples (%d pending), want the %d fed in order", n, m.Pending(), len(want))
 	}
 }

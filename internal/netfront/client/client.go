@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netfront"
+	"repro/internal/pcm"
 )
 
 // ErrBusy reports that the server's submission queue was full when the
@@ -866,7 +867,7 @@ func (cc *clientConn) call(typ byte, bodyLen int, fill func(b []byte, id uint32)
 func (cc *clientConn) classify(samples []int16, deadline time.Time, hedge HedgePolicy) (int, error) {
 	r, err := cc.call(frameUtterance, 4+2*len(samples), func(b []byte, id uint32) []byte {
 		b = binary.LittleEndian.AppendUint32(b, id)
-		return netfront.AppendSamples(b, samples)
+		return pcm.Append(b, samples)
 	}, deadline, hedge)
 	if err != nil {
 		return -1, err
@@ -1003,7 +1004,7 @@ func (c *Client) ClassifyBatch(utts [][]int16) ([]int, error) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(utts)))
 		for _, u := range utts {
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(u)))
-			b = netfront.AppendSamples(b, u)
+			b = pcm.Append(b, u)
 		}
 		return b
 	}, time.Time{}, HedgePolicy{})
@@ -1083,7 +1084,7 @@ func (s *Stream) Send(chunk []int16) error {
 	}
 	return s.cc.writeFrame(frameStreamChunk, 4+2*len(chunk), func(b []byte) []byte {
 		b = binary.LittleEndian.AppendUint32(b, s.id)
-		return netfront.AppendSamples(b, chunk)
+		return pcm.Append(b, chunk)
 	})
 }
 

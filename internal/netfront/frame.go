@@ -79,10 +79,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pcm"
 )
 
 // Frame types. Requests have the high bit clear, responses set.
@@ -236,49 +236,13 @@ func DecodeID(body []byte) (id uint32, rest []byte, err error) {
 	return binary.LittleEndian.Uint32(body[0:4]), body[4:], nil
 }
 
-// DecodeSamples converts a PCM16 payload into dst, reusing dst's backing
-// array when its capacity suffices. An odd byte count is malformed. It
-// loads four samples per 8-byte little-endian read and the last 0–3 one at
-// a time, the mirror of AppendSamples.
-func DecodeSamples(dst []int16, b []byte) ([]int16, error) {
+// decodeSamples converts a PCM16 sample payload into dst (reused when its
+// capacity suffices). An odd byte count is malformed.
+func decodeSamples(dst []int16, b []byte) ([]int16, error) {
 	if len(b)%2 != 0 {
 		return nil, fmt.Errorf("%w: odd sample payload (%d bytes)", ErrMalformedFrame, len(b))
 	}
-	n := len(b) / 2
-	if cap(dst) < n {
-		dst = make([]int16, n)
-	}
-	dst = dst[:n]
-	out := dst
-	for len(out) >= 4 && len(b) >= 8 {
-		v := binary.LittleEndian.Uint64(b)
-		out[0], out[1], out[2], out[3] = int16(v), int16(v>>16), int16(v>>32), int16(v>>48)
-		out, b = out[4:], b[8:]
-	}
-	for i := range out {
-		out[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
-	}
-	return dst, nil
-}
-
-// AppendSamples appends chunk as PCM16 bytes. It grows dst once, then
-// stores four samples per 8-byte little-endian write and the last 0–3 one
-// at a time: no per-sample capacity check, and a quarter of the loop
-// iterations, so the speed no longer hinges on where the loop's branches
-// land in the instruction stream.
-func AppendSamples(dst []byte, chunk []int16) []byte {
-	n := len(dst)
-	dst = slices.Grow(dst, 2*len(chunk))[:n+2*len(chunk)]
-	out := dst[n:]
-	for len(chunk) >= 4 && len(out) >= 8 {
-		binary.LittleEndian.PutUint64(out, uint64(uint16(chunk[0]))|uint64(uint16(chunk[1]))<<16|
-			uint64(uint16(chunk[2]))<<32|uint64(uint16(chunk[3]))<<48)
-		chunk, out = chunk[4:], out[8:]
-	}
-	for i, s := range chunk {
-		binary.LittleEndian.PutUint16(out[2*i:], uint16(s))
-	}
-	return dst
+	return pcm.Decode(dst, b), nil
 }
 
 // DecodeBatch parses a FrameBatch body: id, then a count-prefixed sequence
@@ -314,11 +278,7 @@ func DecodeBatch(body []byte) (id uint32, utts [][]int16, err error) {
 		if n < 0 || n > len(rest)/2 {
 			return 0, nil, fmt.Errorf("%w: batch utterance %d declares %d samples beyond body", ErrMalformedFrame, i, n)
 		}
-		samples, err := DecodeSamples(make([]int16, 0, n), rest[:n*2])
-		if err != nil {
-			return 0, nil, err
-		}
-		utts[i] = samples
+		utts[i] = pcm.Decode(nil, rest[:n*2])
 		rest = rest[n*2:]
 	}
 	if len(rest) != 0 {

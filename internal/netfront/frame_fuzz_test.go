@@ -65,7 +65,7 @@ func FuzzFrameDecode(f *testing.F) {
 			switch typ {
 			case FrameUtterance, FrameStreamChunk:
 				if _, rest, err := DecodeID(body); err == nil {
-					if s, err := DecodeSamples(nil, rest); err == nil && len(s) != len(rest)/2 {
+					if s, err := decodeSamples(nil, rest); err == nil && len(s) != len(rest)/2 {
 						t.Fatalf("%d samples from %d payload bytes", len(s), len(rest))
 					}
 				}

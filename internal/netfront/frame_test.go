@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pcm"
 	"repro/internal/speechcmd"
 	"repro/internal/tflm"
 )
@@ -51,8 +52,8 @@ func TestDecodeMalformed(t *testing.T) {
 	if _, _, err := DecodeID([]byte{1, 2, 3}); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("DecodeID(3 bytes): %v", err)
 	}
-	if _, err := DecodeSamples(nil, []byte{1, 2, 3}); !errors.Is(err, ErrMalformedFrame) {
-		t.Errorf("DecodeSamples(odd): %v", err)
+	if _, err := decodeSamples(nil, []byte{1, 2, 3}); !errors.Is(err, ErrMalformedFrame) {
+		t.Errorf("decodeSamples(odd): %v", err)
 	}
 	bad := [][]byte{
 		{1, 0, 0, 0},                         // id only, no count
@@ -71,7 +72,7 @@ func TestDecodeMalformed(t *testing.T) {
 	body := []byte{42, 0, 0, 0, 3, 0, 0, 0}
 	for _, u := range want {
 		body = append(body, byte(len(u)), 0, 0, 0)
-		body = AppendSamples(body, u)
+		body = pcm.Append(body, u)
 	}
 	id, utts, err := DecodeBatch(body)
 	if err != nil || id != 42 || len(utts) != len(want) {
@@ -127,7 +128,7 @@ func TestConnSubmitPathAllocFree(t *testing.T) {
 	gen := speechcmd.NewGenerator(speechcmd.DefaultConfig())
 	utt := gen.Example(0, 0, 0).Samples
 	body := binaryLEUint32(nil, 9) // request id
-	body = AppendSamples(body, utt)
+	body = pcm.Append(body, utt)
 
 	roundTrip := func() {
 		if !c.handleUtterance(body) {

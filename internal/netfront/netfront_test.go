@@ -14,6 +14,7 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/netfront"
 	"repro/internal/netfront/client"
+	"repro/internal/pcm"
 	"repro/internal/speechcmd"
 	"repro/internal/tflm"
 )
@@ -513,7 +514,7 @@ func TestHostileFrames(t *testing.T) {
 		{"unknown frame type", 0x7F, le32(1), true, 0},
 		{"truncated id", netfront.FrameUtterance, []byte{1, 2}, true, 0},
 		{"chunk for unopened stream", netfront.FrameStreamChunk,
-			append(le32(99), netfront.AppendSamples(nil, utts[0][:4])...), false, netfront.CodeBadRequest},
+			append(le32(99), pcm.Append(nil, utts[0][:4])...), false, netfront.CodeBadRequest},
 		{"close of unopened stream", netfront.FrameStreamClose,
 			le32(98), false, netfront.CodeBadRequest},
 	}
@@ -539,7 +540,7 @@ func TestHostileFrames(t *testing.T) {
 				t.Fatalf("code %d, want %d", we.Code, tc.wantCode)
 			}
 			// Request-scoped failure: the same conn still classifies.
-			r.write(netfront.FrameUtterance, append(le32(5), netfront.AppendSamples(nil, utts[0])...))
+			r.write(netfront.FrameUtterance, append(le32(5), pcm.Append(nil, utts[0])...))
 			typ, body, err = r.read()
 			if err != nil || typ != netfront.FrameResult {
 				t.Fatalf("conn dead after request-scoped error: typ=%#x err=%v", typ, err)
@@ -568,7 +569,7 @@ func TestStreamChunkAfterClosed(t *testing.T) {
 	if err != nil || typ != netfront.FrameStreamClosed {
 		t.Fatalf("typ=%#x err=%v, want FrameStreamClosed", typ, err)
 	}
-	r.write(netfront.FrameStreamChunk, append(le32(4), netfront.AppendSamples(nil, utts[0][:8])...))
+	r.write(netfront.FrameStreamChunk, append(le32(4), pcm.Append(nil, utts[0][:8])...))
 	typ, body, err := r.read()
 	if err != nil || typ != netfront.FrameError {
 		t.Fatalf("typ=%#x err=%v, want FrameError", typ, err)
@@ -588,7 +589,7 @@ func TestInterleavedIDsOneConn(t *testing.T) {
 	r := rawDial(t, addr)
 	ids := []uint32{7, 2, 9}
 	for i, id := range ids {
-		r.write(netfront.FrameUtterance, append(le32(id), netfront.AppendSamples(nil, utts[i])...))
+		r.write(netfront.FrameUtterance, append(le32(id), pcm.Append(nil, utts[i])...))
 	}
 	got := map[uint32]int32{}
 	for range ids {

@@ -563,7 +563,7 @@ func (c *conn) handleUtterance(body []byte) bool {
 	}
 	rc := c.getReq()
 	rc.reqID = reqID
-	if rc.buf, err = DecodeSamples(rc.buf, rest); err != nil {
+	if rc.buf, err = decodeSamples(rc.buf, rest); err != nil {
 		c.putReq(rc)
 		return false
 	}
@@ -641,7 +641,7 @@ func (c *conn) handleStreamChunk(body []byte) bool {
 		c.writeErrorCode(id, CodeBadRequest, 0, "netfront: chunk for unopened stream")
 		return true
 	}
-	if cs.buf, err = DecodeSamples(cs.buf, rest); err != nil {
+	if cs.buf, err = decodeSamples(cs.buf, rest); err != nil {
 		return false
 	}
 	before := cs.st.Hops()

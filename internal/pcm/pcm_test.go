@@ -1,4 +1,4 @@
-package netfront
+package pcm
 
 import (
 	"bytes"
@@ -29,7 +29,7 @@ func goldenSamples(n int) []int16 {
 // TestAppendSamplesGolden pins the PCM16 encoding byte for byte: little
 // endian two's complement, appended after whatever dst already holds.
 // The short cases are spelled out; the 16000-sample utterance is pinned by
-// its SHA-256. DecodeSamples must turn each pinned byte string back into its
+// its SHA-256. Decode must turn each pinned byte string back into its
 // samples, into a fresh slice and into a reused one (its backing array kept,
 // whatever stale samples it held).
 func TestAppendSamplesGolden(t *testing.T) {
@@ -45,7 +45,7 @@ func TestAppendSamplesGolden(t *testing.T) {
 		{"odd_after_prefix", []byte{0xaa, 0xbb, 0xcc}, []int16{32767, 1, -1, 0, -32768, 258, -258}, "ff7f0100ffff000000800201fefe"},
 	}
 	for _, c := range cases {
-		got := AppendSamples(append([]byte(nil), c.prefix...), c.in)
+		got := Append(append([]byte(nil), c.prefix...), c.in)
 		if !bytes.Equal(got[:len(c.prefix)], c.prefix) {
 			t.Fatalf("%s: prefix clobbered: % x", c.name, got)
 		}
@@ -59,7 +59,7 @@ func TestAppendSamplesGolden(t *testing.T) {
 		checkDecodeGolden(t, c.name, raw, c.in)
 	}
 	in := goldenSamples(16000)
-	got := AppendSamples(nil, in)
+	got := Append(nil, in)
 	sum := sha256.Sum256(got)
 	const want = "f601fd540d5e8143b3df20a178be666fae7d20f31ca7d262bbc74c6263a4f6ac"
 	if len(got) != 32000 || hex.EncodeToString(sum[:]) != want {
@@ -68,27 +68,24 @@ func TestAppendSamplesGolden(t *testing.T) {
 	checkDecodeGolden(t, "16000 samples", got, in)
 }
 
-// checkDecodeGolden requires DecodeSamples(dst, raw) to equal want, both
-// into a nil dst and into a dst of spare capacity pre-filled with a stale
-// pattern, whose backing array must be reused.
+// checkDecodeGolden requires Decode(dst, raw) to equal want, both into a
+// nil dst and into a dst of spare capacity pre-filled with a stale pattern,
+// whose backing array must be reused. raw with one more trailing byte must
+// decode the same: an odd tail is not a sample.
 func checkDecodeGolden(t *testing.T, name string, raw []byte, want []int16) {
 	t.Helper()
-	out, err := DecodeSamples(nil, raw)
-	if err != nil {
-		t.Fatalf("%s: decode: %v", name, err)
-	}
-	if !slices.Equal(out, want) {
+	if out := Decode(nil, raw); !slices.Equal(out, want) {
 		t.Fatalf("%s: decoded %v, want %v", name, out, want)
+	}
+	if out := Decode(nil, append(slices.Clip(raw), 0x7f)); !slices.Equal(out, want) {
+		t.Fatalf("%s: decoded with an odd tail %v, want %v", name, out, want)
 	}
 	stale := make([]int16, len(want)+5)
 	for i := range stale {
 		stale[i] = 0x5a5a
 	}
 	stale = stale[:3]
-	out, err = DecodeSamples(stale, raw)
-	if err != nil {
-		t.Fatalf("%s: decode into reused dst: %v", name, err)
-	}
+	out := Decode(stale, raw)
 	if !slices.Equal(out, want) {
 		t.Fatalf("%s: decoded into reused dst %v, want %v", name, out, want)
 	}
@@ -97,8 +94,9 @@ func checkDecodeGolden(t *testing.T, name string, raw []byte, want []int16) {
 	}
 }
 
-// TestAppendSamplesRoundTrip: DecodeSamples inverts AppendSamples for random
-// lengths and contents, whatever capacity dst starts with.
+// TestAppendSamplesRoundTrip: Decode inverts Append for random lengths,
+// contents and byte alignments of the payload, whatever capacity dst starts
+// with, and ignores an odd trailing byte.
 func TestAppendSamplesRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
@@ -108,21 +106,54 @@ func TestAppendSamplesRoundTrip(t *testing.T) {
 		}
 		dst := make([]byte, r.Intn(8), r.Intn(8)+8+r.Intn(2)*len(in)*2)
 		prefix := append([]byte(nil), dst...)
-		enc := AppendSamples(dst, in)
+		enc := Append(dst, in)
 		if !bytes.Equal(enc[:len(prefix)], prefix) {
 			t.Fatalf("round %d: prefix clobbered", i)
 		}
-		out, err := DecodeSamples(nil, enc[len(prefix):])
-		if err != nil {
-			t.Fatal(err)
+		payload := enc[len(prefix):]
+		if r.Intn(2) == 1 {
+			payload = append(payload, byte(r.Intn(256)))
 		}
-		if len(out) != len(in) {
-			t.Fatalf("round %d: decoded %d samples, want %d", i, len(out), len(in))
-		}
-		for j := range in {
-			if out[j] != in[j] {
-				t.Fatalf("round %d sample %d: %d, want %d", i, j, out[j], in[j])
+		reuse := make([]int16, r.Intn(len(in)+1), len(in)+r.Intn(4))
+		for _, dst := range [][]int16{nil, reuse} {
+			out := Decode(dst, payload)
+			if !slices.Equal(out, in) {
+				t.Fatalf("round %d: decoded %d samples, want %d, or contents differ", i, len(out), len(in))
+			}
+			if dst != nil && len(in) > 0 && &out[0] != &dst[:1][0] {
+				t.Fatalf("round %d: decode reallocated a dst of capacity %d for %d samples", i, cap(dst), len(in))
 			}
 		}
+	}
+}
+
+// TestCodecZeroAlloc: with room in dst, neither direction allocates.
+func TestCodecZeroAlloc(t *testing.T) {
+	in := goldenSamples(16000)
+	enc := make([]byte, 0, 2*len(in))
+	dec := make([]int16, len(in))
+	if a := testing.AllocsPerRun(20, func() { enc = Append(enc[:0], in) }); a != 0 {
+		t.Errorf("Append into capacity: %v allocs/op", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { dec = Decode(dec, enc) }); a != 0 {
+		t.Errorf("Decode into capacity: %v allocs/op", a)
+	}
+}
+
+func BenchmarkAppend(b *testing.B) {
+	in := goldenSamples(16000)
+	dst := make([]byte, 0, 2*len(in))
+	b.SetBytes(int64(2 * len(in)))
+	for i := 0; i < b.N; i++ {
+		dst = Append(dst[:0], in)
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	raw := Append(nil, goldenSamples(16000))
+	dst := make([]int16, 16000)
+	b.SetBytes(int64(len(raw)))
+	for i := 0; i < b.N; i++ {
+		dst = Decode(dst, raw)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/omgcrypto"
+	"repro/internal/pcm"
 	"repro/internal/trustzone"
 )
 
@@ -208,14 +209,9 @@ func (env *Env) Attest(nonce []byte) (*omgcrypto.AttestationReport, []*omgcrypto
 	return at.Report, at.Chain, nil
 }
 
-// CaptureMic pulls n PCM16 samples from the secure microphone through the
-// secure world (§V step 7): one SMC round trip, after which the samples are
-// read from the shared-SW window on the enclave's core.
-func (env *Env) CaptureMic(n int) ([]int16, error) {
-	return env.CaptureMicInto(nil, n)
-}
-
-// CaptureMicInto is CaptureMic decoding into caller-owned storage: buf is
+// CaptureMicInto pulls n PCM16 samples from the secure microphone through
+// the secure world (§V step 7): one SMC round trip, after which the samples
+// are read from the shared-SW window on the enclave's core into buf. buf is
 // reused when its capacity suffices and reallocated otherwise, and the byte
 // staging goes through an enclave-owned scratch buffer, so repeated captures
 // (the always-on operation phase) perform no per-call heap allocation on the
@@ -228,7 +224,7 @@ func (env *Env) CaptureMicInto(buf []int16, n int) ([]int16, error) {
 	return env.ReadMicWindow(buf, 0, got)
 }
 
-// CaptureMicBulk performs the SMC round trip of CaptureMic without decoding:
+// CaptureMicBulk performs the SMC round trip of CaptureMicInto without decoding:
 // up to n samples are drained from the secure microphone into the shared-SW
 // window and the deposited count is returned. Callers decode slices of the
 // deposit with ReadMicWindow; requesting several utterances per call is how
@@ -261,14 +257,7 @@ func (env *Env) ReadMicWindow(buf []int16, off, n int) ([]int16, error) {
 		return nil, fmt.Errorf("sanctuary: reading shared-SW window: %w", err)
 	}
 	e.core.Charge(uint64(len(raw)) * hw.CyclesPerByteCopy)
-	if cap(buf) < n {
-		buf = make([]int16, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = int16(uint16(raw[2*i]) | uint16(raw[2*i+1])<<8)
-	}
-	return buf, nil
+	return pcm.Decode(buf, raw), nil
 }
 
 // StoreBlob asks the commodity OS to persist a blob to untrusted flash

@@ -214,7 +214,7 @@ func TestMicCaptureThroughSecureWorld(t *testing.T) {
 	soc.Microphone().Feed(want)
 	err = e.Run(func(env *Env) error {
 		before := env.Core().Cycles()
-		got, err := env.CaptureMic(len(want))
+		got, err := env.CaptureMicInto(nil, len(want))
 		if err != nil {
 			return err
 		}
@@ -298,7 +298,7 @@ func TestMicCaptureDeniedWithoutPermission(t *testing.T) {
 	}
 	soc.Microphone().Feed(make([]int16, 16))
 	err = e.Run(func(env *Env) error {
-		if _, err := env.CaptureMic(16); err == nil {
+		if _, err := env.CaptureMicInto(nil, 16); err == nil {
 			t.Fatal("mic capture without permission succeeded")
 		}
 		return nil

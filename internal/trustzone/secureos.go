@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/omgcrypto"
+	"repro/internal/pcm"
 )
 
 // Secure-world services installed by the trusted OS.
@@ -411,7 +412,6 @@ func (s *SecureOS) handlePeriphRead(ctx *SecureContext, req any) (any, error) {
 	const micChunk = 8 << 10 // samples per chunk
 	if cap(s.micSamples) < micChunk {
 		s.micSamples = make([]int16, micChunk)
-		s.micBytes = make([]byte, 2*micChunk)
 	}
 	got := 0
 	for got < r.N {
@@ -423,13 +423,9 @@ func (s *SecureOS) handlePeriphRead(ctx *SecureContext, req any) (any, error) {
 		if moved == 0 {
 			break
 		}
-		// Deposit PCM16 little-endian, packed from the window start.
-		buf := s.micBytes[:moved*2]
-		for i, v := range s.micSamples[:moved] {
-			buf[2*i] = byte(uint16(v))
-			buf[2*i+1] = byte(uint16(v) >> 8)
-		}
-		if err := s.soc.Write(ctx.Core, rec.swBase+hw.PhysAddr(got*2), buf); err != nil {
+		// Deposit PCM16, packed from the window start.
+		s.micBytes = pcm.Append(s.micBytes[:0], s.micSamples[:moved])
+		if err := s.soc.Write(ctx.Core, rec.swBase+hw.PhysAddr(got*2), s.micBytes); err != nil {
 			return nil, fmt.Errorf("trustzone: depositing samples: %w", err)
 		}
 		got += moved

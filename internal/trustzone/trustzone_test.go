@@ -109,7 +109,7 @@ func TestSecureOSBootAssignsMicrophone(t *testing.T) {
 		t.Fatalf("microphone assigned to %v", got)
 	}
 	soc.Microphone().Feed(make([]int16, 16))
-	if _, err := soc.ReadMic(soc.Core(0), 16); err == nil {
+	if _, err := soc.ReadMicInto(soc.Core(0), make([]int16, 16)); err == nil {
 		t.Fatal("normal world read the secure microphone")
 	}
 }
