@@ -196,7 +196,7 @@ func BenchmarkModelDecrypt(b *testing.B) {
 // BenchmarkWorldSwitch measures the SMC round trip (E4; paper: ~0.3 ms).
 func BenchmarkWorldSwitch(b *testing.B) {
 	dev := benchDevice(b, "switch")
-	dev.Monitor.Register("bench.noop", func(ctx *trustzone.SecureContext, req any) (any, error) { return nil, nil })
+	dev.Monitor.Register("bench.noop", func(ctx trustzone.SecureContext, req any) (any, error) { return nil, nil })
 	c := dev.SoC.Core(1)
 	c.ResetCycles()
 	b.ResetTimer()
@@ -237,7 +237,7 @@ func BenchmarkSecureMicCapture(b *testing.B) {
 func BenchmarkTable1Phases(b *testing.B) {
 	s := benchSession(b, "t1phases")
 	enc := s.App.Enclave()
-	s.Device.Monitor.Register("bench.noop", func(*trustzone.SecureContext, any) (any, error) { return nil, nil })
+	s.Device.Monitor.Register("bench.noop", func(trustzone.SecureContext, any) (any, error) { return nil, nil })
 	fe, err := dsp.NewFrontend(dsp.DefaultFrontend())
 	if err != nil {
 		b.Fatal(err)

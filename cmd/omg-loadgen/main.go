@@ -18,14 +18,14 @@
 //	omg-loadgen -addr 127.0.0.1:7071 -rate 500 -duration 10s
 //	omg-loadgen -inproc -rate 800 -duration 5s -mix "oneshot=8,stream=1,batch=1"
 //	omg-loadgen -inproc -tenants "acme=10,trial=1" -rate 2000 -duration 5s
-//	omg-loadgen -inproc -workers 1 -queue 8 -max-batch 4 -rate 1800 -json run.json
+//	omg-loadgen -inproc -workers 1 -queue 8 -rate 1800 -json run.json
 //	omg-loadgen -addr 127.0.0.1:7071 -hedge-delay 2ms -hedge-max 1 -rate 300
 //
 // With -inproc the generator builds a benchmark tiny_conv model and serves
 // it from an in-process front end on a loopback listener (a registry-backed
 // one when -tenants is set, so DRR fairness and overload control are live);
-// -workers/-queue/-max-batch/-shards shape that server —
-// the knobs the ARCHITECTURE.md tuning table sweeps.
+// -workers/-queue/-shards shape that server — the knobs the
+// ARCHITECTURE.md tuning table sweeps.
 package main
 
 import (
@@ -54,10 +54,9 @@ type genConfig struct {
 	Inproc  bool
 
 	// In-process server shape (ignored with -addr).
-	Workers  int
-	Queue    int
-	MaxBatch int
-	Shards   int
+	Workers int
+	Queue   int
+	Shards  int
 
 	// Traffic shape.
 	Rate        float64
@@ -163,7 +162,7 @@ func (c genConfig) validate() (loadgen.Mix, []loadgen.TenantSpec, error) {
 	if c.Duration <= 0 && c.MaxArrivals <= 0 {
 		return loadgen.Mix{}, nil, usageError{"set -duration and/or -max-arrivals"}
 	}
-	if c.Workers < 0 || c.Queue < 0 || c.MaxBatch < 0 || c.Shards < 0 {
+	if c.Workers < 0 || c.Queue < 0 || c.Shards < 0 {
 		return loadgen.Mix{}, nil, usageError{"in-process server knobs must be >= 0"}
 	}
 	if c.Conns < 0 || c.BatchSize < 0 || c.StreamLen < 0 || c.Retries < 0 || c.HedgeMax < 0 {
@@ -193,9 +192,8 @@ func inprocServe(cfg genConfig, tenants []loadgen.TenantSpec) (string, func(), e
 		return "", nil, err
 	}
 	sc := core.ServerConfig{
-		Workers:  cfg.Workers,
-		Queue:    cfg.Queue,
-		MaxBatch: cfg.MaxBatch,
+		Workers: cfg.Workers,
+		Queue:   cfg.Queue,
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -333,31 +331,35 @@ func printReport(w *os.File, rep *loadgen.Report) {
 	fmt.Fprintf(w, "  client   retries=%d redials=%d hedges=%d busy=%d\n", s.Retries, s.Redials, s.Hedges, s.Busy)
 }
 
+// registerFlags defines omg-loadgen's flags on fs, each parsing into cfg.
+func registerFlags(fs *flag.FlagSet, cfg *genConfig) {
+	fs.StringVar(&cfg.Network, "network", "tcp", `dial network ("tcp" or "unix")`)
+	fs.StringVar(&cfg.Addr, "addr", "", "server address to load (empty with -inproc)")
+	fs.BoolVar(&cfg.Inproc, "inproc", false, "spin up an in-process front end instead of dialing -addr")
+	fs.IntVar(&cfg.Workers, "workers", 0, "in-process: workers per shard engine (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Queue, "queue", 0, "in-process: engine queue depth (0 = 2x workers)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "in-process: shard engines per model (0 = 1)")
+	fs.Float64Var(&cfg.Rate, "rate", 200, "mean arrival rate, requests/second (Poisson)")
+	fs.DurationVar(&cfg.Duration, "duration", 5*time.Second, "schedule horizon (0 with -max-arrivals set)")
+	fs.IntVar(&cfg.MaxArrivals, "max-arrivals", 0, "cap on issued arrivals (0 = unlimited)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "schedule/jitter seed (same seed = same schedule)")
+	fs.StringVar(&cfg.Mix, "mix", "", `traffic mix, e.g. "oneshot=8,stream=1,batch=1" (empty = all one-shot)`)
+	fs.StringVar(&cfg.Tenants, "tenants", "", `weighted tenants, e.g. "acme=10,trial=1" (empty = anonymous)`)
+	fs.StringVar(&cfg.Model, "model", "", "model id to bind connections to (empty = server default)")
+	fs.IntVar(&cfg.Conns, "conns", 4, "connections per tenant")
+	fs.IntVar(&cfg.BatchSize, "batch-size", 0, "utterances per batch request (0 = 4)")
+	fs.IntVar(&cfg.StreamLen, "stream-chunks", 0, "sends per stream request (0 = 4)")
+	fs.DurationVar(&cfg.Timeout, "timeout", 0, "per-one-shot deadline (0 = unbounded)")
+	fs.IntVar(&cfg.Retries, "retries", 0, "one-shot retry attempts after the first")
+	fs.DurationVar(&cfg.HedgeDelay, "hedge-delay", 0, "hedge one-shots after this long (0 = off)")
+	fs.IntVar(&cfg.HedgeMax, "hedge-max", 0, "extra hedged attempts per request (0 = 1 when hedging)")
+	fs.StringVar(&cfg.JSONPath, "json", "", `write benchjson-schema results here ("-" = stdout)`)
+	fs.StringVar(&cfg.Name, "name", "Loadgen", "benchmark-style name for JSON entries")
+}
+
 func main() {
 	var cfg genConfig
-	flag.StringVar(&cfg.Network, "network", "tcp", `dial network ("tcp" or "unix")`)
-	flag.StringVar(&cfg.Addr, "addr", "", "server address to load (empty with -inproc)")
-	flag.BoolVar(&cfg.Inproc, "inproc", false, "spin up an in-process front end instead of dialing -addr")
-	flag.IntVar(&cfg.Workers, "workers", 0, "in-process: workers per shard engine (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Queue, "queue", 0, "in-process: engine queue depth (0 = 2x workers)")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "in-process: max utterances drained per worker wakeup (0 = default)")
-	flag.IntVar(&cfg.Shards, "shards", 0, "in-process: shard engines per model (0 = 1)")
-	flag.Float64Var(&cfg.Rate, "rate", 200, "mean arrival rate, requests/second (Poisson)")
-	flag.DurationVar(&cfg.Duration, "duration", 5*time.Second, "schedule horizon (0 with -max-arrivals set)")
-	flag.IntVar(&cfg.MaxArrivals, "max-arrivals", 0, "cap on issued arrivals (0 = unlimited)")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "schedule/jitter seed (same seed = same schedule)")
-	flag.StringVar(&cfg.Mix, "mix", "", `traffic mix, e.g. "oneshot=8,stream=1,batch=1" (empty = all one-shot)`)
-	flag.StringVar(&cfg.Tenants, "tenants", "", `weighted tenants, e.g. "acme=10,trial=1" (empty = anonymous)`)
-	flag.StringVar(&cfg.Model, "model", "", "model id to bind connections to (empty = server default)")
-	flag.IntVar(&cfg.Conns, "conns", 4, "connections per tenant")
-	flag.IntVar(&cfg.BatchSize, "batch-size", 0, "utterances per batch request (0 = 4)")
-	flag.IntVar(&cfg.StreamLen, "stream-chunks", 0, "sends per stream request (0 = 4)")
-	flag.DurationVar(&cfg.Timeout, "timeout", 0, "per-one-shot deadline (0 = unbounded)")
-	flag.IntVar(&cfg.Retries, "retries", 0, "one-shot retry attempts after the first")
-	flag.DurationVar(&cfg.HedgeDelay, "hedge-delay", 0, "hedge one-shots after this long (0 = off)")
-	flag.IntVar(&cfg.HedgeMax, "hedge-max", 0, "extra hedged attempts per request (0 = 1 when hedging)")
-	flag.StringVar(&cfg.JSONPath, "json", "", `write benchjson-schema results here ("-" = stdout)`)
-	flag.StringVar(&cfg.Name, "name", "Loadgen", "benchmark-style name for JSON entries")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
 	if err := run(cfg, os.Stdout, os.Stderr); err != nil {

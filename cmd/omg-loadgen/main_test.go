@@ -1,10 +1,14 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/loadgen"
 )
 
@@ -99,4 +103,24 @@ func TestRunInproc(t *testing.T) {
 	if err := run(cfg, nil, testDevNull(t)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestUsageExamplesParse: every example in the package doc's Usage section
+// parses with omg-loadgen's flag set, leaves no stray argument and
+// validates.
+func TestUsageExamplesParse(t *testing.T) {
+	clitest.CheckUsageExamples(t, "main.go", "omg-loadgen", func(args []string) error {
+		fs := flag.NewFlagSet("omg-loadgen", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var cfg genConfig
+		registerFlags(fs, &cfg)
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		if fs.NArg() != 0 {
+			return fmt.Errorf("stray arguments %q", fs.Args())
+		}
+		_, _, err := cfg.validate()
+		return err
+	})
 }

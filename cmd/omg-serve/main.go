@@ -69,7 +69,6 @@ type serveConfig struct {
 	UnixPath     string
 	Workers      int
 	Queue        int
-	MaxBatch     int
 	Shards       int
 	Models       string // raw -models spec: "name=mul:seed,..."
 	Tenants      string // raw -tenants spec: "name=weight:cap,..."
@@ -99,8 +98,8 @@ func (c serveConfig) validate() (map[string]modelSpec, map[string]core.TenantCon
 	if c.TCPAddr == "" && c.UnixPath == "" {
 		return nil, nil, usageError{"nothing to listen on (set -tcp and/or -unix)"}
 	}
-	if c.Workers < 0 || c.Queue < 0 || c.MaxBatch < 0 {
-		return nil, nil, usageError{"-workers, -queue, -max-batch must be >= 0"}
+	if c.Workers < 0 || c.Queue < 0 {
+		return nil, nil, usageError{"-workers and -queue must be >= 0"}
 	}
 	if c.Shards < 0 {
 		return nil, nil, usageError{"-shards must be >= 0 (0 means 1)"}
@@ -197,21 +196,25 @@ func formatHealth(health []core.ModelHealth, swapFailures uint64) string {
 	return b.String()
 }
 
+// registerFlags defines omg-serve's flags on fs, each parsing into cfg.
+func registerFlags(fs *flag.FlagSet, cfg *serveConfig) {
+	fs.StringVar(&cfg.TCPAddr, "tcp", "127.0.0.1:7071", "TCP listen address (empty disables)")
+	fs.StringVar(&cfg.UnixPath, "unix", "", "Unix socket path (empty disables)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "workers per shard server (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Queue, "queue", 0, "submission queue depth per shard (0 = 2×workers)")
+	fs.IntVar(&cfg.Shards, "shards", 1, "shard servers per model (0 = 1)")
+	fs.StringVar(&cfg.Models, "models", "default=1:7", "served models as name=mul:seed,... (tiny_conv width multiplier and weight seed)")
+	fs.StringVar(&cfg.Tenants, "tenants", "", "tenant policies as name=weight:cap,... (DRR weight and queue cap; unnamed tenants get defaults)")
+	fs.StringVar(&cfg.DefaultModel, "default-model", "", "model for hello-less connections (default: the sole model, else none)")
+	fs.DurationVar(&cfg.Drain, "drain", 5*time.Second, "graceful-drain grace period on SIGTERM")
+	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive hard failures that trip a shard breaker (0 = default)")
+	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 0, "base open-state cooldown before a breaker half-opens (0 = default)")
+	fs.DurationVar(&cfg.OverloadTarget, "overload-target", 0, "target queue sojourn time before over-share tenants are shed (0 = default)")
+}
+
 func main() {
 	var cfg serveConfig
-	flag.StringVar(&cfg.TCPAddr, "tcp", "127.0.0.1:7071", "TCP listen address (empty disables)")
-	flag.StringVar(&cfg.UnixPath, "unix", "", "Unix socket path (empty disables)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "workers per shard server (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Queue, "queue", 0, "submission queue depth per shard (0 = 2×workers)")
-	flag.IntVar(&cfg.MaxBatch, "max-batch", 0, "max utterances a worker drains per wakeup (0 = default 8, 1 = one at a time)")
-	flag.IntVar(&cfg.Shards, "shards", 1, "shard servers per model (0 = 1)")
-	flag.StringVar(&cfg.Models, "models", "default=1:7", "served models as name=mul:seed,... (tiny_conv width multiplier and weight seed)")
-	flag.StringVar(&cfg.Tenants, "tenants", "", "tenant policies as name=weight:cap,... (DRR weight and queue cap; unnamed tenants get defaults)")
-	flag.StringVar(&cfg.DefaultModel, "default-model", "", "model for hello-less connections (default: the sole model, else none)")
-	flag.DurationVar(&cfg.Drain, "drain", 5*time.Second, "graceful-drain grace period on SIGTERM")
-	flag.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive hard failures that trip a shard breaker (0 = default)")
-	flag.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 0, "base open-state cooldown before a breaker half-opens (0 = default)")
-	flag.DurationVar(&cfg.OverloadTarget, "overload-target", 0, "target queue sojourn time before over-share tenants are shed (0 = default)")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
 	specs, tenants, err := cfg.validate()
@@ -243,9 +246,8 @@ func main() {
 	reg, err := core.NewRegistry(models, core.RegistryConfig{
 		Shards: cfg.Shards,
 		Server: core.ServerConfig{
-			Workers:  cfg.Workers,
-			Queue:    cfg.Queue,
-			MaxBatch: cfg.MaxBatch,
+			Workers: cfg.Workers,
+			Queue:   cfg.Queue,
 		},
 		Tenants: tenants,
 		Breaker: core.BreakerConfig{

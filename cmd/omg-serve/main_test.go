@@ -1,10 +1,14 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/clitest"
 	"repro/internal/core"
 )
 
@@ -120,4 +124,23 @@ func TestFormatHealth(t *testing.T) {
 			t.Fatalf("health dump missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestUsageExamplesParse: every example in the package doc's Usage section
+// parses with omg-serve's flag set, leaves no stray argument and validates.
+func TestUsageExamplesParse(t *testing.T) {
+	clitest.CheckUsageExamples(t, "main.go", "omg-serve", func(args []string) error {
+		fs := flag.NewFlagSet("omg-serve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		var cfg serveConfig
+		registerFlags(fs, &cfg)
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		if fs.NArg() != 0 {
+			return fmt.Errorf("stray arguments %q", fs.Args())
+		}
+		_, _, err := cfg.validate()
+		return err
+	})
 }

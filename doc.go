@@ -135,10 +135,10 @@
 // recomputation in steady state, with zero allocations, and bit-exact
 // against ExtractInto (BenchmarkStreamingExtract, E12).
 //
-// Server workers run every job through one Invoke. When more jobs are
-// pending a worker drains up to ServerConfig.MaxBatch of them per wakeup,
-// runs them in turn and completes them together. Each job finishes
-// through its one completion, whatever the submission form: a
+// Server workers take one job per wakeup, run it through one Invoke and
+// complete it before dequeuing the next, so no job's completion waits on
+// another job's inference. Each job finishes through its one completion,
+// whatever the submission form: a
 // ticket (Submit, RunBatch, a stream hop), which recycles through a
 // freelist (Pending.Release); the caller's callback
 // (Server.SubmitFuncDeadline, invoked on the completing worker); or, after

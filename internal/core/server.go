@@ -7,11 +7,11 @@
 // utterances (Submit, the callback forms and RunBatch; the worker extracts
 // the fingerprint) or continuous audio (Stream.Submit over an open Stream,
 // whose incremental dsp.Streamer pays one FFT per hop and submits a
-// fingerprint-only job per completed window). Either way a worker drains
-// the job it dequeues together with up to MaxBatch of the backlog, runs
-// each through one interpreter Invoke, and then finishes each job through
-// its one completion: a ticket (Pending), a stream hop or the caller's
-// callback. The queue's bounded capacity is the backpressure mechanism.
+// fingerprint-only job per completed window). Either way a worker takes one
+// job per wakeup, runs it through one interpreter Invoke and finishes it
+// through its one completion: a ticket (Pending), a stream hop or the
+// caller's callback. The queue's bounded capacity is the backpressure
+// mechanism.
 package core
 
 import (
@@ -60,19 +60,10 @@ type ServerConfig struct {
 	// queue blocks Submit and fails TrySubmitFuncDeadline, bounding the
 	// memory a burst of submissions can pin.
 	Queue int
-	// MaxBatch caps how many queued utterances a worker drains per wakeup
-	// when the queue is backed up; it runs them one Invoke each and then
-	// completes them together. <= 0 means the default of 8; 1 completes
-	// each job before dequeuing the next.
-	MaxBatch int
 	// Frontend configures feature extraction; the zero value means
 	// dsp.DefaultFrontend().
 	Frontend dsp.FrontendConfig
 }
-
-// defaultMaxBatch is the queue-drain batching depth when the config leaves
-// MaxBatch unset.
-const defaultMaxBatch = 8
 
 // Result is the outcome of one utterance.
 type Result struct {
@@ -87,10 +78,6 @@ type pipeWorker struct {
 	fe *dsp.Frontend
 	ip *tflm.Interpreter
 	fp []uint8 // fingerprint scratch, reused across utterances
-	// batch is the job staging area for queue draining: its capacity is
-	// MaxBatch. res[i] is batch[i]'s result.
-	batch []job
-	res   []Result
 }
 
 // newPipeWorker builds one worker over a clone of model. The worker stages
@@ -98,7 +85,7 @@ type pipeWorker struct {
 // its only output, so a model with more than one input or output tensor,
 // an input that does not match the frontend's fingerprint geometry or a
 // non-int8 output cannot be served.
-func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*pipeWorker, error) {
+func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig) (*pipeWorker, error) {
 	ip, err := tflm.NewInterpreter(model.Clone())
 	if err != nil {
 		return nil, err
@@ -118,35 +105,29 @@ func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig, maxBatch int) (*
 		return nil, fmt.Errorf("core: model output %s is not int8", out)
 	}
 	return &pipeWorker{
-		fe:    fe,
-		ip:    ip,
-		fp:    make([]uint8, feCfg.FingerprintLen()),
-		batch: make([]job, 0, maxBatch),
-		res:   make([]Result, maxBatch),
+		fe: fe,
+		ip: ip,
+		fp: make([]uint8, feCfg.FingerprintLen()),
 	}, nil
 }
 
-// runJobs classifies a drained batch of queued jobs, one Invoke each: each
-// job's fingerprint (extracted here for utterance jobs, precomputed for
-// stream jobs) is staged into the interpreter's input, and the label lands
-// in w.res, one per job.
-func (w *pipeWorker) runJobs(jobs []job) {
-	in, out := w.ip.Input(0).I8, w.ip.Output(0).I8
-	for j := range jobs {
-		fp := jobs[j].fp
-		if fp == nil {
-			w.fp = w.fe.ExtractInto(w.fp, jobs[j].samples)
-			fp = w.fp
-		}
-		for i, f := range fp {
-			in[i] = int8(int32(f) - 128)
-		}
-		if err := w.ip.Invoke(); err != nil {
-			w.res[j] = Result{Label: -1, Err: err}
-			continue
-		}
-		w.res[j] = Result{Label: tflm.ArgmaxI8(out)}
+// runJob classifies one queued job with one Invoke: its fingerprint
+// (extracted here for an utterance job, precomputed for a stream job) is
+// staged into the interpreter's input and the label read off its output.
+func (w *pipeWorker) runJob(j job) Result {
+	fp := j.fp
+	if fp == nil {
+		w.fp = w.fe.ExtractInto(w.fp, j.samples)
+		fp = w.fp
 	}
+	in := w.ip.Input(0).I8
+	for i, f := range fp {
+		in[i] = int8(int32(f) - 128)
+	}
+	if err := w.ip.Invoke(); err != nil {
+		return Result{Label: -1, Err: err}
+	}
+	return Result{Label: tflm.ArgmaxI8(w.ip.Output(0).I8)}
 }
 
 // completer is how a queued job finishes: the worker calls complete exactly
@@ -175,33 +156,42 @@ type job struct {
 
 // seqDelivery serializes one stream's result callbacks into hop order: the
 // pool's workers complete hops out of order, so each finished hop's result
-// parks in pending until every earlier hop has fired. Callbacks run under
-// the sequencer lock — one at a time per stream, in submission order — on
-// whichever worker goroutine completed the next-due hop.
+// parks in pending until every earlier hop has fired. Callbacks run one at
+// a time per stream, in submission order, on the worker that completed the
+// next-due hop. They run outside the lock: a worker that finishes a hop
+// while another worker is firing parks the result for the firing worker
+// and goes back to the queue instead of waiting out a callback (a socket
+// write, for netfront) that is not its own.
 type seqDelivery struct {
 	mu      sync.Mutex
 	fn      func(hop uint64, r Result)
 	next    uint64            // next hop sequence to deliver
 	pending map[uint64]Result // finished hops waiting on earlier ones
+	firing  bool              // a worker is running callbacks
 	panics  *atomic.Uint64    // the server's Panics counter
 }
 
-// deliver files hop's result and fires every consecutively ready callback
-// starting at next.
+// deliver files hop's result and, unless another worker is firing, fires
+// every consecutively ready callback starting at next.
 func (q *seqDelivery) deliver(hop uint64, r Result) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if hop != q.next {
+	if q.firing || hop != q.next {
 		q.pending[hop] = r
+		q.mu.Unlock()
 		return
 	}
+	q.firing = true
 	for ok := true; ok; {
+		q.mu.Unlock()
 		q.fire(r)
+		q.mu.Lock()
 		q.next++
 		if r, ok = q.pending[q.next]; ok {
 			delete(q.pending, q.next)
 		}
 	}
+	q.firing = false
+	q.mu.Unlock()
 }
 
 // fire runs the callback of hop next. A panic in it is recovered and
@@ -264,16 +254,12 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 	if queue <= 0 {
 		queue = 2 * n
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatch
-	}
 	s := &Server{
 		feCfg: feCfg,
 		jobs:  make(chan job, queue),
 	}
 	for i := 0; i < n; i++ {
-		w, err := newPipeWorker(model, feCfg, maxBatch)
+		w, err := newPipeWorker(model, feCfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: server worker %d: %w", i, err)
 		}
@@ -283,17 +269,16 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 }
 
 // start launches one goroutine per worker. Each loops on the shared queue
-// until Close closes it, so no per-call goroutine spawn or WaitGroup churn
-// remains on the serving path. When the queue is backed up a worker drains
-// up to MaxBatch jobs per wakeup, runs them one Invoke each and only then
-// completes them, so a drained batch's completions go out together.
+// until Close closes it, taking one job per wakeup, so no per-call goroutine
+// spawn or WaitGroup churn remains on the serving path and a job's
+// completion never waits on another job's inference.
 //
 // Fault isolation: inference runs under a recover guard — a panic (model
-// bug, hostile input, injected chaos) completes every job of the batch with
+// bug, hostile input, injected chaos) completes that job with
 // ErrWorkerPanic through the normal completion path and the worker loops on,
-// so the pool never shrinks and no accepted submission is lost. Jobs whose
-// queue deadline passed are shed at dequeue with ErrDeadlineExceeded before
-// any inference work is spent on them.
+// so the pool never shrinks and no accepted submission is lost. A job whose
+// queue deadline passed is shed at dequeue with ErrDeadlineExceeded before
+// any inference work is spent on it.
 func (s *Server) start() {
 	for _, w := range s.workers {
 		s.wg.Add(1)
@@ -301,88 +286,44 @@ func (s *Server) start() {
 		go func(w *pipeWorker) {
 			defer s.wg.Done()
 			defer s.live.Add(-1)
-			// guard runs fn with panic isolation: a recovered panic is
-			// returned as an ErrWorkerPanic for the caller to write into the
-			// affected results. The injected-panic hook fires inside the
-			// guard so chaos tests exercise the real recovery path.
-			guard := func(fn func()) (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						s.panics.Add(1)
-						err = fmt.Errorf("%w: %v", ErrWorkerPanic, r)
-					}
-				}()
-				if s.takeInjectedPanic() {
-					panic("injected chaos panic (Server.InjectPanic)")
-				}
-				fn()
-				return nil
-			}
-			finish := func(j job, r Result) {
-				// A panicking completion callback must not take down the
-				// worker (or strand the rest of a drained batch): callbacks
-				// are documented not to panic, but a hostile one is isolated
-				// like a panicking inference.
-				defer func() {
-					if recover() != nil {
-						s.panics.Add(1)
-					}
-				}()
-				j.fin.complete(r)
-			}
-			// shed completes an expired job without running it; reports
-			// whether the job was shed.
-			shed := func(j job) bool {
-				if j.deadline.IsZero() || !time.Now().After(j.deadline) {
-					return false
-				}
-				s.shed.Add(1)
-				finish(j, Result{Label: -1, Err: ErrDeadlineExceeded})
-				return true
-			}
 			for j := range s.jobs {
-				if shed(j) {
+				if !j.deadline.IsZero() && time.Now().After(j.deadline) {
+					s.shed.Add(1)
+					s.finish(j, Result{Label: -1, Err: ErrDeadlineExceeded})
 					continue
 				}
-				batch := w.batch[:0]
-				batch = append(batch, j)
-				// Drain at most a fair share of the visible backlog: with
-				// several workers, grabbing the whole queue into one batch
-				// would serialize work the pool could run concurrently, so
-				// each drain leaves (workers-1)/workers of the backlog for
-				// the others. A deep backlog still fills whole batches.
-				limit := 1 + (len(s.jobs)+len(s.workers)-1)/len(s.workers)
-				if limit > cap(w.batch) {
-					limit = cap(w.batch)
-				}
-			drain:
-				for len(batch) < limit {
-					select {
-					case j2, ok := <-s.jobs:
-						if !ok {
-							break drain
-						}
-						if shed(j2) {
-							continue
-						}
-						batch = append(batch, j2)
-					default:
-						break drain
-					}
-				}
-				if err := guard(func() { w.runJobs(batch) }); err != nil {
-					// The batch died mid-inference: no per-job result is
-					// trustworthy, so every job in it reports the panic.
-					for i := range batch {
-						w.res[i] = Result{Label: -1, Err: err}
-					}
-				}
-				for i := range batch {
-					finish(batch[i], w.res[i])
-				}
+				s.finish(j, s.guard(w, j))
 			}
 		}(w)
 	}
+}
+
+// guard runs j on w with panic isolation: a recovered panic is counted and
+// becomes the job's ErrWorkerPanic result. The injected-panic hook fires
+// inside the guard so chaos tests exercise the real recovery path.
+func (s *Server) guard(w *pipeWorker, j job) (r Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Add(1)
+			r = Result{Label: -1, Err: fmt.Errorf("%w: %v", ErrWorkerPanic, p)}
+		}
+	}()
+	if s.takeInjectedPanic() {
+		panic("injected chaos panic (Server.InjectPanic)")
+	}
+	return w.runJob(j)
+}
+
+// finish completes j with r. A panicking completion callback must not take
+// down the worker: callbacks are documented not to panic, but a hostile one
+// is isolated and counted like a panicking inference.
+func (s *Server) finish(j job, r Result) {
+	defer func() {
+		if recover() != nil {
+			s.panics.Add(1)
+		}
+	}()
+	j.fin.complete(r)
 }
 
 // takeInjectedPanic consumes one pending injected panic, if any.
@@ -616,8 +557,9 @@ func (s *Server) Close() {
 }
 
 // streamScratch is how many hop slots a Stream owns: the queue depth plus
-// one per worker plus one, enough to keep the queue full while one
-// fingerprint is being assembled and others are on workers.
+// one per worker plus one. A worker holds at most one job, so that is
+// exactly enough to keep the queue full while every worker runs a hop and
+// one more fingerprint is being assembled.
 func (s *Server) streamScratch() int { return cap(s.jobs) + len(s.workers) + 1 }
 
 // Stream is one continuous audio source multiplexed onto a Server: it owns
@@ -693,8 +635,8 @@ func (st *Stream) Hops() uint64 { return st.hops }
 // and its Result. Callbacks for
 // one stream fire strictly in hop order, serialized, even though the pool's
 // workers complete them out of order; hops of different streams are
-// unordered relative to each other. fn runs on worker goroutines under the
-// stream's delivery lock — it must not block for long and must not submit
+// unordered relative to each other. fn runs on worker goroutines, one call
+// at a time per stream — it must not block for long and must not submit
 // back into the same server.
 //
 // Drain contract: Server.Close processes every hop accepted before it, so

@@ -199,6 +199,45 @@ func TestSeqDeliveryReorders(t *testing.T) {
 	}
 }
 
+// TestSeqDeliveryDoesNotWaitOnCallback: a worker that completes a hop while
+// another worker is inside the stream's callback parks the result and
+// returns at once; the firing worker then delivers it, in order.
+func TestSeqDeliveryDoesNotWaitOnCallback(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var got []uint64
+	q := &seqDelivery{
+		fn: func(hop uint64, r Result) {
+			if hop == 0 {
+				close(entered)
+				<-release
+			}
+			got = append(got, hop)
+		},
+		pending: make(map[uint64]Result),
+	}
+	fired := make(chan struct{})
+	go func() {
+		q.deliver(0, Result{})
+		close(fired)
+	}()
+	<-entered
+	parked := make(chan struct{})
+	go func() {
+		q.deliver(1, Result{})
+		close(parked)
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("deliver of hop 1 waited on hop 0's callback")
+	}
+	close(release)
+	<-fired
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("delivered %v, want [0 1]", got)
+	}
+}
+
 // TestServerCloseVsSubmitStream races Close against in-flight Stream.Submit
 // callers: every hop a Stream.Submit call accepted
 // must fire its callback exactly once — all before Close returns — the

@@ -39,23 +39,6 @@ func TestNewServerRejectsUnplannableModel(t *testing.T) {
 	}
 }
 
-// TestServerMaxBatchOne: MaxBatch 1 completes each job before dequeuing the
-// next and still reproduces the serial classification.
-func TestServerMaxBatchOne(t *testing.T) {
-	model, utts, _ := pipelineFixture(t, 12)
-	want := serialResults(t, model, utts)
-	srv, err := NewServer(model, ServerConfig{Workers: 2, MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for i, r := range srv.RunBatch(utts) {
-		if r.Err != nil || r.Label != want[i] {
-			t.Fatalf("utterance %d: label %d err %v, want label %d", i, r.Label, r.Err, want[i])
-		}
-	}
-}
-
 // TestServerSubmitOrdering: tickets waited in submission order must yield
 // exactly the serial classification of the batch, for every pool size.
 func TestServerSubmitOrdering(t *testing.T) {
@@ -280,14 +263,13 @@ func TestServerStreamMatchesWindows(t *testing.T) {
 }
 
 // TestServerMixedSubmitRunBatch runs concurrent Submit callers against
-// concurrent RunBatch callers on a small queue, so workers constantly drain
-// mixed batches while backpressure cycles — the -race target for the
-// draining path. Every result must match the serial
-// classification.
+// concurrent RunBatch callers on a small queue, so workers interleave both
+// kinds of job while backpressure cycles — the -race target for the worker
+// loop. Every result must match the serial classification.
 func TestServerMixedSubmitRunBatch(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 12)
 	want := serialResults(t, model, utts)
-	srv, err := NewServer(model, ServerConfig{Workers: 3, Queue: 4, MaxBatch: 4})
+	srv, err := NewServer(model, ServerConfig{Workers: 3, Queue: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +382,14 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicInBatch: a panic while running a drained batch must fail
-// every job of the batch (partial results are untrustworthy) without
-// killing the worker.
-func TestWorkerPanicInBatch(t *testing.T) {
+// TestWorkerPanicExactAccounting: a panic fails only the job it hit. With
+// one worker and the queue filled before it starts, k injected panics are
+// consumed by the first k jobs in queue order: exactly those complete with
+// ErrWorkerPanic, every other job gets its serial label, Panics() counts k
+// and the pool stays at full strength.
+func TestWorkerPanicExactAccounting(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 6)
+	want := serialResults(t, model, utts)
 	srv, err := newServer(model, ServerConfig{Workers: 1, Queue: len(utts)})
 	if err != nil {
 		t.Fatal(err)
@@ -416,19 +401,28 @@ func TestWorkerPanicInBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv.InjectPanic() // consumed by the first batch the worker drains
+	const k = 2
+	for range k {
+		srv.InjectPanic()
+	}
 	srv.start()
-	var panicked int
-	for _, p := range tickets {
-		if r := p.Wait(); errors.Is(r.Err, ErrWorkerPanic) {
-			panicked++
+	for i, p := range tickets {
+		r := p.Wait()
+		if i < k {
+			if !errors.Is(r.Err, ErrWorkerPanic) || r.Label != -1 {
+				t.Errorf("job %d: %+v, want ErrWorkerPanic", i, r)
+			}
+			continue
+		}
+		if r.Err != nil || r.Label != want[i] {
+			t.Errorf("job %d: %+v, want label %d", i, r, want[i])
 		}
 	}
-	if panicked == 0 {
-		t.Fatal("no ticket observed the injected batch panic")
+	if got := srv.Panics(); got != k {
+		t.Fatalf("Panics() = %d, want %d", got, k)
 	}
 	if live, want := srv.LiveWorkers(), srv.Workers(); live != want {
-		t.Fatalf("pool shrank after batch panic: %d live of %d", live, want)
+		t.Fatalf("pool shrank after panics: %d live of %d", live, want)
 	}
 }
 

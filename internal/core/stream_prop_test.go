@@ -11,22 +11,24 @@ import (
 )
 
 // streamCase is one generated stream-delivery scenario: a server shape, the
-// signal cut into chunks, the hops whose OnResult callback panics, and the
-// chunk before which Close is called (concurrently with that chunk's
+// signal cut into chunks, the hops whose OnResult callback panics, the
+// chunks before which a worker panic is injected (Server.InjectPanic), and
+// the chunk before which Close is called (concurrently with that chunk's
 // Submit when racing; no Close before the end when closeAt is past the
 // last chunk).
 type streamCase struct {
-	workers, maxBatch, queue int
-	samples, hops            int // signal length and the full windows in it
-	chunks                   []int
-	panicAt                  map[uint64]bool
-	closeAt                  int
-	racing                   bool
+	workers, queue int
+	samples, hops  int // signal length and the full windows in it
+	chunks         []int
+	panicAt        map[uint64]bool
+	injectAt       map[int]bool
+	closeAt        int
+	racing         bool
 }
 
 func (c streamCase) String() string {
-	return fmt.Sprintf("workers=%d maxBatch=%d queue=%d samples=%d chunks=%d panics=%d closeAt=%d racing=%v",
-		c.workers, c.maxBatch, c.queue, c.samples, len(c.chunks), len(c.panicAt), c.closeAt, c.racing)
+	return fmt.Sprintf("workers=%d queue=%d samples=%d chunks=%d panics=%d injected=%d closeAt=%d racing=%v",
+		c.workers, c.queue, c.samples, len(c.chunks), len(c.panicAt), len(c.injectAt), c.closeAt, c.racing)
 }
 
 // genStreamCase draws a scenario over a signal of up to maxSamples samples
@@ -34,9 +36,9 @@ func (c streamCase) String() string {
 func genStreamCase(r *rand.Rand, maxSamples, utt, stride int) streamCase {
 	c := streamCase{
 		workers:  1 + r.Intn(2),
-		maxBatch: []int{1, 3, 8}[r.Intn(3)],
 		queue:    []int{0, 1, 4}[r.Intn(3)],
 		panicAt:  map[uint64]bool{},
+		injectAt: map[int]bool{},
 	}
 	c.samples = min(maxSamples, utt+r.Intn(90)*stride+r.Intn(stride))
 	c.hops = 1 + (c.samples-utt)/stride
@@ -62,6 +64,12 @@ func genStreamCase(r *rand.Rand, maxSamples, utt, stride int) streamCase {
 			c.panicAt[hop] = true
 		}
 	}
+	rate = []int{0, 6, 2}[r.Intn(3)]
+	for i := range c.chunks {
+		if rate > 0 && r.Intn(rate) == 0 {
+			c.injectAt[i] = true
+		}
+	}
 	// Half the scenarios close after the last chunk, the rest before a
 	// random chunk.
 	c.closeAt = len(c.chunks)
@@ -73,13 +81,16 @@ func genStreamCase(r *rand.Rand, maxSamples, utt, stride int) streamCase {
 }
 
 // TestStreamDeliveryProperty drives one OnResult stream per seeded scenario
-// (genStreamCase: chunk sizes, 1–2 workers, MaxBatch 1, 3 or 8, callbacks
-// panicking at random hops, Close at a random point, possibly racing a
-// Submit) and checks after Close that
+// (genStreamCase: chunk sizes, 1–2 workers, callbacks panicking at random
+// hops, worker panics injected before random chunks, Close at a random
+// point, possibly racing a Submit) and checks after Close that
 //   - every accepted hop's callback ran exactly once, and no other hop's;
-//   - the hops that did not panic were delivered in strictly increasing
-//     order;
-//   - Panics() equals the number of injected panics among accepted hops;
+//   - the hops that neither panicked in their callback nor completed with
+//     ErrWorkerPanic were delivered in strictly increasing order;
+//   - the hops completed with ErrWorkerPanic plus the injected panics no
+//     job consumed equal the worker panics injected;
+//   - Panics() equals the callback panics among accepted hops plus the
+//     hops completed with ErrWorkerPanic;
 //   - nothing is left parked in the sequencer;
 //   - every delivered label equals a standalone Invoke over the same
 //     window of the signal.
@@ -117,7 +128,7 @@ func windowLabels(t *testing.T, model *tflm.Model, signal []int16, utt, stride i
 
 func runStreamCase(t *testing.T, model *tflm.Model, signal []int16, want []int, c streamCase) {
 	t.Helper()
-	srv, err := NewServer(model, ServerConfig{Workers: c.workers, MaxBatch: c.maxBatch, Queue: c.queue})
+	srv, err := NewServer(model, ServerConfig{Workers: c.workers, Queue: c.queue})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,21 +136,26 @@ func runStreamCase(t *testing.T, model *tflm.Model, signal []int16, want []int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The callback runs serialized under the sequencer lock, and Close
+	// The callback runs serialized by the sequencer, and Close
 	// waits for the workers, so these are safe to read after Close.
 	calls := map[uint64]int{}
+	workerPanicked := map[uint64]bool{}
 	var delivered []uint64
 	labels := map[uint64]int{}
 	stream.OnResult(func(hop uint64, r Result) {
 		calls[hop]++
+		if errors.Is(r.Err, ErrWorkerPanic) {
+			workerPanicked[hop] = true
+		} else if r.Err != nil {
+			t.Errorf("%v: hop %d: %v", c, hop, r.Err)
+		}
 		if c.panicAt[hop] {
 			panic("injected OnResult panic")
 		}
-		if r.Err != nil {
-			t.Errorf("%v: hop %d: %v", c, hop, r.Err)
+		if r.Err == nil {
+			delivered = append(delivered, hop)
+			labels[hop] = r.Label
 		}
-		delivered = append(delivered, hop)
-		labels[hop] = r.Label
 	})
 	closed := make(chan struct{})
 	closeNow := func() {
@@ -154,6 +170,9 @@ func runStreamCase(t *testing.T, model *tflm.Model, signal []int16, want []int, 
 	for i, n := range c.chunks {
 		if i == c.closeAt {
 			closeNow()
+		}
+		if c.injectAt[i] {
+			srv.InjectPanic()
 		}
 		before := stream.Hops()
 		_, err := stream.Submit(signal[off : off+n])
@@ -180,20 +199,27 @@ func runStreamCase(t *testing.T, model *tflm.Model, signal []int16, want []int, 
 	if c.closeAt >= len(c.chunks) && accepted != uint64(c.hops) {
 		t.Fatalf("%v: %d hops accepted with Close after the last chunk, want %d", c, accepted, c.hops)
 	}
-	injected := 0
+	callbackPanics, undelivered := 0, 0
 	for hop := uint64(0); hop < accepted; hop++ {
 		if calls[hop] != 1 {
 			t.Fatalf("%v: hop %d: callback ran %d times, want 1", c, hop, calls[hop])
 		}
 		if c.panicAt[hop] {
-			injected++
+			callbackPanics++
+		}
+		if c.panicAt[hop] || workerPanicked[hop] {
+			undelivered++
 		}
 	}
 	if len(calls) != int(accepted) {
 		t.Fatalf("%v: callbacks ran for %d distinct hops, %d accepted", c, len(calls), accepted)
 	}
-	if len(delivered) != int(accepted)-injected {
-		t.Fatalf("%v: %d hops delivered, want %d", c, len(delivered), int(accepted)-injected)
+	if len(delivered) != int(accepted)-undelivered {
+		t.Fatalf("%v: %d hops delivered, want %d", c, len(delivered), int(accepted)-undelivered)
+	}
+	if left := srv.panicQueue.Load(); len(workerPanicked)+int(left) != len(c.injectAt) {
+		t.Fatalf("%v: %d hops failed with ErrWorkerPanic and %d injected panics left over, %d injected",
+			c, len(workerPanicked), left, len(c.injectAt))
 	}
 	for i, hop := range delivered {
 		if i > 0 && hop <= delivered[i-1] {
@@ -203,8 +229,8 @@ func runStreamCase(t *testing.T, model *tflm.Model, signal []int16, want []int, 
 			t.Fatalf("%v: hop %d: streamed label %d, standalone Invoke %d", c, hop, labels[hop], want[hop])
 		}
 	}
-	if got := srv.Panics(); got != uint64(injected) {
-		t.Fatalf("%v: Panics() = %d, want %d", c, got, injected)
+	if got, want := srv.Panics(), uint64(callbackPanics+len(workerPanicked)); got != want {
+		t.Fatalf("%v: Panics() = %d, want %d", c, got, want)
 	}
 	stream.sq.mu.Lock()
 	parked := len(stream.sq.pending)

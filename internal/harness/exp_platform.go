@@ -29,7 +29,7 @@ func runE4(ctx *Ctx) (*Table, error) {
 	encCore := s.App.Enclave().Core()
 
 	// Raw SMC round trip through a no-op secure service.
-	s.Device.Monitor.Register("bench.noop", func(c *trustzone.SecureContext, req any) (any, error) { return nil, nil })
+	s.Device.Monitor.Register("bench.noop", func(c trustzone.SecureContext, req any) (any, error) { return nil, nil })
 	encCore.ResetCycles()
 	const switches = 16
 	for i := 0; i < switches; i++ {

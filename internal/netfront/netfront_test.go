@@ -243,7 +243,7 @@ func TestNetRoundTripBatch(t *testing.T) {
 // afterwards.
 func TestNetBusy(t *testing.T) {
 	model, utts, want := testFixture(t, 2)
-	srv, err := core.NewServer(model, core.ServerConfig{Workers: 1, Queue: 1, MaxBatch: 1})
+	srv, err := core.NewServer(model, core.ServerConfig{Workers: 1, Queue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

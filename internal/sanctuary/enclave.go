@@ -27,6 +27,10 @@ type Enclave struct {
 	// reads, grown on demand and reused so steady-state capture does not
 	// allocate. The enclave is single-threaded, so no lock is needed.
 	micScratch []byte
+	// env is the Env every Run hands its SA code; it only points back at
+	// the enclave, so one per enclave serves every run without a
+	// per-query allocation.
+	env Env
 }
 
 // Name returns the enclave's name (the image name).
@@ -78,7 +82,7 @@ func (e *Enclave) Run(f func(env *Env) error) error {
 	if e.state != StateRunning {
 		return fmt.Errorf("sanctuary: run from state %v", e.state)
 	}
-	return f(&Env{enclave: e})
+	return f(&e.env)
 }
 
 // Suspend hands the enclave's core back to the commodity OS while keeping

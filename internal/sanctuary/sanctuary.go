@@ -266,6 +266,7 @@ func (m *Manager) Setup(cfg Config) (*Enclave, error) {
 		cert:        created.EnclaveCert,
 		state:       StateSetup,
 	}
+	e.env.enclave = e
 	m.enclaves[e.name] = e
 	return e, nil
 }

@@ -148,7 +148,7 @@ func TestInvokeBatchMatchesSerial(t *testing.T) {
 }
 
 // TestInvokeBatchTilingMatchesSerial: staged rows survive InvokeBatch, so
-// one staging reruns at any batch size — a prefix (b=1, MaxBatch-1), the
+// one staging reruns at any batch size — a prefix (b=1, maxB-1), the
 // whole plan, and again after the shorter runs — and every output row
 // stays bit-exact with serial Invoke, over randomized models. (The name
 // predates the thin InvokeBatch; the stacked engine it once tiled is gone.)

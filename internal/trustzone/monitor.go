@@ -19,7 +19,7 @@ type ServiceID string
 // switched to the secure state; req and the response are arbitrary values
 // (register/shared-memory marshalling is abstracted away, its cost being
 // dominated by the world switch itself).
-type Handler func(ctx *SecureContext, req any) (any, error)
+type Handler func(ctx SecureContext, req any) (any, error)
 
 // SecureContext is the execution context of a secure-world handler.
 type SecureContext struct {
@@ -65,7 +65,7 @@ func (m *Monitor) Call(core *hw.Core, id ServiceID, req any) (any, error) {
 	prev := core.World()
 	core.ChargeDuration(hw.WorldSwitchTime / 2)
 	core.SetWorld(hw.SecureWorld)
-	resp, err := h(&SecureContext{Core: core, SoC: m.soc}, req)
+	resp, err := h(SecureContext{Core: core, SoC: m.soc}, req)
 	core.SetWorld(prev)
 	core.ChargeDuration(hw.WorldSwitchTime / 2)
 	m.switches++

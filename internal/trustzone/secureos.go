@@ -195,7 +195,7 @@ func (s *SecureOS) record(name string) (*enclaveRecord, error) {
 	return rec, nil
 }
 
-func (s *SecureOS) handleCreate(ctx *SecureContext, req any) (any, error) {
+func (s *SecureOS) handleCreate(ctx SecureContext, req any) (any, error) {
 	r, ok := req.(CreateReq)
 	if !ok {
 		return nil, fmt.Errorf("trustzone: create: bad request type %T", req)
@@ -291,7 +291,7 @@ func (s *SecureOS) handleCreate(ctx *SecureContext, req any) (any, error) {
 	return CreateResp{Measurement: m, EnclaveCert: cert}, nil
 }
 
-func (s *SecureOS) handleAttest(ctx *SecureContext, req any) (any, error) {
+func (s *SecureOS) handleAttest(ctx SecureContext, req any) (any, error) {
 	r, ok := req.(AttestReq)
 	if !ok {
 		return nil, fmt.Errorf("trustzone: attest: bad request type %T", req)
@@ -308,7 +308,7 @@ func (s *SecureOS) handleAttest(ctx *SecureContext, req any) (any, error) {
 	return AttestResp{Report: report, Chain: s.keys.Chain()}, nil
 }
 
-func (s *SecureOS) handleRebind(ctx *SecureContext, req any) (any, error) {
+func (s *SecureOS) handleRebind(ctx SecureContext, req any) (any, error) {
 	r, ok := req.(RebindReq)
 	if !ok {
 		return nil, fmt.Errorf("trustzone: rebind: bad request type %T", req)
@@ -341,7 +341,7 @@ func (s *SecureOS) handleRebind(ctx *SecureContext, req any) (any, error) {
 	})
 }
 
-func (s *SecureOS) handleTeardown(ctx *SecureContext, req any) (any, error) {
+func (s *SecureOS) handleTeardown(ctx SecureContext, req any) (any, error) {
 	r, ok := req.(TeardownReq)
 	if !ok {
 		return nil, fmt.Errorf("trustzone: teardown: bad request type %T", req)
@@ -379,7 +379,7 @@ func (s *SecureOS) handleTeardown(ctx *SecureContext, req any) (any, error) {
 	return nil, nil
 }
 
-func (s *SecureOS) handlePeriphRead(ctx *SecureContext, req any) (any, error) {
+func (s *SecureOS) handlePeriphRead(ctx SecureContext, req any) (any, error) {
 	r, ok := req.(PeriphReadReq)
 	if !ok {
 		return nil, fmt.Errorf("trustzone: periph: bad request type %T", req)

@@ -63,7 +63,7 @@ func TestMonitorWorldSwitchSemantics(t *testing.T) {
 	mon := NewMonitor(soc)
 	core := soc.Core(0)
 	var sawWorld hw.World
-	mon.Register("echo", func(ctx *SecureContext, req any) (any, error) {
+	mon.Register("echo", func(ctx SecureContext, req any) (any, error) {
 		sawWorld = ctx.Core.World()
 		return req, nil
 	})
@@ -94,7 +94,7 @@ func TestMonitorWorldSwitchSemantics(t *testing.T) {
 func TestMonitorOfflineCoreCannotCall(t *testing.T) {
 	soc := hw.NewSoC(hw.Config{BigCores: 2, LittleCores: 0, DRAMSize: 1 << 20})
 	mon := NewMonitor(soc)
-	mon.Register("noop", func(ctx *SecureContext, req any) (any, error) { return nil, nil })
+	mon.Register("noop", func(ctx SecureContext, req any) (any, error) { return nil, nil })
 	if err := soc.Core(1).PowerOff(soc.Core(0)); err != nil {
 		t.Fatal(err)
 	}
