@@ -155,38 +155,44 @@ type job struct {
 }
 
 // seqDelivery serializes one stream's result callbacks into hop order: the
-// pool's workers complete hops out of order, so each finished hop's result
+// pool's workers complete hops out of order, so each finished hop's slot
 // parks in pending until every earlier hop has fired. Callbacks run one at
 // a time per stream, in submission order, on the worker that completed the
 // next-due hop. They run outside the lock: a worker that finishes a hop
-// while another worker is firing parks the result for the firing worker
-// and goes back to the queue instead of waiting out a callback (a socket
-// write, for netfront) that is not its own.
+// while another worker is firing parks the slot for the firing worker and
+// goes back to the queue instead of waiting out a callback (a socket
+// write, for netfront) that is not its own. A slot goes back to its
+// stream's free list only after its callback has fired, so pending never
+// holds more than the stream's slots, and a stuck callback blocks
+// Stream.Submit on the free list: a stream's submitter cannot outrun its
+// own callbacks.
 type seqDelivery struct {
 	mu      sync.Mutex
 	fn      func(hop uint64, r Result)
-	next    uint64            // next hop sequence to deliver
-	pending map[uint64]Result // finished hops waiting on earlier ones
-	firing  bool              // a worker is running callbacks
-	panics  *atomic.Uint64    // the server's Panics counter
+	next    uint64              // next hop sequence to deliver
+	pending map[uint64]*hopSlot // finished hops waiting on earlier ones
+	firing  bool                // a worker is running callbacks
+	panics  *atomic.Uint64      // the server's Panics counter
 }
 
-// deliver files hop's result and, unless another worker is firing, fires
-// every consecutively ready callback starting at next.
-func (q *seqDelivery) deliver(hop uint64, r Result) {
+// deliver files the finished slot h and, unless another worker is firing,
+// fires every consecutively ready callback starting at next, recycling each
+// slot once its callback has returned.
+func (q *seqDelivery) deliver(h *hopSlot) {
 	q.mu.Lock()
-	if q.firing || hop != q.next {
-		q.pending[hop] = r
+	if q.firing || h.hop != q.next {
+		q.pending[h.hop] = h
 		q.mu.Unlock()
 		return
 	}
 	q.firing = true
 	for ok := true; ok; {
 		q.mu.Unlock()
-		q.fire(r)
+		q.fire(h.res)
+		h.free <- h
 		q.mu.Lock()
 		q.next++
-		if r, ok = q.pending[q.next]; ok {
+		if h, ok = q.pending[q.next]; ok {
 			delete(q.pending, q.next)
 		}
 	}
@@ -586,18 +592,22 @@ type hopSlot struct {
 	hop  uint64
 	p    *Pending
 	sq   *seqDelivery
+	res  Result // the hop's result while the slot waits in sq
 }
 
-// complete returns the slot to its stream's free list, then delivers r.
-// The fields are read first: the stream may reuse the slot at once.
+// complete delivers r. A ticket hop returns its slot to the stream's free
+// list first (p is read before: the stream may reuse the slot at once); an
+// OnResult hop hands the slot to the sequencer, which recycles it after
+// the callback has fired.
 func (h *hopSlot) complete(r Result) {
-	hop, p, sq := h.hop, h.p, h.sq
-	h.free <- h
-	if p != nil {
-		p.complete(r)
+	if h.sq != nil {
+		h.res = r
+		h.sq.deliver(h)
 		return
 	}
-	sq.deliver(hop, r)
+	p := h.p
+	h.free <- h
+	p.complete(r)
 }
 
 // OpenStream creates a stream over a private frontend with the server's
@@ -637,7 +647,9 @@ func (st *Stream) Hops() uint64 { return st.hops }
 // workers complete them out of order; hops of different streams are
 // unordered relative to each other. fn runs on worker goroutines, one call
 // at a time per stream — it must not block for long and must not submit
-// back into the same server.
+// back into the same server. A hop's slot stays in flight until its
+// callback has returned, so a slow callback throttles Submit: the stream
+// never runs more than its slots ahead of its own callbacks.
 //
 // Drain contract: Server.Close processes every hop accepted before it, so
 // after Close returns every accepted hop's callback has fired. A panic in
@@ -649,7 +661,7 @@ func (st *Stream) OnResult(fn func(hop uint64, r Result)) {
 	if fn == nil {
 		panic("core: Stream.OnResult(nil)")
 	}
-	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]Result), panics: &st.srv.panics}
+	st.sq = &seqDelivery{fn: fn, next: st.hops, pending: make(map[uint64]*hopSlot), panics: &st.srv.panics}
 }
 
 // Submit advances the stream by chunk on the server that opened it and
@@ -657,8 +669,9 @@ func (st *Stream) OnResult(fn func(hop uint64, r Result)) {
 // full fingerprint window observed), returning the tickets in hop order —
 // or, after OnResult, no tickets: each hop's result is then delivered
 // through the stream's callback in hop order. When all of the stream's hop
-// slots are in flight it waits for a worker to recycle one — the streaming
-// face of queue backpressure. On error (ErrServerClosed mid-chunk) the
+// slots are in flight (an OnResult hop's until its callback has returned)
+// it waits for a worker to recycle one — the streaming face of queue
+// backpressure. On error (ErrServerClosed mid-chunk) the
 // already submitted hops are unaffected — their tickets are
 // returned/callbacks still fire — and the remainder of the chunk is
 // dropped; Submit never leaves a hop half-submitted.

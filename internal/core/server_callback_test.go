@@ -180,10 +180,11 @@ func TestSeqDeliveryReorders(t *testing.T) {
 				}
 				got = append(got, hop)
 			},
-			pending: make(map[uint64]Result),
+			pending: make(map[uint64]*hopSlot),
 		}
+		free := make(chan *hopSlot, n)
 		for _, seq := range order {
-			q.deliver(uint64(seq), Result{Label: seq})
+			q.deliver(finishedSlot(free, seq))
 		}
 		if len(got) != n {
 			t.Fatalf("order %v: %d callbacks, want %d", order, len(got), n)
@@ -196,7 +197,16 @@ func TestSeqDeliveryReorders(t *testing.T) {
 		if len(q.pending) != 0 {
 			t.Fatalf("order %v: %d results stuck in pending", order, len(q.pending))
 		}
+		if len(free) != n {
+			t.Fatalf("order %v: %d of %d slots recycled", order, len(free), n)
+		}
 	}
+}
+
+// finishedSlot is a completed OnResult hop slot for hop seq, labelled seq,
+// that recycles into free.
+func finishedSlot(free chan *hopSlot, seq int) *hopSlot {
+	return &hopSlot{free: free, hop: uint64(seq), res: Result{Label: seq}}
 }
 
 // TestSeqDeliveryDoesNotWaitOnCallback: a worker that completes a hop while
@@ -213,17 +223,18 @@ func TestSeqDeliveryDoesNotWaitOnCallback(t *testing.T) {
 			}
 			got = append(got, hop)
 		},
-		pending: make(map[uint64]Result),
+		pending: make(map[uint64]*hopSlot),
 	}
+	free := make(chan *hopSlot, 2)
 	fired := make(chan struct{})
 	go func() {
-		q.deliver(0, Result{})
+		q.deliver(finishedSlot(free, 0))
 		close(fired)
 	}()
 	<-entered
 	parked := make(chan struct{})
 	go func() {
-		q.deliver(1, Result{})
+		q.deliver(finishedSlot(free, 1))
 		close(parked)
 	}()
 	select {
@@ -231,10 +242,98 @@ func TestSeqDeliveryDoesNotWaitOnCallback(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("deliver of hop 1 waited on hop 0's callback")
 	}
+	if len(free) != 0 {
+		t.Fatalf("%d slots recycled before their callbacks fired", len(free))
+	}
 	close(release)
 	<-fired
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("delivered %v, want [0 1]", got)
+	}
+	if len(free) != 2 {
+		t.Fatalf("%d of 2 slots recycled after delivery", len(free))
+	}
+}
+
+// TestStreamSubmitBlocksOnHeldCallback: while hop 0's callback is stuck (a
+// socket write to a peer that stopped reading, in netfront), the other
+// worker parks the later hops without recycling their slots, so
+// Stream.Submit stops after exactly the stream's slots are in flight and
+// the sequencer never parks more than that. Once the callback returns,
+// every hop fires in order.
+func TestStreamSubmitBlocksOnHeldCallback(t *testing.T) {
+	model, utts, _ := pipelineFixture(t, 2)
+	var signal []int16
+	for _, u := range utts {
+		signal = append(signal, u...)
+	}
+	srv, err := NewServer(model, ServerConfig{Workers: 2, Queue: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	stream, err := srv.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := uint64(srv.streamScratch())
+	entered, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var got []uint64
+	stream.OnResult(func(hop uint64, r Result) {
+		if hop == 0 {
+			close(entered)
+			<-release
+		}
+		if r.Err != nil {
+			t.Errorf("hop %d: %v", hop, r.Err)
+		}
+		mu.Lock()
+		got = append(got, hop)
+		mu.Unlock()
+	})
+	var accepted atomic.Uint64 // stream.Hops() after each Submit
+	stride := stream.Streamer().Frontend().Config().StrideSamples
+	want := 4 * slots
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for off := 0; stream.Hops() < want; off += stride {
+			if off+stride > len(signal) {
+				off = 0
+			}
+			if _, err := stream.Submit(signal[off : off+stride]); err != nil {
+				t.Error(err)
+				return
+			}
+			accepted.Store(stream.Hops())
+		}
+	}()
+	<-entered
+	deadline := time.Now().Add(5 * time.Second)
+	for accepted.Load() < slots && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // give an unbounded sequencer room to show
+	stream.sq.mu.Lock()
+	parked := len(stream.sq.pending)
+	stream.sq.mu.Unlock()
+	if n := accepted.Load(); n != slots {
+		t.Errorf("with hop 0's callback held, Submit accepted %d hops, want exactly the stream's %d slots", n, slots)
+	}
+	if parked >= int(slots) {
+		t.Errorf("sequencer parked %d hops, want fewer than the stream's %d slots", parked, slots)
+	}
+	close(release)
+	<-submitted
+	srv.Close()
+	if uint64(len(got)) != want {
+		t.Fatalf("%d callbacks fired, want %d", len(got), want)
+	}
+	for i, hop := range got {
+		if hop != uint64(i) {
+			t.Fatalf("position %d got hop %d", i, hop)
+		}
 	}
 }
 
