@@ -604,46 +604,6 @@ func BenchmarkGEMMMicroKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchInference measures the concurrent serving path: a batch of
-// utterances fanned by core.Server.RunBatch across worker pools of
-// increasing size.
-// The per-op time is for the whole batch; the utt/s metric is the
-// throughput figure, which should scale near-linearly with workers.
-func BenchmarkBatchInference(b *testing.B) {
-	fixture(b)
-	model, err := tflm.BuildRandomTinyConv(1, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := speechcmd.NewGenerator(speechcmd.DefaultConfig())
-	const batch = 64
-	utts := make([][]int16, batch)
-	for i := range utts {
-		utts[i] = gen.Example(i%speechcmd.NumLabels, i/speechcmd.NumLabels, 0).Samples
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			srv, err := core.NewServer(model, core.ServerConfig{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := srv.RunBatch(utts)
-				for _, r := range res {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "utt/s")
-		})
-	}
-}
-
 // BenchmarkStreamingExtract contrasts the steady-state incremental frontend
 // against full fingerprint recomputation, per 20 ms hop: "full" runs
 // ExtractInto over the whole one-second window for every hop, "streamer"
@@ -689,9 +649,11 @@ func BenchmarkStreamingExtract(b *testing.B) {
 	})
 }
 
-// BenchmarkServerThroughput measures the persistent submission queue at the
-// same batch/worker points as BenchmarkBatchInference — the acceptance bar
-// is parity or better, since RunBatch is now a wrapper over this path.
+// BenchmarkServerThroughput measures the persistent submission queue: a
+// batch of 64 utterances submitted as tickets, all in flight at once, over
+// worker pools of 1, 2 and 4. The per-op time is for the whole batch; the
+// utt/s metric is the throughput figure, which should scale near-linearly
+// with workers on a host with that many cores.
 func BenchmarkServerThroughput(b *testing.B) {
 	fixture(b)
 	model, err := tflm.BuildRandomTinyConv(1, 7)

@@ -347,7 +347,7 @@ func registerFlags(fs *flag.FlagSet, cfg *genConfig) {
 	fs.StringVar(&cfg.Tenants, "tenants", "", `weighted tenants, e.g. "acme=10,trial=1" (empty = anonymous)`)
 	fs.StringVar(&cfg.Model, "model", "", "model id to bind connections to (empty = server default)")
 	fs.IntVar(&cfg.Conns, "conns", 4, "connections per tenant")
-	fs.IntVar(&cfg.BatchSize, "batch-size", 0, "utterances per batch request (0 = 4)")
+	fs.IntVar(&cfg.BatchSize, "batch-size", 0, "one-shots per batch request, pipelined on one connection (0 = 4)")
 	fs.IntVar(&cfg.StreamLen, "stream-chunks", 0, "sends per stream request (0 = 4)")
 	fs.DurationVar(&cfg.Timeout, "timeout", 0, "per-one-shot deadline (0 = unbounded)")
 	fs.IntVar(&cfg.Retries, "retries", 0, "one-shot retry attempts after the first")

@@ -123,10 +123,10 @@
 // weight-sharing tflm.Model.Clone plus a private zero-alloc DSP frontend —
 // fed by a buffered submission queue (Submit, SubmitFuncDeadline and
 // TrySubmitFuncDeadline for utterances, OpenStream+Stream.Submit for
-// continuous audio, RunBatch for whole batches). A full queue is the
-// backpressure signal; Close drains in-flight work. Experiment E11
-// (omg-bench), BenchmarkBatchInference and BenchmarkServerThroughput
-// measure its scaling.
+// continuous audio; a batch is Submit tickets all in flight at once). A
+// full queue is the backpressure signal; Close drains in-flight work.
+// Experiment E11 (omg-bench) and BenchmarkServerThroughput measure its
+// scaling.
 //
 // Continuous audio goes through dsp.Streamer, the incremental face of the
 // frontend: it holds a ring of per-frame log-mel feature rows, computes one
@@ -138,9 +138,8 @@
 // Server workers take one job per wakeup, run it through one Invoke and
 // complete it before dequeuing the next, so no job's completion waits on
 // another job's inference. Each job finishes through its one completion,
-// whatever the submission form: a
-// ticket (Submit, RunBatch, a stream hop), which recycles through a
-// freelist (Pending.Release); the caller's callback
+// whatever the submission form: a ticket (Submit, a stream hop), which
+// recycles through a freelist (Pending.Release); the caller's callback
 // (Server.SubmitFuncDeadline, invoked on the completing worker); or, after
 // Stream.OnResult, a per-stream sequencer that delivers hop results
 // strictly in hop order. Submit, the callback forms and OnResult streams
@@ -152,10 +151,10 @@
 //
 // internal/netfront turns the server into the paper's "ML-as-a-service,
 // deployed offline" boundary: a length-prefixed binary protocol over TCP
-// or Unix sockets (cmd/omg-serve) multiplexing three request kinds —
-// one-shot utterance, open stream with chunked audio and per-hop results
-// in hop order, and whole batches — from any number of connections onto
-// one shared core.Server. Queue backpressure surfaces as an explicit BUSY
+// or Unix sockets (cmd/omg-serve) multiplexing two request kinds —
+// one-shot utterance, and open stream with chunked audio and per-hop
+// results in hop order — from any number of connections onto one shared
+// core.Server; a batch is one-shots pipelined on one connection. Queue backpressure surfaces as an explicit BUSY
 // reply instead of blocking the read loop, and the per-connection
 // read→decode→submit path reuses pooled frames, sample buffers and
 // pre-bound callbacks — 0 allocs/op in steady state. Labels over the wire

@@ -5,8 +5,8 @@
 // opened over the wire, audio is sent in arbitrary-size chunks, and the
 // server — one shared core.Server worker pool — classifies one fingerprint
 // per completed 20 ms hop, pushing each result back as it completes. A
-// one-shot classification and a small batch round out the protocol's three
-// request kinds.
+// one-shot classification rounds out the protocol's two request kinds, and
+// a small batch shows one-shots pipelined on the same connection.
 //
 // Run against a live server:
 //
@@ -18,12 +18,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/netfront"
@@ -104,16 +106,28 @@ func main() {
 	}
 	fmt.Printf("stream closed after %d hops\n\n", hops)
 
-	// The other two request kinds over the same connection.
+	// The other request kind over the same connection.
 	label, err := c.Classify(gen.Utterance("left", 9, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("one-shot: class %d (%s)\n", label, speechcmd.LabelName(label))
 
+	// A batch is one-shots in flight at once: the client multiplexes them
+	// on the one connection by request id.
 	batch := [][]int16{gen.Utterance("up", 4, 0), gen.Utterance("down", 5, 0)}
-	labels, err := c.ClassifyBatch(batch)
-	if err != nil {
+	labels := make([]int, len(batch))
+	errs := make([]error, len(batch))
+	var wg sync.WaitGroup
+	for i, u := range batch {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			labels[i], errs[i] = c.Classify(u)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("batch: classes %v\n", labels)

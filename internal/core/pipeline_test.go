@@ -52,7 +52,30 @@ func serialResults(t testing.TB, model *tflm.Model, utts [][]int16) []int {
 	return out
 }
 
-// TestPipelineMatchesSerial: RunBatch must reproduce the serial
+// submitAll classifies utts through Submit tickets, all submitted before
+// any is waited on, and returns one Result per utterance in order; a
+// submission error is that utterance's Result.
+func submitAll(srv *Server, utts [][]int16) []Result {
+	results := make([]Result, len(utts))
+	tickets := make([]*Pending, len(utts))
+	for i, u := range utts {
+		p, err := srv.Submit(u)
+		if err != nil {
+			results[i] = Result{Label: -1, Err: err}
+			continue
+		}
+		tickets[i] = p
+	}
+	for i, p := range tickets {
+		if p != nil {
+			results[i] = p.Wait()
+			p.Release()
+		}
+	}
+	return results
+}
+
+// TestPipelineMatchesSerial: pipelined Submit tickets must reproduce the serial
 // classification utterance for utterance, for every pool size.
 func TestPipelineMatchesSerial(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 24)
@@ -65,7 +88,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 		if srv.Workers() != workers {
 			t.Fatalf("Workers() = %d, want %d", srv.Workers(), workers)
 		}
-		results := srv.RunBatch(utts)
+		results := submitAll(srv, utts)
 		srv.Close()
 		if len(results) != len(utts) {
 			t.Fatalf("got %d results for %d utterances", len(results), len(utts))
@@ -81,10 +104,9 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelineEmptyBatchAndDefaults: the zero ServerConfig yields a usable
-// pool, and an empty batch returns no results.
-func TestPipelineEmptyBatchAndDefaults(t *testing.T) {
-	model, _, _ := pipelineFixture(t, 0)
+// TestPipelineDefaults: the zero ServerConfig yields a usable pool.
+func TestPipelineDefaults(t *testing.T) {
+	model, utts, _ := pipelineFixture(t, 1)
 	srv, err := NewServer(model, ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +115,8 @@ func TestPipelineEmptyBatchAndDefaults(t *testing.T) {
 	if srv.Workers() < 1 {
 		t.Fatalf("default pool size %d", srv.Workers())
 	}
-	if res := srv.RunBatch(nil); len(res) != 0 {
-		t.Fatalf("empty batch returned %d results", len(res))
+	if r := submitAll(srv, utts)[0]; r.Err != nil {
+		t.Fatalf("default pool: %v", r.Err)
 	}
 }
 

@@ -236,8 +236,8 @@ type modelEntry struct {
 }
 
 // Registry is the sharded multi-model serving tier. Construct with
-// NewRegistry, submit with Submit/OpenStream/RunBatch, update models in the
-// field with Swap, and Close when done: Close stops admission, drains every
+// NewRegistry, submit with Submit or OpenStream, update models in the field
+// with Swap, and Close when done: Close stops admission, drains every
 // admitted submission, then drains and releases every shard engine.
 type Registry struct {
 	cfg      RegistryConfig
@@ -513,11 +513,6 @@ func (r *Registry) TenantCounters(name string) TenantCounters {
 // passes. Work is only ever refused here: once admitted, a submission is
 // never dropped by overload control.
 func (r *Registry) Submit(model, tenant string, samples []int16, deadline time.Time, fn func(Result)) error {
-	return r.submit(model, tenant, samples, deadline, funcCompleter(fn))
-}
-
-// submit is Submit with the job's completion as a completer.
-func (r *Registry) submit(model, tenant string, samples []int16, deadline time.Time, fin completer) error {
 	e, ok := r.entries[model]
 	if !ok {
 		return ErrUnknownModel
@@ -547,7 +542,7 @@ func (r *Registry) submit(model, tenant string, samples []int16, deadline time.T
 		t.busy.Add(1)
 		return &TenantBusyError{RetryAfter: retry}
 	}
-	t.q = append(t.q, admJob{entry: e, tenant: t, samples: samples, deadline: deadline, enq: r.now(), fin: fin})
+	t.q = append(t.q, admJob{entry: e, tenant: t, samples: samples, deadline: deadline, enq: r.now(), fin: funcCompleter(fn)})
 	r.backlog++
 	t.accepted.Add(1)
 	if !t.active {
@@ -693,20 +688,6 @@ func (r *Registry) submitTo(set *shardSet, j admJob) error {
 		return err
 	}
 	return nil
-}
-
-// RunBatch classifies a whole batch for (model, tenant) through admission
-// control, returning one Result per utterance in order. A batch larger than
-// the tenant's queue cap paces itself: when admission reports
-// ErrTenantBusy while some of the batch's own utterances are still in
-// flight, RunBatch waits for the oldest of them to complete and retries. An
-// utterance reports its admission error in place only when none of the
-// batch is in flight to wait for, or for any other error. This is the
-// netfront batch path's registry face.
-func (r *Registry) RunBatch(model, tenant string, utts [][]int16) []Result {
-	return runBatch(utts, func(samples []int16, c completer) error {
-		return r.submit(model, tenant, samples, time.Time{}, c)
-	})
 }
 
 // RegistryStream is a stream bound to one model generation. It delegates

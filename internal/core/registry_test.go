@@ -37,6 +37,23 @@ func registryFixture(t testing.TB, n int) (oldM, newM *tflm.Model, utts [][]int1
 	return oldM, newM, utts, oldLabels, newLabels
 }
 
+// registryAll classifies utts for (model, tenant) through Registry.Submit,
+// all admitted before any is waited on, and returns one Result per
+// utterance in order; an admission error is that utterance's Result.
+func registryAll(reg *Registry, model, tenant string, utts [][]int16) []Result {
+	results := make([]Result, len(utts))
+	var wg sync.WaitGroup
+	for i, u := range utts {
+		wg.Add(1)
+		if err := reg.Submit(model, tenant, u, time.Time{}, func(r Result) { results[i] = r; wg.Done() }); err != nil {
+			results[i] = Result{Label: -1, Err: err}
+			wg.Done()
+		}
+	}
+	wg.Wait()
+	return results
+}
+
 // signedRegistry builds a single-model registry with swap enabled and
 // returns the vendor signer pinned to it.
 func signedRegistry(t testing.TB, model *tflm.Model, cfg RegistryConfig) (*Registry, *SwapSigner) {
@@ -126,7 +143,7 @@ func TestRegistrySwapZeroDrop(t *testing.T) {
 		}
 
 		// New submissions route to the new generation.
-		post := reg.RunBatch("kws", "tenant-a", utts)
+		post := registryAll(reg, "kws", "tenant-a", utts)
 		for i, r := range post {
 			if r.Err != nil {
 				t.Fatalf("post-swap %d: %v", i, r.Err)
@@ -577,30 +594,6 @@ func (e *stalledEngine) TrySubmitFuncDeadline(samples []int16, deadline time.Tim
 	return e.fakeEngine.TrySubmitFuncDeadline(samples, deadline, func(r Result) { <-e.gate; fn(r) })
 }
 
-// TestRegistryRunBatchBeyondTenantCap: a batch larger than the default
-// tenant's queue cap on an idle registry must classify every utterance —
-// the batch waits on its own in-flight work instead of reporting BUSY for
-// the overflow.
-func TestRegistryRunBatchBeyondTenantCap(t *testing.T) {
-	const n = DefaultTenantQueue + 36
-	model, utts, _ := pipelineFixture(t, n)
-	want := serialResults(t, model, utts)
-	reg, err := NewRegistry(map[string]ModelConfig{"kws": {Model: model}}, RegistryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	results := reg.RunBatch("kws", "", utts)
-	if len(results) != n {
-		t.Fatalf("%d results for %d utterances", len(results), n)
-	}
-	for i, r := range results {
-		if r.Err != nil || r.Label != want[i] {
-			t.Fatalf("utterance %d: label %d err %v, want label %d", i, r.Label, r.Err, want[i])
-		}
-	}
-}
-
 // TestRegistrySwapRejected covers the provenance gate: wrong signer,
 // tampered payload, rollback version, mismatched model id, and swap on a
 // model with no pinned vendor key all leave serving state untouched.
@@ -660,7 +653,7 @@ func TestRegistrySwapRejected(t *testing.T) {
 	if v, _ := reg.ModelVersion("kws"); v != 1 {
 		t.Fatalf("version moved to %d after rejected swaps", v)
 	}
-	res := reg.RunBatch("kws", "t", utts)
+	res := registryAll(reg, "kws", "t", utts)
 	for i, r := range res {
 		if r.Err != nil || r.Label != oldLabels[i] {
 			t.Fatalf("utterance %d after rejected swaps: label %d err %v, want old-model %d",
@@ -705,8 +698,8 @@ func TestRegistryMultiModelRouting(t *testing.T) {
 	if got := reg.Models(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("models: %v", got)
 	}
-	resA := reg.RunBatch("a", "t", utts)
-	resB := reg.RunBatch("b", "t", utts)
+	resA := registryAll(reg, "a", "t", utts)
+	resB := registryAll(reg, "b", "t", utts)
 	for i := range utts {
 		if resA[i].Err != nil || resA[i].Label != aLabels[i] {
 			t.Fatalf("model a utterance %d: %+v want %d", i, resA[i], aLabels[i])
@@ -724,8 +717,8 @@ func TestRegistryMultiModelRouting(t *testing.T) {
 	if err := reg.Swap("a", pkg); err != nil {
 		t.Fatal(err)
 	}
-	resA = reg.RunBatch("a", "t", utts)
-	resB = reg.RunBatch("b", "t", utts)
+	resA = registryAll(reg, "a", "t", utts)
+	resB = registryAll(reg, "b", "t", utts)
 	for i := range utts {
 		if resA[i].Label != bLabels[i] {
 			t.Fatalf("model a post-swap utterance %d: %d want %d", i, resA[i].Label, bLabels[i])

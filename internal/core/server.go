@@ -4,8 +4,8 @@
 // long-lived worker goroutines — each with a private interpreter over a
 // weight-sharing model clone, a private DSP frontend and private scratch
 // (pipeWorker) — fed by a buffered submission queue. Submissions are
-// utterances (Submit, the callback forms and RunBatch; the worker extracts
-// the fingerprint) or continuous audio (Stream.Submit over an open Stream,
+// utterances (Submit and the callback forms; the worker extracts the
+// fingerprint) or continuous audio (Stream.Submit over an open Stream,
 // whose incremental dsp.Streamer pays one FFT per hop and submits a
 // fingerprint-only job per completed window). Either way a worker takes one
 // job per wakeup, runs it through one interpreter Invoke and finishes it
@@ -28,11 +28,10 @@ import (
 
 // ErrServerClosed is returned by submissions after Close. The contract is
 // deterministic: every submission form — Submit, SubmitFuncDeadline,
-// TrySubmitFuncDeadline, Stream.Submit, RunBatch (per utterance) — enqueues
-// through one send, so once Close has been called each reports this error
-// and never panics, however the call races Close (send holds a read-lock
-// over the closed flag for the full channel send, so the queue cannot close
-// under it).
+// TrySubmitFuncDeadline, Stream.Submit — enqueues through one send, so once
+// Close has been called each reports this error and never panics, however
+// the call races Close (send holds a read-lock over the closed flag for the
+// full channel send, so the queue cannot close under it).
 var ErrServerClosed = errors.New("core: server closed")
 
 // ErrQueueFull is returned by TrySubmitFuncDeadline when the submission
@@ -214,7 +213,7 @@ func (q *seqDelivery) fire(r Result) {
 }
 
 // Server is the persistent serving layer. Construct with NewServer, submit
-// with Submit, SubmitFuncDeadline, TrySubmitFuncDeadline, RunBatch or an
+// with Submit, SubmitFuncDeadline, TrySubmitFuncDeadline or an
 // OpenStream'd Stream, and Close when done: Close drains all queued work,
 // then stops the workers.
 type Server struct {
@@ -408,8 +407,8 @@ type Pending struct {
 }
 
 // pendingPool recycles tickets (struct + completion channel) across
-// submissions; Submit, Stream.Submit and RunBatch draw from it and Release
-// returns to it.
+// submissions; Submit and Stream.Submit draw from it and Release returns
+// to it.
 var pendingPool = sync.Pool{New: func() any {
 	return &Pending{done: make(chan struct{}, 1)}
 }}
@@ -482,60 +481,6 @@ func (s *Server) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func
 // patience.
 func (s *Server) TrySubmitFuncDeadline(samples []int16, deadline time.Time, fn func(Result)) error {
 	return s.send(job{samples: samples, deadline: deadline, fin: funcCompleter(fn)}, false)
-}
-
-// RunBatch classifies every utterance and returns one Result per input, in
-// order. Utterances are distributed dynamically over the worker pool, so a
-// slow utterance never stalls the rest of the batch; each rides a pooled
-// ticket.
-func (s *Server) RunBatch(utts [][]int16) []Result {
-	return runBatch(utts, func(samples []int16, c completer) error {
-		return s.send(job{samples: samples, fin: c}, true)
-	})
-}
-
-// runBatch is RunBatch over any submission form: submit enqueues one
-// utterance with its completion. It returns one Result per utterance, in
-// order; a submission error is that utterance's Result. On ErrTenantBusy
-// while part of the batch is in flight it waits for the oldest in-flight
-// utterance and retries, so a batch larger than a tenant's queue cap paces
-// itself on its own work. A bare server never returns that error.
-func runBatch(utts [][]int16, submit func(samples []int16, c completer) error) []Result {
-	results := make([]Result, len(utts))
-	tickets := make([]*Pending, len(utts))
-	oldest := 0 // every ticket before oldest is settled
-	// collect settles the oldest in-flight utterance before upto; it
-	// reports false when none is in flight.
-	collect := func(upto int) bool {
-		for ; oldest < upto; oldest++ {
-			if p := tickets[oldest]; p != nil {
-				results[oldest] = p.Wait()
-				p.Release()
-				oldest++
-				return true
-			}
-		}
-		return false
-	}
-	for i := range utts {
-		p := newPending()
-		for {
-			err := submit(utts[i], p)
-			if err == nil {
-				tickets[i] = p
-				break
-			}
-			if errors.Is(err, ErrTenantBusy) && collect(i) {
-				continue
-			}
-			pendingPool.Put(p)
-			results[i] = Result{Label: -1, Err: err}
-			break
-		}
-	}
-	for collect(len(utts)) {
-	}
-	return results
 }
 
 // Close marks the server closed, drains all queued work, and waits for the

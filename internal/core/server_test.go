@@ -182,8 +182,8 @@ func TestServerCloseDrains(t *testing.T) {
 	if err := srv.TrySubmitFuncDeadline(utts[0], time.Time{}, func(Result) {}); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("TrySubmitFuncDeadline after Close: err = %v, want ErrServerClosed", err)
 	}
-	if res := srv.RunBatch(utts[:2]); res[0].Err == nil || res[1].Err == nil {
-		t.Fatal("RunBatch after Close did not error per utterance")
+	if res := submitAll(srv, utts[:2]); res[0].Err == nil || res[1].Err == nil {
+		t.Fatal("Submit after Close did not error per utterance")
 	}
 	srv.Close() // idempotent
 	if n := srv.LiveWorkers(); n != 0 {
@@ -262,11 +262,12 @@ func TestServerStreamMatchesWindows(t *testing.T) {
 	}
 }
 
-// TestServerMixedSubmitRunBatch runs concurrent Submit callers against
-// concurrent RunBatch callers on a small queue, so workers interleave both
-// kinds of job while backpressure cycles — the -race target for the worker
-// loop. Every result must match the serial classification.
-func TestServerMixedSubmitRunBatch(t *testing.T) {
+// TestServerMixedSubmitCallback runs concurrent Submit callers against
+// concurrent SubmitFuncDeadline callers on a small queue, so workers
+// interleave ticket and callback jobs while backpressure cycles — the -race
+// target for the worker loop. Every result must match the serial
+// classification.
+func TestServerMixedSubmitCallback(t *testing.T) {
 	model, utts, _ := pipelineFixture(t, 12)
 	want := serialResults(t, model, utts)
 	srv, err := NewServer(model, ServerConfig{Workers: 3, Queue: 4})
@@ -297,12 +298,22 @@ func TestServerMixedSubmitRunBatch(t *testing.T) {
 			}
 		}(g)
 		wg.Add(1)
-		go func(g int) { // RunBatch path
+		go func(g int) { // callback path, a round of utterances in flight at once
 			defer wg.Done()
+			results := make([]Result, len(utts))
 			for rep := 0; rep < 3; rep++ {
-				for i, r := range srv.RunBatch(utts) {
+				var round sync.WaitGroup
+				for i, u := range utts {
+					round.Add(1)
+					if err := srv.SubmitFuncDeadline(u, time.Time{}, func(r Result) { results[i] = r; round.Done() }); err != nil {
+						errs <- err
+						return
+					}
+				}
+				round.Wait()
+				for i, r := range results {
 					if r.Err != nil || r.Label != want[i] {
-						errs <- fmt.Errorf("batch goroutine %d utterance %d: label %d err %v, want %d", g, i, r.Label, r.Err, want[i])
+						errs <- fmt.Errorf("callback goroutine %d utterance %d: label %d err %v, want %d", g, i, r.Label, r.Err, want[i])
 						return
 					}
 				}
@@ -496,9 +507,9 @@ func TestSubmitAfterClose(t *testing.T) {
 			t.Fatalf("TrySubmitFuncDeadline(deadline %v): %v", deadline, err)
 		}
 	}
-	for i, r := range srv.RunBatch(utts) {
+	for i, r := range submitAll(srv, utts) {
 		if !errors.Is(r.Err, ErrServerClosed) || r.Label != -1 {
-			t.Fatalf("RunBatch utterance %d: %+v", i, r)
+			t.Fatalf("Submit utterance %d: %+v", i, r)
 		}
 	}
 	// A long chunk guarantees at least one hop submission attempt.

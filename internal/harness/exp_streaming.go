@@ -19,8 +19,9 @@ func init() {
 //
 //   - dsp.Streamer vs full ExtractInto recomputation per 20 ms hop (the
 //     ~NumFrames× frontend amortization),
-//   - core.Server streamed hops vs RunBatch over the equivalent sliding
-//     windows (persistent queue + incremental DSP under concurrency),
+//   - core.Server streamed hops vs Submit tickets over the equivalent
+//     sliding windows (persistent queue + incremental DSP under
+//     concurrency),
 //   - KWSApp.QueryBatch vs serial Query (one enclave Run and batched mic
 //     SMCs amortizing the per-query protected-path overhead of Table I).
 //
@@ -86,15 +87,15 @@ func runE12(ctx *Ctx) (*Table, error) {
 	for h := range windows {
 		windows[h] = signal[h*hop : h*hop+utt]
 	}
-	srv.RunBatch(windows[:min(len(windows), 2*workers)]) // warm-up
+	if err := submitAll(srv, windows[:min(len(windows), 2*workers)]); err != nil { // warm-up
+		return nil, fmt.Errorf("E12 warm-up: %w", err)
+	}
 	batchPerUtt := time.Duration(1<<62 - 1)
 	streamSrvPerHop := batchPerUtt
 	for rep := 0; rep < reps; rep++ {
 		start := time.Now()
-		for _, r := range srv.RunBatch(windows) {
-			if r.Err != nil {
-				return nil, fmt.Errorf("E12 batch: %w", r.Err)
-			}
+		if err := submitAll(srv, windows); err != nil {
+			return nil, fmt.Errorf("E12 windows: %w", err)
 		}
 		batchPerUtt = min(batchPerUtt, time.Since(start)/time.Duration(len(windows)))
 
@@ -133,7 +134,7 @@ func runE12(ctx *Ctx) (*Table, error) {
 		}
 		streamSrvPerHop = min(streamSrvPerHop, time.Since(start)/time.Duration(hops))
 	}
-	ctx.Logf("E12: server %.1f µs/utt batched, %.1f µs/hop streamed",
+	ctx.Logf("E12: server %.1f µs/utt as tickets, %.1f µs/hop streamed",
 		us(batchPerUtt), us(streamSrvPerHop))
 
 	// --- Tier 3: enclave path, serial Query vs QueryBatch. Each serving
@@ -210,7 +211,7 @@ func runE12(ctx *Ctx) (*Table, error) {
 		suspendSim = sim / time.Duration(queries)
 		return nil
 	}
-	runBatch := func() error {
+	runQueryBatch := func() error {
 		for q := 0; q < queries; q++ {
 			sBatch.Device.Speak(f.Subset[q%len(f.Subset)].Samples)
 		}
@@ -225,7 +226,7 @@ func runE12(ctx *Ctx) (*Table, error) {
 		return nil
 	}
 	for rep := 0; rep < encReps; rep++ {
-		modes := []func() error{runSerial, runSuspend, runBatch}
+		modes := []func() error{runSerial, runSuspend, runQueryBatch}
 		for i := 0; i < len(modes); i++ {
 			if err := modes[(i+rep)%len(modes)](); err != nil {
 				return nil, err
@@ -241,7 +242,7 @@ func runE12(ctx *Ctx) (*Table, error) {
 	rows := [][]string{
 		{"frontend: full recompute", fmt.Sprintf("%.1f µs/hop", us(fullPerHop)), "-", "-", "1.00x"},
 		{"frontend: streamer (1 FFT/hop)", fmt.Sprintf("%.1f µs/hop", us(streamPerHop)), "-", "-", speed(fullPerHop, streamPerHop)},
-		{fmt.Sprintf("server: RunBatch ×%d workers", workers), fmt.Sprintf("%.1f µs/utt", us(batchPerUtt)),
+		{fmt.Sprintf("server: Submit tickets ×%d workers", workers), fmt.Sprintf("%.1f µs/utt", us(batchPerUtt)),
 			"-", fmt.Sprintf("%.0f utt/s", perSec(batchPerUtt)), "1.00x"},
 		{fmt.Sprintf("server: Stream.Submit ×%d workers", workers), fmt.Sprintf("%.1f µs/hop", us(streamSrvPerHop)),
 			"-", fmt.Sprintf("%.0f hop/s", perSec(streamSrvPerHop)), speed(batchPerUtt, streamSrvPerHop)},

@@ -13,8 +13,9 @@ func init() {
 	register(Experiment{ID: "E11", Title: "Host batch-inference throughput (pipeline scaling)", Run: runE11})
 }
 
-// runE11 measures the host-side serving path: core.Server.RunBatch fanning
-// a batch of utterances across worker pools of increasing size. The paper's device
+// runE11 measures the host-side serving path: a batch of utterances
+// submitted as core.Server Submit tickets, all in flight at once, fanned
+// across worker pools of increasing size. The paper's device
 // numbers are simulated elsewhere (E1/E2); this experiment characterizes
 // how fast the reproduction itself can serve traffic — the implicit-GEMM
 // kernels plus the zero-alloc DSP frontend under concurrency.
@@ -42,16 +43,16 @@ func runE11(ctx *Ctx) (*Table, error) {
 			return nil, err
 		}
 		// One warm-up pass settles lazy twiddle tables and scheduler state.
-		srv.RunBatch(utts[:min(len(utts), 8)])
+		if err := submitAll(srv, utts[:min(len(utts), 8)]); err != nil {
+			return nil, fmt.Errorf("E11 warm-up: %w", err)
+		}
 		defer srv.Close()
 		ctx.Logf("E11: %d workers, batch %d", workers, batch)
 		start := time.Now()
-		results := srv.RunBatch(utts)
+		err = submitAll(srv, utts)
 		elapsed := time.Since(start)
-		for i, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("E11 utterance %d: %w", i, r.Err)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("E11: %w", err)
 		}
 		perSec := float64(batch) / elapsed.Seconds()
 		if workers == 1 {
@@ -73,4 +74,27 @@ func runE11(ctx *Ctx) (*Table, error) {
 		Rows:    rows,
 		Notes:   []string{"per-worker interpreters share weight tensors via tflm.Model.Clone; frontends and scratch are private"},
 	}, nil
+}
+
+// submitAll submits every utterance as a Submit ticket before waiting on
+// any, so the batch spreads over the whole worker pool, then waits for the
+// tickets in order and returns the first failure.
+func submitAll(srv *core.Server, utts [][]int16) error {
+	tickets := make([]*core.Pending, 0, len(utts))
+	var first error
+	for _, u := range utts {
+		p, err := srv.Submit(u)
+		if err != nil {
+			first = err
+			break
+		}
+		tickets = append(tickets, p)
+	}
+	for i, p := range tickets {
+		if r := p.Wait(); r.Err != nil && first == nil {
+			first = fmt.Errorf("utterance %d: %w", i, r.Err)
+		}
+		p.Release()
+	}
+	return first
 }

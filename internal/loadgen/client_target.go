@@ -30,14 +30,15 @@ type ClientTargetConfig struct {
 	// Utterance is the audio every one-shot and batch request submits,
 	// and the source streams are chunked from. Required.
 	Utterance []int16
-	// BatchSize is how many utterances a ClassBatch request carries;
-	// <= 0 means 4.
+	// BatchSize is how many concurrent one-shots a ClassBatch request
+	// pipelines on its connection; <= 0 means 4.
 	BatchSize int
 	// StreamChunks is how many sends a ClassStream request splits the
 	// utterance into; <= 0 means 4.
 	StreamChunks int
-	// Timeout bounds each one-shot request end to end (queueing,
-	// inference, retries, redial); 0 means unbounded.
+	// Timeout bounds each one-shot request, a batch's one-shots included,
+	// end to end (queueing, inference, retries, redial); 0 means
+	// unbounded.
 	Timeout time.Duration
 	// Retry is the one-shot retry policy applied on every connection.
 	Retry client.RetryPolicy
@@ -54,12 +55,12 @@ type ClientTargetConfig struct {
 
 // ClientTarget is the Target that drives a live netfront server through
 // netfront/client: per-tenant connection pools, one-shot/stream/batch
-// request shapes, optional retry and hedging. It implements StatsSource by
-// summing the counters of every connection.
+// request shapes (a batch being one-shots pipelined on one connection),
+// optional retry and hedging. It implements StatsSource by summing the
+// counters of every connection.
 type ClientTarget struct {
 	cfg     ClientTargetConfig
 	pools   map[string][]*client.Client
-	batch   [][]int16
 	chunks  [][]int16
 	closeMu sync.Mutex
 	closed  bool
@@ -88,10 +89,6 @@ func NewClientTarget(cfg ClientTargetConfig) (*ClientTarget, error) {
 		tenants = []string{""}
 	}
 	t := &ClientTarget{cfg: cfg, pools: make(map[string][]*client.Client, len(tenants))}
-	t.batch = make([][]int16, cfg.BatchSize)
-	for i := range t.batch {
-		t.batch[i] = cfg.Utterance
-	}
 	t.chunks = splitChunks(cfg.Utterance, cfg.StreamChunks)
 	seed := cfg.Seed
 	for _, tenant := range tenants {
@@ -168,17 +165,31 @@ func (t *ClientTarget) Do(class Class, tenant string, seq int) error {
 	if err != nil {
 		return err
 	}
+	var deadline time.Time // bounds each one-shot, a batch's included
+	if t.cfg.Timeout > 0 {
+		deadline = time.Now().Add(t.cfg.Timeout)
+	}
 	switch class {
 	case ClassOneShot:
-		var deadline time.Time
-		if t.cfg.Timeout > 0 {
-			deadline = time.Now().Add(t.cfg.Timeout)
-		}
 		_, err := c.ClassifyDeadline(t.cfg.Utterance, deadline)
 		return err
 	case ClassBatch:
-		_, err := c.ClassifyBatch(t.batch)
-		return err
+		// BatchSize one-shots in flight at once on the one connection: the
+		// op fails if any does, and lasts as long as the slowest.
+		errs := make(chan error, t.cfg.BatchSize)
+		for range t.cfg.BatchSize {
+			go func() {
+				_, err := c.ClassifyDeadline(t.cfg.Utterance, deadline)
+				errs <- err
+			}()
+		}
+		var first error
+		for range t.cfg.BatchSize {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
 	case ClassStream:
 		var mu sync.Mutex
 		var cbErr error

@@ -13,13 +13,13 @@ import (
 	"repro/internal/netfront/client"
 )
 
-// Class is a traffic class in a mixed profile: the three request shapes the
-// wire protocol serves.
+// Class is a traffic class in a mixed profile: the three load shapes a
+// client puts on the wire.
 type Class int
 
 // The traffic classes. ClassOneShot is a single utterance per request,
 // ClassStream opens a stream and feeds it hop-sized chunks, ClassBatch
-// submits several utterances in one frame.
+// pipelines several one-shots on one connection and waits for them all.
 const (
 	ClassOneShot Class = iota
 	ClassStream
@@ -50,7 +50,7 @@ type Mix struct {
 	OneShot float64
 	// Stream weights open-stream/chunks/close request sequences.
 	Stream float64
-	// Batch weights multi-utterance batch frames.
+	// Batch weights batches of pipelined one-shots.
 	Batch float64
 }
 

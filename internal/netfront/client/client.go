@@ -1,9 +1,10 @@
 // Package client is the Go client for the netfront wire protocol: it dials
-// an omg-serve front end over TCP or a Unix socket and exposes the three
-// request kinds — one-shot classification, open streams with per-hop result
-// callbacks, and whole batches — over a single multiplexed connection. All
-// methods are safe for concurrent use; any number of requests and streams
-// may be outstanding at once.
+// an omg-serve front end over TCP or a Unix socket and exposes the two
+// request kinds — one-shot classification and open streams with per-hop
+// result callbacks — over a single multiplexed connection. All methods are
+// safe for concurrent use; any number of requests and streams may be
+// outstanding at once, so a batch is one-shots issued from several
+// goroutines and pipelined on the one connection.
 //
 // # Failure semantics
 //
@@ -15,8 +16,9 @@
 // Options.Redial is set. One-shot requests can additionally hedge
 // (Options.Hedge): a duplicate attempt fires when the first is slow, the
 // first reply wins, and the loser is silently discarded — at most 1+Max
-// attempts per call, never for streams or batches. Server-side failures arrive as *RemoteError
-// carrying the structured wire code and the server's retry-after hint.
+// attempts per call, never for streams. Server-side failures arrive as
+// *RemoteError carrying the structured wire code and the server's
+// retry-after hint.
 // Streams are deliberately not resumed across a redial: a stream bound to a
 // dead connection fails its callback once with ErrStreamBroken and its
 // Close returns the same — the client never re-sends audio the server may
@@ -107,12 +109,10 @@ const (
 	frameStreamOpen   = netfront.FrameStreamOpen
 	frameStreamChunk  = netfront.FrameStreamChunk
 	frameStreamClose  = netfront.FrameStreamClose
-	frameBatch        = netfront.FrameBatch
 	frameResult       = netfront.FrameResult
 	frameStreamResult = netfront.FrameStreamResult
 	frameBusy         = netfront.FrameBusy
 	frameError        = netfront.FrameError
-	frameBatchResult  = netfront.FrameBatchResult
 	frameStreamClosed = netfront.FrameStreamClosed
 	frameStreamError  = netfront.FrameStreamError
 	frameHello        = netfront.FrameHello
@@ -172,8 +172,8 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 // on the same connection and takes whichever reply lands first, quietly
 // discarding the loser. Hedging trades duplicate server work for tail
 // latency — a request stuck behind a slow shard or a breaker probe is
-// answered by a healthy one. It never applies to streams or batches, and a
-// call issues at most 1+Max attempts in total.
+// answered by a healthy one. It never applies to streams, and a call issues
+// at most 1+Max attempts in total.
 type HedgePolicy struct {
 	// Delay is how long an attempt may run before the next hedge fires;
 	// <= 0 disables hedging entirely.
@@ -202,7 +202,7 @@ type Options struct {
 	// Redial makes the client replace a dropped connection with a fresh
 	// dial (with backoff) on the next request, instead of failing every
 	// later request with ErrConnLost. Streams on the dead connection still
-	// break (ErrStreamBroken) — only one-shot/batch traffic migrates.
+	// break (ErrStreamBroken) — only one-shot traffic migrates.
 	Redial bool
 	// RedialMax caps dial attempts per reconnection; <= 0 means 5.
 	RedialMax int
@@ -227,17 +227,18 @@ type Options struct {
 	// Hedge opts Classify/ClassifyDeadline into hedged requests: a
 	// duplicate attempt after Hedge.Delay, first reply wins. Zero-value
 	// (Delay == 0) disables hedging and keeps the single-attempt fast
-	// path. Streams and batches never hedge — a replayed stream hop or
-	// batch could double-classify audio.
+	// path. Streams never hedge — a replayed stream hop could
+	// double-classify audio.
 	Hedge HedgePolicy
 }
 
 // reply is one response frame, pre-parsed.
 type reply struct {
-	labels []int32 // one label (one-shot) or the batch's labels
-	hops   uint64  // FrameStreamClosed payload
-	health []core.ModelHealth
-	err    error
+	typ     byte   // the response frame it came from; 0 for a failure
+	label   int32  // FrameResult payload
+	version uint64 // FrameHelloAck payload
+	health  []core.ModelHealth
+	err     error
 }
 
 // Stats is a snapshot of a client's lifetime resilience counters — how
@@ -364,7 +365,7 @@ func (c *Client) handshake(cc *clientConn) error {
 	if err != nil {
 		return err
 	}
-	c.version.Store(r.hops)
+	c.version.Store(r.version)
 	return nil
 }
 
@@ -582,7 +583,7 @@ func (cc *clientConn) readLoop() {
 			}
 			id := binary.LittleEndian.Uint32(b[0:4])
 			label := int32(binary.LittleEndian.Uint32(b[4:8]))
-			cc.deliver(id, reply{labels: []int32{label}})
+			cc.deliver(id, reply{typ: frameResult, label: label})
 		case frameBusy:
 			if len(b) != 8 {
 				cc.failProto("malformed busy frame", len(b))
@@ -606,7 +607,7 @@ func (cc *clientConn) readLoop() {
 			rerr := &RemoteError{Code: we.Code, RetryAfter: we.RetryAfter, Msg: we.Msg}
 			// A FrameError may belong to a stream (a control failure,
 			// delivered via its callback as NoHop) or to a pending
-			// one-shot/batch request.
+			// request.
 			cc.mu.Lock()
 			s := cc.streams[id]
 			cc.mu.Unlock()
@@ -633,22 +634,6 @@ func (cc *clientConn) readLoop() {
 			if s != nil {
 				s.fn(hop, -1, &RemoteError{Code: we.Code, RetryAfter: we.RetryAfter, Msg: we.Msg})
 			}
-		case frameBatchResult:
-			if len(b) < 8 {
-				cc.failProto("malformed batch result", len(b))
-				return
-			}
-			id := binary.LittleEndian.Uint32(b[0:4])
-			n := int(binary.LittleEndian.Uint32(b[4:8]))
-			if n < 0 || len(b) != 8+4*n {
-				cc.failProto("batch result count does not match body", len(b))
-				return
-			}
-			labels := make([]int32, n)
-			for i := range labels {
-				labels[i] = int32(binary.LittleEndian.Uint32(b[8+4*i:]))
-			}
-			cc.deliver(id, reply{labels: labels})
 		case frameStreamResult:
 			if len(b) != 16 {
 				cc.failProto("malformed stream result", len(b))
@@ -670,14 +655,14 @@ func (cc *clientConn) readLoop() {
 			}
 			id := binary.LittleEndian.Uint32(b[0:4])
 			version := binary.LittleEndian.Uint64(b[4:12])
-			cc.deliver(id, reply{hops: version})
+			cc.deliver(id, reply{typ: frameHelloAck, version: version})
 		case frameHealthAck:
 			id, models, err := netfront.DecodeHealthAck(b)
 			if err != nil {
 				cc.failProto("malformed health ack", len(b))
 				return
 			}
-			cc.deliver(id, reply{health: models})
+			cc.deliver(id, reply{typ: frameHealthAck, health: models})
 		case frameStreamClosed:
 			if len(b) != 12 {
 				cc.failProto("malformed stream-closed frame", len(b))
@@ -875,22 +860,16 @@ func (cc *clientConn) classify(samples []int16, deadline time.Time, hedge HedgeP
 	return cc.label(r)
 }
 
-// label extracts a one-shot reply's label. Any other reply shape under a
-// one-shot's id (a batch result, a hello ack) is a server protocol
-// violation: the generation is killed and the call fails with ErrConnLost.
+// label extracts a one-shot reply's label. Any other response frame under
+// a one-shot's id (a hello or health ack) is a server protocol violation:
+// the connection can no longer be trusted, so the generation is killed and
+// the call fails with ErrConnLost.
 func (cc *clientConn) label(r reply) (int, error) {
-	if len(r.labels) != 1 {
-		return -1, cc.mismatch("one-shot reply carries", len(r.labels))
+	if r.typ != frameResult {
+		cc.kill()
+		return -1, fmt.Errorf("%w: one-shot answered by frame 0x%02x", ErrConnLost, r.typ)
 	}
-	return int(r.labels[0]), nil
-}
-
-// mismatch kills the generation over a well-framed reply whose shape does
-// not match its request — the stream can no longer be trusted — and
-// returns the ErrConnLost the caller reports.
-func (cc *clientConn) mismatch(what string, labels int) error {
-	cc.kill()
-	return fmt.Errorf("%w: %s %d labels", ErrConnLost, what, labels)
+	return int(r.label), nil
 }
 
 // retryable reports whether err is worth retrying: backpressure, transport
@@ -983,42 +962,6 @@ func (c *Client) Health() ([]core.ModelHealth, error) {
 		return nil, err
 	}
 	return r.health, nil
-}
-
-// ClassifyBatch submits a whole batch and blocks for its labels, one per
-// utterance in order; an utterance the server failed to classify reports
-// label -1. Batches do not retry (size their own policy around the call);
-// under Options.Redial the submission itself still migrates to a fresh
-// connection when the old one died before the attempt.
-func (c *Client) ClassifyBatch(utts [][]int16) ([]int, error) {
-	cc, err := c.conn(time.Time{})
-	if err != nil {
-		return nil, err
-	}
-	bodyLen := 8
-	for _, u := range utts {
-		bodyLen += 4 + 2*len(u)
-	}
-	r, err := cc.call(frameBatch, bodyLen, func(b []byte, id uint32) []byte {
-		b = binary.LittleEndian.AppendUint32(b, id)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(utts)))
-		for _, u := range utts {
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(u)))
-			b = pcm.Append(b, u)
-		}
-		return b
-	}, time.Time{}, HedgePolicy{})
-	if err != nil {
-		return nil, err
-	}
-	if len(r.labels) != len(utts) {
-		return nil, cc.mismatch(fmt.Sprintf("reply to a %d-utterance batch carries", len(utts)), len(r.labels))
-	}
-	labels := make([]int, len(r.labels))
-	for i, l := range r.labels {
-		labels[i] = int(l)
-	}
-	return labels, nil
 }
 
 // Stream is one open audio stream, bound to the transport generation that

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -624,5 +625,53 @@ func TestClientHealthQuery(t *testing.T) {
 		if d := s.FailureRate - w.FailureRate; d > 0.01 || d < -0.01 {
 			t.Fatalf("shard %d failure rate %v, want ~%v", i, s.FailureRate, w.FailureRate)
 		}
+	}
+}
+
+// TestOneShotWrongReplyKillsConn: a one-shot answered by any response frame
+// but FrameResult — a hello or health ack under its id, or version 3's
+// retired batch result (0x85) — fails with ErrConnLost, and the generation
+// is dead afterwards, so nothing later is misrouted on it.
+func TestOneShotWrongReplyKillsConn(t *testing.T) {
+	cases := []struct {
+		name    string
+		typ     byte
+		body    func(id uint32) []byte
+		wantMsg string
+	}{
+		{"hello ack", netfront.FrameHelloAck, func(id uint32) []byte {
+			return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, id), 1)
+		}, "one-shot answered by frame 0x88"},
+		{"health ack", netfront.FrameHealthAck, func(id uint32) []byte {
+			return netfront.AppendHealthAck(nil, id, nil)
+		}, "one-shot answered by frame 0x89"},
+		{"retired batch result", 0x85, func(id uint32) []byte {
+			return binary.LittleEndian.AppendUint32(resultFrame(id, 1), 7)
+		}, "unknown response frame 0x85"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeServer(t, func(nc net.Conn) {
+				defer nc.Close()
+				_, body, ok := readReq(nc)
+				if !ok {
+					return
+				}
+				writeFrame(nc, tc.typ, tc.body(binary.LittleEndian.Uint32(body[0:4])))
+				readReq(nc) // hold the conn open until the client drops it
+			})
+			c, err := Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, err = c.Classify([]int16{1, 2, 3})
+			if !errors.Is(err, ErrConnLost) || !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("err = %v, want ErrConnLost with %q", err, tc.wantMsg)
+			}
+			if _, err := c.Classify([]int16{1, 2, 3}); !errors.Is(err, ErrConnLost) {
+				t.Fatalf("classify on the dead generation: err = %v, want ErrConnLost", err)
+			}
+		})
 	}
 }

@@ -12,14 +12,18 @@ import (
 )
 
 // Request ids of the fuzz fixture's pending work, in the order the client
-// allocates them: the stream is opened first, then the one-shot, then the
-// batch.
+// allocates them: the stream is opened first, then the one-shot. The seeds
+// also address fuzzRetiredID, where the fixture once had a batch pending;
+// no request holds it now.
 const (
 	fuzzStreamID  = 0
 	fuzzOneShotID = 1
-	fuzzBatchID   = 2
-	fuzzBatchLen  = 2
+	fuzzRetiredID = 2
 )
+
+// frameRetiredBatchResult is version 3's batch result type, 0x85, now an
+// unknown response frame that fails the generation.
+const frameRetiredBatchResult = 0x85
 
 // replyFrame assembles one response frame from its body parts.
 func replyFrame(typ byte, parts ...[]byte) []byte {
@@ -36,7 +40,8 @@ func u64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 
 // clientReplySeeds returns one well-formed frame of every reply type,
 // addressed to the fixture's pending work, plus truncated, count-lie,
-// wrong-shape and unknown-type variants.
+// wrong-shape and unknown-type variants. The retired batch results stay
+// as seeds: each must now fail the generation as an unknown frame.
 func clientReplySeeds() [][]byte {
 	werr := netfront.AppendWireError(nil, netfront.WireError{Code: netfront.CodeBusy, RetryAfter: 3 * time.Millisecond, Msg: "busy"})
 	health := netfront.AppendHealthAck(nil, fuzzOneShotID, []core.ModelHealth{{
@@ -48,7 +53,7 @@ func clientReplySeeds() [][]byte {
 		replyFrame(netfront.FrameBusy, u32(fuzzOneShotID), u32(5)),
 		replyFrame(netfront.FrameError, u32(fuzzOneShotID), werr),
 		replyFrame(netfront.FrameError, u32(fuzzStreamID), werr),
-		replyFrame(netfront.FrameBatchResult, u32(fuzzBatchID), u32(fuzzBatchLen), u32(1), u32(2)),
+		replyFrame(frameRetiredBatchResult, u32(fuzzRetiredID), u32(2), u32(1), u32(2)),
 		replyFrame(netfront.FrameStreamResult, u32(fuzzStreamID), u64(0), u32(4)),
 		replyFrame(netfront.FrameStreamError, u32(fuzzStreamID), u64(1), werr),
 		replyFrame(netfront.FrameStreamClosed, u32(fuzzStreamID), u64(1)),
@@ -65,19 +70,19 @@ func clientReplySeeds() [][]byte {
 	// Truncated: header only, header cut short, body cut short.
 	res := wellFormed[0]
 	seeds = append(seeds, res[:netfront.HeaderLen], res[:2], res[:len(res)-1])
-	// Count lies: a batch claiming more labels than it carries, and one
-	// claiming 2^32-1.
+	// Count lies: a batch result claiming more labels than it carries,
+	// and one claiming 2^32-1.
 	seeds = append(seeds,
-		replyFrame(netfront.FrameBatchResult, u32(fuzzBatchID), u32(3), u32(1)),
-		replyFrame(netfront.FrameBatchResult, u32(fuzzBatchID), u32(0xFFFFFFFF)),
+		replyFrame(frameRetiredBatchResult, u32(fuzzRetiredID), u32(3), u32(1)),
+		replyFrame(frameRetiredBatchResult, u32(fuzzRetiredID), u32(0xFFFFFFFF)),
 	)
 	// Well-framed replies of the wrong shape for their request: an empty
 	// batch result and a hello ack under the one-shot's id, a one-label
-	// batch result under the two-utterance batch's id.
+	// batch result under the retired id.
 	seeds = append(seeds,
-		replyFrame(netfront.FrameBatchResult, u32(fuzzOneShotID), u32(0)),
+		replyFrame(frameRetiredBatchResult, u32(fuzzOneShotID), u32(0)),
 		replyFrame(netfront.FrameHelloAck, u32(fuzzOneShotID), u64(1)),
-		replyFrame(netfront.FrameBatchResult, u32(fuzzBatchID), u32(1), u32(1)),
+		replyFrame(frameRetiredBatchResult, u32(fuzzRetiredID), u32(1), u32(1)),
 	)
 	// Unknown reply type, and a request type sent back as a reply.
 	seeds = append(seeds,
@@ -88,26 +93,26 @@ func clientReplySeeds() [][]byte {
 }
 
 // FuzzClientReplies serves arbitrary bytes to a Client as the server's side
-// of the connection while a stream, a one-shot and a batch are pending. The
-// client must not panic or hang; every call must end with its reply, a
-// server-reported error (*BusyError, *RemoteError) or ErrConnLost; a
-// successful batch must carry one label per utterance; and once the peer
-// hangs up the connection must have failed with ErrConnLost — directly, or
-// through the protocol-violation path a malformed frame takes.
+// of the connection while a stream and a one-shot are pending. The client
+// must not panic or hang; the one-shot must end with its reply, a
+// server-reported error (*BusyError, *RemoteError) or ErrConnLost; and
+// once the peer hangs up the connection must have failed with ErrConnLost
+// — directly, or through the protocol-violation path a malformed frame
+// takes.
 func FuzzClientReplies(f *testing.F) {
 	for _, s := range clientReplySeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cliEnd, srvEnd := net.Pipe()
-		read := make(chan struct{}, 3)
+		read := make(chan struct{}, 2)
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
 			defer srvEnd.Close()
 			var hdr [netfront.HeaderLen]byte
 			var buf []byte
-			for i := 0; i < 3; i++ {
+			for i := 0; i < 2; i++ {
 				_, b, err := netfront.ReadFrame(srvEnd, &hdr, buf, netfront.DefaultMaxBody)
 				if err != nil {
 					return
@@ -137,14 +142,6 @@ func FuzzClientReplies(f *testing.F) {
 			_, oneShotErr = c.Classify([]int16{1, 2, 3, 4})
 		}()
 		<-read
-		var labels []int
-		var batchErr error
-		batchDone := make(chan struct{})
-		go func() {
-			defer close(batchDone)
-			labels, batchErr = c.ClassifyBatch([][]int16{{5, 6}, {7, 8}})
-		}()
-		<-read
 
 		timeout := time.NewTimer(5 * time.Second)
 		defer timeout.Stop()
@@ -164,11 +161,6 @@ func FuzzClientReplies(f *testing.F) {
 		}
 		wait("one-shot", oneShotDone)
 		checkErr("one-shot", oneShotErr)
-		wait("batch", batchDone)
-		checkErr("batch", batchErr)
-		if batchErr == nil && len(labels) != fuzzBatchLen {
-			t.Fatalf("batch of %d returned %d labels", fuzzBatchLen, len(labels))
-		}
 		wait("server side", served)
 		cc := c.cc
 		wait("connection failure", cc.done)

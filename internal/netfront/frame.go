@@ -1,25 +1,24 @@
 // Package netfront is the network-facing serving edge over core.Server: a
 // length-prefixed binary protocol spoken over TCP or Unix sockets that
-// multiplexes one-shot utterances, open audio streams and whole batches from
-// many connections onto one shared inference server. It is the "ML-as-a-
+// multiplexes one-shot utterances and open audio streams from many
+// connections onto one shared inference server. It is the "ML-as-a-
 // service, deployed offline" boundary the paper frames in §V — the model
 // and its license checks stay on the device, and this package is how
 // external load reaches them.
 //
-// # Wire protocol (version 3)
+// # Wire protocol (version 4)
 //
 // Every frame is a 5-byte header — uint32 little-endian body length, then
 // one type byte — followed by the body. Multi-byte integers are little
 // endian throughout; audio samples are PCM16. Request frames carry a
-// caller-chosen 32-bit id (request id for one-shot/batch, stream id for
-// stream frames) that the matching response echoes, so one connection can
+// caller-chosen 32-bit id (request id for one-shots, stream id for stream
+// frames) that the matching response echoes, so one connection can
 // interleave any number of outstanding requests.
 //
 //	FrameUtterance    id | int16 samples...            one-shot classification
 //	FrameStreamOpen   id                               open a continuous stream
 //	FrameStreamChunk  id | int16 samples...            append audio to a stream
 //	FrameStreamClose  id                               flush + close a stream
-//	FrameBatch        id | n | n × (len | samples...)  classify a whole batch
 //	FrameHello        id | u16 len | tenant | u16 len | model
 //	FrameHealth       id                               admin: health snapshot
 //
@@ -27,11 +26,15 @@
 //	FrameStreamResult id | uint64 hop | int32 label    one hop's result, in hop order
 //	FrameBusy         id | uint32 retry-after-ms       queue full — retry after the hint
 //	FrameError        id | wire-error                  per-request/stream-control failure
-//	FrameBatchResult  id | n | n × int32 label         batch results, in order
 //	FrameStreamClosed id | uint64 hops                 stream flushed; total hops
 //	FrameStreamError  id | uint64 hop | wire-error     one hop's failure, keeping its place
 //	FrameHelloAck     id | uint64 model-version        hello accepted
 //	FrameHealthAck    id | health snapshot             see AppendHealthAck
+//
+// Version 4 retires version 3's batch frames (request 0x05, response
+// 0x85): a batch is N one-shots pipelined on one connection, each with its
+// own id, BUSY reply, client deadline and retry. A 0x05 frame from a version-3 peer is an
+// unknown frame type and closes the connection like any other.
 //
 // FrameHello (new in version 3, optional — a connection that never sends
 // one behaves exactly like a version-2 peer) binds the connection to a
@@ -60,10 +63,10 @@
 //
 // Backpressure: a full core.Server queue surfaces as FrameBusy for one-shot
 // requests (the connection's read loop never blocks on them); stream chunks
-// instead block the submitting connection — per-stream flow control — and
-// batches block the submitting connection until fully enqueued. A stream's
-// results always arrive in hop order (core.Stream.OnResult sequencing);
-// results of different requests are unordered relative to each other.
+// instead block the submitting connection — per-stream flow control. A
+// stream's results always arrive in hop order (core.Stream.OnResult
+// sequencing); results of different requests are unordered relative to
+// each other.
 //
 // Resource caps (failure semantics, ARCHITECTURE.md): a frame body beyond
 // the receiver's MaxBody, a frame that does not parse, or an unknown frame
@@ -85,20 +88,20 @@ import (
 	"repro/internal/pcm"
 )
 
-// Frame types. Requests have the high bit clear, responses set.
+// Frame types. Requests have the high bit clear, responses set. 0x05 and
+// 0x85 were version 3's batch request and batch result: they are retired
+// and must not be reused, so a version-3 peer's batch is never misread.
 const (
 	FrameUtterance    = 0x01
 	FrameStreamOpen   = 0x02
 	FrameStreamChunk  = 0x03
 	FrameStreamClose  = 0x04
-	FrameBatch        = 0x05
 	FrameHello        = 0x06
 	FrameHealth       = 0x07
 	FrameResult       = 0x81
 	FrameStreamResult = 0x82
 	FrameBusy         = 0x83
 	FrameError        = 0x84
-	FrameBatchResult  = 0x85
 	FrameStreamClosed = 0x86
 	FrameStreamError  = 0x87
 	FrameHelloAck     = 0x88
@@ -179,8 +182,8 @@ func DecodeWireError(b []byte) (WireError, error) {
 }
 
 // DefaultMaxBody caps a frame body when Config.MaxBody is unset: 4 MiB
-// holds a 64-utterance batch of one-second 16 kHz PCM16 audio with room to
-// spare, while bounding what one connection can force the peer to buffer.
+// holds two minutes of 16 kHz PCM16 audio in one utterance or stream chunk,
+// while bounding what one connection can force the peer to buffer.
 const DefaultMaxBody = 4 << 20
 
 // ErrFrameTooLarge reports a frame whose declared body length exceeds the
@@ -243,48 +246,6 @@ func decodeSamples(dst []int16, b []byte) ([]int16, error) {
 		return nil, fmt.Errorf("%w: odd sample payload (%d bytes)", ErrMalformedFrame, len(b))
 	}
 	return pcm.Decode(dst, b), nil
-}
-
-// DecodeBatch parses a FrameBatch body: id, then a count-prefixed sequence
-// of length-prefixed utterances. The declared lengths must exactly cover the
-// body. The returned utterances are freshly allocated (the core server holds
-// them until their jobs complete, past the next read into the connection's
-// frame buffer; a batch is not the steady-state hot path).
-func DecodeBatch(body []byte) (id uint32, utts [][]int16, err error) {
-	id, rest, err := DecodeID(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(rest) < 4 {
-		return 0, nil, fmt.Errorf("%w: batch body lacks count", ErrMalformedFrame)
-	}
-	count := int(binary.LittleEndian.Uint32(rest[0:4]))
-	rest = rest[4:]
-	// Each utterance costs at least its 4-byte length prefix, so an honest
-	// count is bounded by the remaining bytes — reject absurd counts before
-	// allocating for them.
-	if count < 0 || count > len(rest)/4 {
-		return 0, nil, fmt.Errorf("%w: batch count %d exceeds body", ErrMalformedFrame, count)
-	}
-	utts = make([][]int16, count)
-	for i := range utts {
-		if len(rest) < 4 {
-			return 0, nil, fmt.Errorf("%w: batch utterance %d lacks length", ErrMalformedFrame, i)
-		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		rest = rest[4:]
-		// Overflow-safe form (like the count check above): n*2 would wrap
-		// on 32-bit ints for a hostile 2^30-sample declaration.
-		if n < 0 || n > len(rest)/2 {
-			return 0, nil, fmt.Errorf("%w: batch utterance %d declares %d samples beyond body", ErrMalformedFrame, i, n)
-		}
-		utts[i] = pcm.Decode(nil, rest[:n*2])
-		rest = rest[n*2:]
-	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrMalformedFrame, len(rest))
-	}
-	return id, utts, nil
 }
 
 // MaxHelloName caps the tenant and model names a FrameHello may carry; a

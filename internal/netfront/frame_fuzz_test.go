@@ -20,8 +20,10 @@ import (
 // must re-encode to exactly the bytes they were decoded from. The
 // checked-in corpus (testdata/fuzz/FuzzFrameDecode) pins the regression
 // cases: truncated header, truncated body, oversize length, zero-length
-// body, odd sample payload, lying batch counts, and the v3 frames — hello,
-// health and health ack, structured errors and busy with a retry hint.
+// body, odd sample payload, the retired version-3 batch frame (a lying
+// count and a well-formed body, both now an unknown type that no decoder
+// claims), and the v3 frames — hello, health and health ack, structured
+// errors and busy with a retry hint.
 func FuzzFrameDecode(f *testing.F) {
 	// Truncated header.
 	f.Add([]byte{0x01, 0x00})
@@ -35,11 +37,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append(AppendFrameHeader(nil, FrameUtterance, 8), 1, 0, 0, 0, 10, 0, 20, 0))
 	// Odd sample payload.
 	f.Add(append(AppendFrameHeader(nil, FrameStreamChunk, 7), 1, 0, 0, 0, 10, 0, 20))
-	// Batch whose count lies about the body.
-	f.Add(append(AppendFrameHeader(nil, FrameBatch, 8), 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF))
-	// Well-formed two-utterance batch.
+	// Retired batch frame (0x05) whose count lies about the body.
+	f.Add(append(AppendFrameHeader(nil, 0x05, 8), 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF))
+	// Retired batch frame with a well-formed two-utterance body.
 	batch := []byte{9, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0}
-	f.Add(append(AppendFrameHeader(nil, FrameBatch, len(batch)), batch...))
+	f.Add(append(AppendFrameHeader(nil, 0x05, len(batch)), batch...))
 	for _, seed := range v3FrameSeeds() {
 		f.Add(seed)
 	}
@@ -67,16 +69,6 @@ func FuzzFrameDecode(f *testing.F) {
 				if _, rest, err := DecodeID(body); err == nil {
 					if s, err := decodeSamples(nil, rest); err == nil && len(s) != len(rest)/2 {
 						t.Fatalf("%d samples from %d payload bytes", len(s), len(rest))
-					}
-				}
-			case FrameBatch:
-				if _, utts, err := DecodeBatch(body); err == nil {
-					total := 0
-					for _, u := range utts {
-						total += 2 * len(u)
-					}
-					if total > len(body) {
-						t.Fatalf("batch decoded %d sample bytes from a %d-byte body", total, len(body))
 					}
 				}
 			case FrameStreamOpen, FrameStreamClose, FrameHealth, FrameBusy:

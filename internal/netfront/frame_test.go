@@ -55,39 +55,6 @@ func TestDecodeMalformed(t *testing.T) {
 	if _, err := decodeSamples(nil, []byte{1, 2, 3}); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("decodeSamples(odd): %v", err)
 	}
-	bad := [][]byte{
-		{1, 0, 0, 0},                         // id only, no count
-		{1, 0, 0, 0, 255, 255, 255, 255},     // absurd count
-		{1, 0, 0, 0, 1, 0, 0, 0},             // count 1, no utterance length
-		{1, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0}, // utterance longer than body
-		append([]byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7, 0}, 0xEE), // trailing byte
-	}
-	for i, b := range bad {
-		if _, _, err := DecodeBatch(b); !errors.Is(err, ErrMalformedFrame) {
-			t.Errorf("DecodeBatch case %d: err = %v, want ErrMalformedFrame", i, err)
-		}
-	}
-	// Round trip of a well-formed batch body.
-	want := [][]int16{{1, -2, 3}, {}, {-32768, 32767}}
-	body := []byte{42, 0, 0, 0, 3, 0, 0, 0}
-	for _, u := range want {
-		body = append(body, byte(len(u)), 0, 0, 0)
-		body = pcm.Append(body, u)
-	}
-	id, utts, err := DecodeBatch(body)
-	if err != nil || id != 42 || len(utts) != len(want) {
-		t.Fatalf("DecodeBatch round trip: id=%d n=%d err=%v", id, len(utts), err)
-	}
-	for i := range want {
-		if len(utts[i]) != len(want[i]) {
-			t.Fatalf("utterance %d: %d samples, want %d", i, len(utts[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if utts[i][j] != want[i][j] {
-				t.Fatalf("utterance %d sample %d: %d, want %d", i, j, utts[i][j], want[i][j])
-			}
-		}
-	}
 }
 
 // sinkConn is a net.Conn whose writes are counted and discarded; reads

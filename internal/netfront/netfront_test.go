@@ -105,6 +105,32 @@ func TestNetRoundTripOneShot(t *testing.T) {
 	}
 }
 
+// TestClientOneShotAllocs pins what a steady-state one-shot round trip
+// allocates, counted process-wide over loopback TCP against a one-worker
+// front end (whose own path allocates nothing): the client's per-call
+// reply channel, two objects, and no more — the label rides the reply by
+// value.
+func TestClientOneShotAllocs(t *testing.T) {
+	model, utts, want := testFixture(t, 1)
+	addr := startFrontEnd(t, model, core.ServerConfig{Workers: 1}, "tcp")
+	c, err := client.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	classify := func() {
+		if label, err := c.Classify(utts[0]); err != nil || label != want[0] {
+			t.Fatalf("label %d err %v, want %d", label, err, want[0])
+		}
+	}
+	for range 16 { // warm the server's pools and the client's buffers
+		classify()
+	}
+	if allocs := testing.AllocsPerRun(100, classify); allocs > 2 {
+		t.Fatalf("steady-state Classify allocates %.1f objects/op, want <= 2", allocs)
+	}
+}
+
 // TestNetRoundTripStream: a 10-hop stream over a Unix socket must deliver
 // callbacks strictly in hop order with labels identical to the direct
 // in-process stream over the same signal.
@@ -205,35 +231,203 @@ func TestNetRoundTripStream(t *testing.T) {
 	}
 }
 
-// TestNetRoundTripBatch: a whole batch over the wire must match direct
-// RunBatch results in order.
-func TestNetRoundTripBatch(t *testing.T) {
-	model, utts, want := testFixture(t, 10)
-	addr := startFrontEnd(t, model, core.ServerConfig{Workers: 2}, "tcp")
-	c, err := client.Dial("tcp", addr)
+// classifyPipelined issues one Classify per utterance, all at once from
+// their own goroutines, so the requests pipeline on the client's one
+// connection; it returns the labels in utterance order and the first error.
+func classifyPipelined(c *client.Client, utts [][]int16) ([]int, error) {
+	labels := make([]int, len(utts))
+	errs := make([]error, len(utts))
+	var wg sync.WaitGroup
+	for i, u := range utts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			labels[i], errs[i] = c.Classify(u)
+		}()
+	}
+	wg.Wait()
+	return labels, errors.Join(errs...)
+}
+
+// directStream classifies signal as one stream on a throwaway
+// single-worker server over model: the hop-ordered ground truth.
+func directStream(t testing.TB, model *tflm.Model, signal []int16) []int {
+	t.Helper()
+	srv, err := core.NewServer(model, core.ServerConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	labels, err := c.ClassifyBatch(utts)
+	defer srv.Close()
+	st, err := srv.OpenStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(labels) != len(want) {
-		t.Fatalf("%d batch labels, want %d", len(labels), len(want))
+	tickets, err := st.Submit(signal)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range labels {
-		if labels[i] != want[i] {
-			t.Fatalf("utterance %d: wire label %d, direct label %d", i, labels[i], want[i])
+	labels := make([]int, len(tickets))
+	for i, p := range tickets {
+		r := p.Wait()
+		if r.Err != nil {
+			t.Fatal(r.Err)
 		}
+		labels[i] = r.Label
+		p.Release()
 	}
-	// Empty batch round-trips as an empty result.
-	empty, err := c.ClassifyBatch(nil)
-	if err != nil {
-		t.Fatal(err)
+	return labels
+}
+
+// heldEngine is a core.Engine over a real server whose one-shot results
+// are held back until gate closes, without holding the worker that
+// produced them; streams pass straight through. accepted receives one
+// value per one-shot the engine took.
+type heldEngine struct {
+	*core.Server
+	gate     <-chan struct{}
+	accepted chan<- struct{}
+}
+
+// hold defers fn past the gate on its own goroutine, so the worker moves on.
+func (e heldEngine) hold(fn func(core.Result)) func(core.Result) {
+	return func(r core.Result) {
+		go func() {
+			<-e.gate
+			fn(r)
+		}()
 	}
-	if len(empty) != 0 {
-		t.Fatalf("empty batch returned %d labels", len(empty))
+}
+
+// SubmitFuncDeadline submits with the callback held.
+func (e heldEngine) SubmitFuncDeadline(samples []int16, deadline time.Time, fn func(core.Result)) error {
+	err := e.Server.SubmitFuncDeadline(samples, deadline, e.hold(fn))
+	if err == nil {
+		e.accepted <- struct{}{}
+	}
+	return err
+}
+
+// TrySubmitFuncDeadline submits with the callback held.
+func (e heldEngine) TrySubmitFuncDeadline(samples []int16, deadline time.Time, fn func(core.Result)) error {
+	err := e.Server.TrySubmitFuncDeadline(samples, deadline, e.hold(fn))
+	if err == nil {
+		e.accepted <- struct{}{}
+	}
+	return err
+}
+
+// TestNetStreamBesideOneShots: one-shots pipelined with a stream on one
+// connection. A connection's requests never wait on one another: with the
+// one-shots' results held back in the engine, the stream's hop results
+// still arrive, in hop order, and the stream closes while every one-shot
+// is outstanding. Every label matches the direct core.Server path.
+func TestNetStreamBesideOneShots(t *testing.T) {
+	model, utts, want := testFixture(t, 10)
+	var signal []int16
+	for _, u := range utts[:3] {
+		signal = append(signal, u...)
+	}
+	streamWant := directStream(t, model, signal)
+	cases := []struct {
+		name     string
+		oneShots int
+		stream   bool
+		hold     bool // keep every one-shot outstanding until the stream closed
+	}{
+		{"pipelined one-shots", len(utts), false, false},
+		{"stream beside running one-shots", len(utts), true, false},
+		{"stream beside held one-shots", 4, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			if !tc.hold {
+				release()
+			}
+			accepted := make(chan struct{}, tc.oneShots)
+			reg, err := core.NewRegistry(map[string]core.ModelConfig{"kws": {Model: model}}, core.RegistryConfig{
+				Server: core.ServerConfig{Workers: 2},
+				Engine: func(m *tflm.Model, cfg core.ServerConfig) (core.Engine, error) {
+					srv, err := core.NewServer(m, cfg)
+					if err != nil {
+						return nil, err
+					}
+					return heldEngine{Server: srv, gate: gate, accepted: accepted}, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := startRegistryFrontEnd(t, reg, netfront.Config{})
+			t.Cleanup(release) // a failed case must not leave held results behind
+			c, err := client.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			var labels []int
+			var oneShotErr error
+			oneShotsDone := make(chan struct{})
+			go func() {
+				defer close(oneShotsDone)
+				labels, oneShotErr = classifyPipelined(c, utts[:tc.oneShots])
+			}()
+			if tc.hold {
+				for range tc.oneShots {
+					<-accepted
+				}
+			}
+			if tc.stream {
+				var got []int
+				var order []uint64
+				s, err := c.OpenStream(func(hop uint64, label int, err error) {
+					if err != nil {
+						t.Errorf("hop %d: %v", hop, err)
+					}
+					got = append(got, label)
+					order = append(order, hop)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for off := 0; off < len(signal); off += 999 {
+					if err := s.Send(signal[off:min(off+999, len(signal))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if tc.hold {
+					select {
+					case <-oneShotsDone:
+						t.Fatal("held one-shots returned before the gate opened")
+					default:
+					}
+					release()
+				}
+				// Close flushed every hop: the callback is done with got.
+				if len(got) != len(streamWant) {
+					t.Fatalf("%d hop results, want %d", len(got), len(streamWant))
+				}
+				for i := range got {
+					if order[i] != uint64(i) || got[i] != streamWant[i] {
+						t.Fatalf("result %d: hop %d label %d, want hop %d label %d", i, order[i], got[i], i, streamWant[i])
+					}
+				}
+			}
+			<-oneShotsDone
+			if oneShotErr != nil {
+				t.Fatal(oneShotErr)
+			}
+			for i, l := range labels {
+				if l != want[i] {
+					t.Fatalf("one-shot %d: wire label %d, direct label %d", i, l, want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -292,39 +486,16 @@ func TestNetBusy(t *testing.T) {
 }
 
 // TestNetMixedConcurrentConnections is the -race target: N connections in
-// parallel, each interleaving one-shots, a stream, and a batch against one
-// shared server, every result checked against the direct path.
+// parallel, each interleaving serial one-shots, a stream, and pipelined
+// one-shots against one shared server, every result checked against the
+// direct path.
 func TestNetMixedConcurrentConnections(t *testing.T) {
 	model, utts, want := testFixture(t, 6)
-	cfg := dsp.DefaultFrontend()
 	var signal []int16
 	for _, u := range utts[:2] {
 		signal = append(signal, u...)
 	}
-	// Direct-path stream ground truth.
-	direct, err := core.NewServer(model, core.ServerConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstm, err := direct.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamWant []int
-	tickets, err := dstm.Submit(signal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range tickets {
-		r := p.Wait()
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		streamWant = append(streamWant, r.Label)
-		p.Release()
-	}
-	direct.Close()
-	_ = cfg
+	streamWant := directStream(t, model, signal)
 
 	addr := startFrontEnd(t, model, core.ServerConfig{Workers: 4, Queue: 16}, "tcp")
 	const conns = 6
@@ -392,15 +563,18 @@ func TestNetMixedConcurrentConnections(t *testing.T) {
 						errs <- fmt.Errorf("conn %d: stream results diverged from direct path", g)
 						return
 					}
-				case 2: // batch
-					labels, err := c.ClassifyBatch(utts)
+				case 2: // pipelined one-shots
+					labels, err := classifyPipelined(c, utts)
+					if errors.Is(err, client.ErrBusy) {
+						continue // backpressure is a legal outcome
+					}
 					if err != nil {
 						errs <- err
 						return
 					}
 					for i := range labels {
 						if labels[i] != want[i] {
-							errs <- fmt.Errorf("conn %d: batch %d label %d, want %d", g, i, labels[i], want[i])
+							errs <- fmt.Errorf("conn %d: pipelined %d label %d, want %d", g, i, labels[i], want[i])
 							return
 						}
 					}
@@ -505,9 +679,10 @@ func TestHostileFrames(t *testing.T) {
 		wantClose bool
 		wantCode  uint16
 	}{
-		{"oversize declared batch count", netfront.FrameBatch,
+		// 0x05 is version 3's retired batch frame: an unknown type now.
+		{"oversize declared batch count", 0x05,
 			le32(1, 1<<30), true, 0},
-		{"batch count beyond body", netfront.FrameBatch,
+		{"batch count beyond body", 0x05,
 			le32(1, 3, 0), true, 0},
 		{"utterance with odd sample payload", netfront.FrameUtterance,
 			append(le32(1), 0xAB), true, 0},

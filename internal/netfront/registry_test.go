@@ -94,14 +94,14 @@ func TestRegistryFrontEndRouting(t *testing.T) {
 				t.Fatalf("model %s utterance %d: label=%d err=%v, want %d", tc.model, i, label, err, tc.want[i])
 			}
 		}
-		// Batches route through the same binding.
-		labels, err := c.ClassifyBatch(utts)
+		// Pipelined one-shots route through the same binding.
+		labels, err := classifyPipelined(c, utts)
 		if err != nil {
-			t.Fatalf("model %s batch: %v", tc.model, err)
+			t.Fatalf("model %s pipelined: %v", tc.model, err)
 		}
 		for i := range labels {
 			if labels[i] != tc.want[i] {
-				t.Fatalf("model %s batch utterance %d: %d want %d", tc.model, i, labels[i], tc.want[i])
+				t.Fatalf("model %s pipelined utterance %d: %d want %d", tc.model, i, labels[i], tc.want[i])
 			}
 		}
 		c.Close()

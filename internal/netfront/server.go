@@ -76,8 +76,6 @@ type backend interface {
 	submit(model, tenant string, samples []int16, fn func(core.Result)) error
 	// openStream opens a stream routed by (model, tenant).
 	openStream(model, tenant string) (backendStream, error)
-	// runBatch classifies a whole batch synchronously.
-	runBatch(model, tenant string, utts [][]int16) []core.Result
 	// resolveModel validates a hello-supplied model name ("" = default)
 	// and returns the bound name plus its current version.
 	resolveModel(model string) (bound string, version uint64, err error)
@@ -110,10 +108,6 @@ func (b serverBackend) submit(model, tenant string, samples []int16, fn func(cor
 
 func (b serverBackend) openStream(model, tenant string) (backendStream, error) {
 	return b.srv.OpenStream()
-}
-
-func (b serverBackend) runBatch(model, tenant string, utts [][]int16) []core.Result {
-	return b.srv.RunBatch(utts)
 }
 
 func (b serverBackend) resolveModel(model string) (string, uint64, error) {
@@ -155,10 +149,6 @@ func (b registryBackend) submit(model, tenant string, samples []int16, fn func(c
 
 func (b registryBackend) openStream(model, tenant string) (backendStream, error) {
 	return b.reg.OpenStream(b.bound(model), tenant)
-}
-
-func (b registryBackend) runBatch(model, tenant string, utts [][]int16) []core.Result {
-	return b.reg.RunBatch(b.bound(model), tenant, utts)
 }
 
 func (b registryBackend) resolveModel(model string) (string, uint64, error) {
@@ -336,8 +326,8 @@ var ErrDrainTimeout = errors.New("netfront: drain deadline exceeded")
 
 // Shutdown is the graceful form of Close: it stops accepting new
 // connections and new stream opens immediately, then lets existing
-// connections finish what they are doing — in-flight one-shots and batches
-// complete, open streams keep classifying until their peers close them —
+// connections finish what they are doing — in-flight one-shots complete,
+// open streams keep classifying until their peers close them —
 // closing each connection as it goes quiet. Connections still busy when the
 // grace period expires are force-closed and Shutdown returns
 // ErrDrainTimeout; a clean drain returns nil. Either way, when Shutdown
@@ -444,8 +434,8 @@ type conn struct {
 	model  string
 
 	// Drain accounting (Shutdown): inflight counts accepted one-shot
-	// submissions and in-progress batches whose responses have not been
-	// written; nstreams mirrors len(streams) for goroutine-safe reads.
+	// submissions whose responses have not been written; nstreams mirrors
+	// len(streams) for goroutine-safe reads.
 	inflight atomic.Int64
 	nstreams atomic.Int32
 
@@ -499,8 +489,8 @@ func (c *conn) putReq(rc *reqCtx) {
 // serve is the connection's read loop: read one frame, decode, submit,
 // repeat. It returns when the peer closes, a frame is malformed or
 // oversized, or the front end shuts the socket. Stream results and one-shot
-// results are written asynchronously by core worker callbacks; only BUSY,
-// batch and stream-control replies are written from this loop.
+// results are written asynchronously by core worker callbacks; only BUSY
+// and stream-control replies are written from this loop.
 func (c *conn) serve() {
 	defer c.nc.Close()
 	for {
@@ -533,10 +523,6 @@ func (c *conn) serve() {
 			}
 		case FrameStreamClose:
 			if !c.handleStreamClose(body) {
-				return
-			}
-		case FrameBatch:
-			if !c.handleBatch(body) {
 				return
 			}
 		case FrameHello:
@@ -672,21 +658,6 @@ func (c *conn) handleStreamClose(body []byte) bool {
 	delete(c.streams, id)
 	c.nstreams.Store(int32(len(c.streams)))
 	c.writeResult64(FrameStreamClosed, id, cs.submitted)
-	return true
-}
-
-// handleBatch classifies a whole batch synchronously: the read loop blocks
-// until the batch completes, which is the batch face of backpressure (a
-// batch peer has nothing to pipeline behind its own batch anyway).
-func (c *conn) handleBatch(body []byte) bool {
-	reqID, utts, err := DecodeBatch(body)
-	if err != nil {
-		return false
-	}
-	c.inflight.Add(1)
-	results := c.fe.be.runBatch(c.model, c.tenant, utts)
-	c.writeBatchResult(reqID, results)
-	c.inflight.Add(-1)
 	return true
 }
 
@@ -853,25 +824,6 @@ func (c *conn) writeStreamError(id uint32, hop uint64, err error) {
 	c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf, id)
 	c.wbuf = binary.LittleEndian.AppendUint64(c.wbuf, hop)
 	c.wbuf = AppendWireError(c.wbuf, WireError{Code: code, RetryAfter: retry, Msg: msg})
-	c.send()
-	c.wmu.Unlock()
-}
-
-// writeBatchResult sends a FrameBatchResult; errored utterances report
-// label -1 (the protocol keeps batch results fixed-size; per-utterance error
-// text is a one-shot-path affordance).
-func (c *conn) writeBatchResult(id uint32, results []core.Result) {
-	c.wmu.Lock()
-	c.wbuf = AppendFrameHeader(c.wbuf[:0], FrameBatchResult, 8+4*len(results))
-	c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf, id)
-	c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf, uint32(len(results)))
-	for i := range results {
-		label := int32(results[i].Label)
-		if results[i].Err != nil {
-			label = -1
-		}
-		c.wbuf = binary.LittleEndian.AppendUint32(c.wbuf, uint32(label))
-	}
 	c.send()
 	c.wmu.Unlock()
 }
