@@ -359,7 +359,7 @@ func (c *Client) handshake(cc *clientConn) error {
 		deadline = time.Now().Add(c.opts.DialTimeout)
 	}
 	bodyLen := 4 + 2 + len(c.opts.Tenant) + 2 + len(c.opts.Model)
-	r, err := cc.call(frameHello, bodyLen, func(b []byte, id uint32) []byte {
+	r, err := cc.call(frameHello, frameHelloAck, bodyLen, func(b []byte, id uint32) []byte {
 		return netfront.AppendHello(b, id, c.opts.Tenant, c.opts.Model)
 	}, deadline, HedgePolicy{})
 	if err != nil {
@@ -746,7 +746,10 @@ func (cc *clientConn) writeFrame(typ byte, bodyLen int, fill func([]byte) []byte
 
 // call is every request's round trip: register on a reply channel, write
 // the frame (fill appends the body, which starts with the request id), and
-// wait for the reply, bounded by a nonzero deadline. With hedge.Delay > 0 a
+// wait for the reply, bounded by a nonzero deadline. A success must come
+// from the response frame want; any other (a hello ack under a one-shot's
+// id, say) is a server protocol violation that kills the generation and
+// fails the call with ErrConnLost. With hedge.Delay > 0 a
 // call is up to 1+hedge.Max wire attempts sharing one reply channel: the
 // first immediately, each further one when the hedge delay elapses without
 // a reply, or at once when every outstanding attempt has already failed.
@@ -754,7 +757,7 @@ func (cc *clientConn) writeFrame(typ byte, bodyLen int, fill func([]byte) []byte
 // replies dropped by deliver. Unhedged, it is one attempt and no hedge
 // timer runs. No goroutine is spawned per hedge: one timer drives the
 // schedule.
-func (cc *clientConn) call(typ byte, bodyLen int, fill func(b []byte, id uint32) []byte, deadline time.Time, hedge HedgePolicy) (reply, error) {
+func (cc *clientConn) call(typ, want byte, bodyLen int, fill func(b []byte, id uint32) []byte, deadline time.Time, hedge HedgePolicy) (reply, error) {
 	attempts := 1
 	if hedge.Delay > 0 {
 		attempts += hedge.Max
@@ -815,6 +818,10 @@ func (cc *clientConn) call(typ byte, bodyLen int, fill func(b []byte, id uint32)
 				// replies are dropped (the winner's id is already gone —
 				// deliver removed it — so this is loser-only cleanup).
 				abandon()
+				if r.typ != want {
+					cc.kill()
+					return reply{}, fmt.Errorf("%w: frame 0x%02x answered a request expecting 0x%02x", ErrConnLost, r.typ, want)
+				}
 				return r, nil
 			}
 			if firstErr == nil {
@@ -850,24 +857,12 @@ func (cc *clientConn) call(typ byte, bodyLen int, fill func(b []byte, id uint32)
 
 // classify runs one request, hedged per hedge, on this generation.
 func (cc *clientConn) classify(samples []int16, deadline time.Time, hedge HedgePolicy) (int, error) {
-	r, err := cc.call(frameUtterance, 4+2*len(samples), func(b []byte, id uint32) []byte {
+	r, err := cc.call(frameUtterance, frameResult, 4+2*len(samples), func(b []byte, id uint32) []byte {
 		b = binary.LittleEndian.AppendUint32(b, id)
 		return pcm.Append(b, samples)
 	}, deadline, hedge)
 	if err != nil {
 		return -1, err
-	}
-	return cc.label(r)
-}
-
-// label extracts a one-shot reply's label. Any other response frame under
-// a one-shot's id (a hello or health ack) is a server protocol violation:
-// the connection can no longer be trusted, so the generation is killed and
-// the call fails with ErrConnLost.
-func (cc *clientConn) label(r reply) (int, error) {
-	if r.typ != frameResult {
-		cc.kill()
-		return -1, fmt.Errorf("%w: one-shot answered by frame 0x%02x", ErrConnLost, r.typ)
 	}
 	return int(r.label), nil
 }
@@ -957,7 +952,7 @@ func (c *Client) Health() ([]core.ModelHealth, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := cc.call(frameHealth, 4, binary.LittleEndian.AppendUint32, time.Time{}, HedgePolicy{})
+	r, err := cc.call(frameHealth, frameHealthAck, 4, binary.LittleEndian.AppendUint32, time.Time{}, HedgePolicy{})
 	if err != nil {
 		return nil, err
 	}

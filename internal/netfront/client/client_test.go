@@ -628,24 +628,37 @@ func TestClientHealthQuery(t *testing.T) {
 	}
 }
 
-// TestOneShotWrongReplyKillsConn: a one-shot answered by any response frame
-// but FrameResult — a hello or health ack under its id, or version 3's
-// retired batch result (0x85) — fails with ErrConnLost, and the generation
-// is dead afterwards, so nothing later is misrouted on it.
-func TestOneShotWrongReplyKillsConn(t *testing.T) {
+// TestWrongReplyFrameKillsConn: a request answered by another request's
+// response frame — a hello or health ack under a one-shot's id, a result
+// under a health query's — or by version 3's retired batch result (0x85)
+// fails with ErrConnLost, and the generation is dead afterwards, so nothing
+// later is misrouted on it.
+func TestWrongReplyFrameKillsConn(t *testing.T) {
+	classify := func(c *Client) error {
+		_, err := c.Classify([]int16{1, 2, 3})
+		return err
+	}
+	health := func(c *Client) error {
+		_, err := c.Health()
+		return err
+	}
 	cases := []struct {
 		name    string
+		call    func(c *Client) error
 		typ     byte
 		body    func(id uint32) []byte
 		wantMsg string
 	}{
-		{"hello ack", netfront.FrameHelloAck, func(id uint32) []byte {
+		{"hello ack to a one-shot", classify, netfront.FrameHelloAck, func(id uint32) []byte {
 			return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint32(nil, id), 1)
-		}, "one-shot answered by frame 0x88"},
-		{"health ack", netfront.FrameHealthAck, func(id uint32) []byte {
+		}, "frame 0x88 answered a request expecting 0x81"},
+		{"health ack to a one-shot", classify, netfront.FrameHealthAck, func(id uint32) []byte {
 			return netfront.AppendHealthAck(nil, id, nil)
-		}, "one-shot answered by frame 0x89"},
-		{"retired batch result", 0x85, func(id uint32) []byte {
+		}, "frame 0x89 answered a request expecting 0x81"},
+		{"result to a health query", health, netfront.FrameResult, func(id uint32) []byte {
+			return resultFrame(id, 1)
+		}, "frame 0x81 answered a request expecting 0x89"},
+		{"retired batch result to a one-shot", classify, 0x85, func(id uint32) []byte {
 			return binary.LittleEndian.AppendUint32(resultFrame(id, 1), 7)
 		}, "unknown response frame 0x85"},
 	}
@@ -665,12 +678,11 @@ func TestOneShotWrongReplyKillsConn(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			_, err = c.Classify([]int16{1, 2, 3})
-			if !errors.Is(err, ErrConnLost) || !strings.Contains(err.Error(), tc.wantMsg) {
+			if err := tc.call(c); !errors.Is(err, ErrConnLost) || !strings.Contains(err.Error(), tc.wantMsg) {
 				t.Fatalf("err = %v, want ErrConnLost with %q", err, tc.wantMsg)
 			}
-			if _, err := c.Classify([]int16{1, 2, 3}); !errors.Is(err, ErrConnLost) {
-				t.Fatalf("classify on the dead generation: err = %v, want ErrConnLost", err)
+			if err := tc.call(c); !errors.Is(err, ErrConnLost) {
+				t.Fatalf("call on the dead generation: err = %v, want ErrConnLost", err)
 			}
 		})
 	}

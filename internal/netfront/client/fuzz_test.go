@@ -13,8 +13,7 @@ import (
 
 // Request ids of the fuzz fixture's pending work, in the order the client
 // allocates them: the stream is opened first, then the one-shot. The seeds
-// also address fuzzRetiredID, where the fixture once had a batch pending;
-// no request holds it now.
+// also address fuzzRetiredID, an id no request holds.
 const (
 	fuzzStreamID  = 0
 	fuzzOneShotID = 1
