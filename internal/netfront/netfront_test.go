@@ -316,11 +316,12 @@ func (e heldEngine) TrySubmitFuncDeadline(samples []int16, deadline time.Time, f
 	return err
 }
 
-// TestNetStreamBesideOneShots: one-shots pipelined with a stream on one
-// connection. A connection's requests never wait on one another: with the
-// one-shots' results held back in the engine, the stream's hop results
-// still arrive, in hop order, and the stream closes while every one-shot
-// is outstanding. Every label matches the direct core.Server path.
+// TestNetStreamBesideOneShots: pipelined one-shots, alone or beside a
+// stream on the same connection. A connection's requests never wait on one
+// another: when the engine holds the one-shots' results back, the stream's
+// hop results still arrive, in hop order, and the stream closes while
+// every one-shot is outstanding. Every label matches the direct
+// core.Server path.
 func TestNetStreamBesideOneShots(t *testing.T) {
 	model, utts, want := testFixture(t, 10)
 	var signal []int16
