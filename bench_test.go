@@ -196,12 +196,11 @@ func BenchmarkModelDecrypt(b *testing.B) {
 // BenchmarkWorldSwitch measures the SMC round trip (E4; paper: ~0.3 ms).
 func BenchmarkWorldSwitch(b *testing.B) {
 	dev := benchDevice(b, "switch")
-	dev.Monitor.Register("bench.noop", func(ctx trustzone.SecureContext, req any) (any, error) { return nil, nil })
 	c := dev.SoC.Core(1)
 	c.ResetCycles()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dev.Monitor.Call(c, "bench.noop", nil); err != nil {
+		if err := dev.Monitor.Call(c, func(trustzone.SecureContext) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,17 +226,16 @@ func BenchmarkSecureMicCapture(b *testing.B) {
 
 // BenchmarkTable1Phases splits one protected query (BenchmarkTable1QueryOMG)
 // into its §V step 7–8 phases on one enclave, each with its host wall time
-// and the simulated time it charges the enclave core: world_switch is a
-// no-op SMC; mic_smc is Speak plus the SMC that drains the secure
-// microphone and deposits PCM16 in the shared window (its world switch
-// included); window_decode reads that window back inside the enclave;
-// extract and invoke are the frontend and the interpreter, metered to the
-// enclave core as Query meters them. ARCHITECTURE.md's Table I attribution
-// is read from it.
+// and the simulated time it charges the enclave core: world_switch is the
+// monitor's world-switch bracket around no secure work; mic_smc is Speak
+// plus the SMC that drains the secure microphone and deposits PCM16 in the
+// shared window (its world switch included); window_decode reads that
+// window back inside the enclave; extract and invoke are the frontend and
+// the interpreter, metered to the enclave core as Query meters them.
+// ARCHITECTURE.md's Table I attribution is read from it.
 func BenchmarkTable1Phases(b *testing.B) {
 	s := benchSession(b, "t1phases")
 	enc := s.App.Enclave()
-	s.Device.Monitor.Register("bench.noop", func(trustzone.SecureContext, any) (any, error) { return nil, nil })
 	fe, err := dsp.NewFrontend(dsp.DefaultFrontend())
 	if err != nil {
 		b.Fatal(err)
@@ -264,8 +262,7 @@ func BenchmarkTable1Phases(b *testing.B) {
 		})
 	}
 	phase("world_switch", func(env *sanctuary.Env) error {
-		_, err := env.SecureCall("bench.noop", nil)
-		return err
+		return s.Device.Monitor.Call(env.Core(), func(trustzone.SecureContext) error { return nil })
 	})
 	phase("mic_smc", func(env *sanctuary.Env) error {
 		s.Device.Speak(fixUtt)

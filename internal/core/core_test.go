@@ -599,10 +599,9 @@ func TestOMGOverheadIsSmall(t *testing.T) {
 // TestTable1QueriesAllocationFree pins the steady-state heap cost of both
 // Table I queries, Speak included: each reuses its capture, fingerprint,
 // probabilities and result, and the microphone FIFO its backing array, so
-// the plain query allocates nothing and the protected one stays under
-// 1 KB in at most 2 allocations: the SMC request and reply boxes. The
-// enclave's Env and the monitor's SecureContext are not heap-allocated per
-// query.
+// neither query allocates. The protected query's SMC is a typed call whose
+// secure-world closure, the enclave's Env and the monitor's SecureContext
+// all stay off the heap.
 func TestTable1QueriesAllocationFree(t *testing.T) {
 	s := newTestSession(t, "allocs")
 	if err := s.Prepare(s.Vendor.Public()); err != nil {
@@ -632,8 +631,8 @@ func TestTable1QueriesAllocationFree(t *testing.T) {
 	if a := testing.AllocsPerRun(20, unprotected); a != 0 {
 		t.Errorf("plain query: %v allocs/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, omg); a > 2 {
-		t.Errorf("OMG query: %v allocs/op, want <= 2", a)
+	if a := testing.AllocsPerRun(20, omg); a != 0 {
+		t.Errorf("OMG query: %v allocs/op, want 0", a)
 	}
 	for _, q := range []struct {
 		name string

@@ -58,7 +58,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr := sanctuary.NewManager(soc, mon, sos, cfg.OSCore)
+	mgr := sanctuary.NewManager(soc, sos, cfg.OSCore)
 	return &Device{SoC: soc, Monitor: mon, SecureOS: sos, Sanctuary: mgr, Keys: keys}, nil
 }
 

@@ -28,12 +28,11 @@ func runE4(ctx *Ctx) (*Table, error) {
 	}
 	encCore := s.App.Enclave().Core()
 
-	// Raw SMC round trip through a no-op secure service.
-	s.Device.Monitor.Register("bench.noop", func(c trustzone.SecureContext, req any) (any, error) { return nil, nil })
+	// Raw SMC round trip: the world-switch bracket around no secure work.
 	encCore.ResetCycles()
 	const switches = 16
 	for i := 0; i < switches; i++ {
-		if _, err := s.Device.Monitor.Call(encCore, "bench.noop", nil); err != nil {
+		if err := s.Device.Monitor.Call(encCore, func(trustzone.SecureContext) error { return nil }); err != nil {
 			return nil, err
 		}
 	}

@@ -75,9 +75,6 @@ func (c *Cache) LineSize() int { return c.lineSize }
 // Stats returns cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// ResetStats zeroes the hit/miss counters without touching cache contents.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
 // Exclude registers [base, base+size) as uncacheable. Subsequent accesses to
 // the range bypass the cache; lines already resident are evicted.
 func (c *Cache) Exclude(base PhysAddr, size uint64) {

@@ -402,9 +402,7 @@ func runSwapStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, utt
 func runPanicStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, utts [][]int16, want []int, settle func() int) {
 	baseline := settle()
 
-	reg, err := core.NewRegistry(map[string]core.ModelConfig{
-		"kws": {Model: model, Version: 1},
-	}, core.RegistryConfig{
+	cfg := core.RegistryConfig{
 		Shards:        2,
 		Server:        core.ServerConfig{Workers: 2, Queue: 8},
 		DefaultTenant: core.TenantConfig{MaxQueue: 256},
@@ -414,7 +412,10 @@ func runPanicStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, ut
 			CooldownMax:  20 * time.Millisecond,
 			RebuildAfter: 2,
 		},
-	})
+	}
+	reg, err := core.NewRegistry(map[string]core.ModelConfig{
+		"kws": {Model: model, Version: 1},
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,9 +427,21 @@ func runPanicStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, ut
 	go fe.Serve(l)
 	addr := l.Addr().String()
 
-	// The storm: keep shard 0's next submission booby-trapped so its worker
-	// panics again and again — consecutive hard failures trip the breaker,
-	// and persistent trips force supervisor rebuilds mid-traffic.
+	// The storm arms shard 0 in bursts: each armed panic is taken by the
+	// next job a shard-0 worker starts. While a burst lasts, only the at
+	// most Workers jobs already running can finish healthy, so a burst of
+	// (Workers+1)·(Threshold−1)+1 panics (Threshold+Workers here) holds a
+	// run of Threshold consecutive hard failures however the scheduler
+	// interleaves them: the breaker trips by count, not by timing. The
+	// first burst is armed before any traffic; later ones keep tripping the
+	// breaker and force supervisor rebuilds mid-traffic.
+	burst := (cfg.Server.Workers+1)*(cfg.Breaker.Threshold-1) + 1
+	storm := func() {
+		for i := 0; i < burst; i++ {
+			reg.InjectPanicShard("kws", 0)
+		}
+	}
+	storm()
 	stopStorm := make(chan struct{})
 	var stormWG sync.WaitGroup
 	stormWG.Add(1)
@@ -438,10 +451,9 @@ func runPanicStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, ut
 			select {
 			case <-stopStorm:
 				return
-			default:
+			case <-time.After(time.Millisecond):
+				storm()
 			}
-			reg.InjectPanicShard("kws", 0)
-			time.Sleep(time.Millisecond)
 		}
 	}()
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/omgcrypto"
 	"repro/internal/pcm"
-	"repro/internal/trustzone"
 )
 
 // Enclave is a SANCTUARY App instance. Methods on Enclave model operations
@@ -116,9 +115,7 @@ func (e *Enclave) Resume() error {
 	if err := core.PowerOff(e.mgr.osCore); err != nil {
 		return err
 	}
-	if _, err := e.mgr.mon.Call(e.mgr.osCore, trustzone.SvcEnclaveRebind, trustzone.RebindReq{
-		Name: e.name, NewCore: core.ID(),
-	}); err != nil {
+	if err := e.mgr.sos.Rebind(e.mgr.osCore, e.name, core.ID()); err != nil {
 		_ = core.PowerOn()
 		return fmt.Errorf("sanctuary: rebind: %w", err)
 	}
@@ -145,7 +142,7 @@ func (e *Enclave) Teardown() error {
 	default:
 		return fmt.Errorf("sanctuary: teardown from state %v", e.state)
 	}
-	if _, err := e.mgr.mon.Call(e.mgr.osCore, trustzone.SvcEnclaveTeardown, trustzone.TeardownReq{Name: e.name}); err != nil {
+	if err := e.mgr.sos.Teardown(e.mgr.osCore, e.name); err != nil {
 		return fmt.Errorf("sanctuary: secure-world teardown: %w", err)
 	}
 	if e.state == StateRunning {
@@ -193,24 +190,12 @@ func (env *Env) ReadPriv(off uint64, buf []byte) error {
 	return e.mgr.soc.Read(e.core, e.privBase+hw.PhysAddr(off), buf)
 }
 
-// SecureCall performs an SMC to a secure-world service from the SA's core,
-// paying the world-switch cost.
-func (env *Env) SecureCall(svc trustzone.ServiceID, req any) (any, error) {
-	return env.enclave.mgr.mon.Call(env.enclave.core, svc, req)
-}
-
 // Attest obtains an attestation report bound to the caller-supplied nonce,
 // as the enclave does when opening the secure channel to the vendor (§V
 // step 2).
 func (env *Env) Attest(nonce []byte) (*omgcrypto.AttestationReport, []*omgcrypto.Certificate, error) {
-	resp, err := env.SecureCall(trustzone.SvcEnclaveAttest, trustzone.AttestReq{
-		Name: env.enclave.name, Nonce: nonce,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	at := resp.(trustzone.AttestResp)
-	return at.Report, at.Chain, nil
+	e := env.enclave
+	return e.mgr.sos.Attest(e.core, e.name, nonce)
 }
 
 // CaptureMicInto pulls n PCM16 samples from the secure microphone through
@@ -235,13 +220,7 @@ func (env *Env) CaptureMicInto(buf []int16, n int) ([]int16, error) {
 // a batch amortizes the world switch.
 func (env *Env) CaptureMicBulk(n int) (int, error) {
 	e := env.enclave
-	resp, err := env.SecureCall(trustzone.SvcPeriphRead, trustzone.PeriphReadReq{
-		Name: e.name, Periph: hw.PeriphMicrophone, N: n,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.(trustzone.PeriphReadResp).N, nil
+	return e.mgr.sos.ReadPeriph(e.core, e.name, hw.PeriphMicrophone, n)
 }
 
 // ReadMicWindow decodes n PCM16 samples starting at sample offset off of the

@@ -92,7 +92,6 @@ const (
 // life-cycle transitions. It runs on the commodity OS core.
 type Manager struct {
 	soc      *hw.SoC
-	mon      *trustzone.Monitor
 	sos      *trustzone.SecureOS
 	osCore   *hw.Core
 	nextBase hw.PhysAddr
@@ -108,10 +107,9 @@ type span struct {
 
 // NewManager creates a SANCTUARY driver whose OS runs on core osCore.
 // Physical memory from heapBase upward is managed by the driver's allocator.
-func NewManager(soc *hw.SoC, mon *trustzone.Monitor, sos *trustzone.SecureOS, osCore int) *Manager {
+func NewManager(soc *hw.SoC, sos *trustzone.SecureOS, osCore int) *Manager {
 	return &Manager{
 		soc:      soc,
-		mon:      mon,
 		sos:      sos,
 		osCore:   soc.Core(osCore),
 		nextBase: 16 << 20, // leave the bottom 16 MiB to the "OS"
@@ -238,7 +236,7 @@ func (m *Manager) Setup(cfg Config) (*Enclave, error) {
 		return nil, err
 	}
 
-	resp, err := m.mon.Call(m.osCore, trustzone.SvcEnclaveCreate, trustzone.CreateReq{
+	created, err := m.sos.Create(m.osCore, trustzone.CreateReq{
 		Name:     cfg.Image.Name,
 		Base:     privBase,
 		PrivSize: cfg.PrivateSize,
@@ -253,7 +251,6 @@ func (m *Manager) Setup(cfg Config) (*Enclave, error) {
 		_ = core.PowerOn()
 		return nil, fmt.Errorf("sanctuary: secure-world create: %w", err)
 	}
-	created := resp.(trustzone.CreateResp)
 
 	e := &Enclave{
 		mgr:         m,
@@ -276,10 +273,5 @@ func (m *Manager) Setup(cfg Config) (*Enclave, error) {
 // remote verifiers; the report's authenticity does not depend on the relay
 // being honest.
 func (m *Manager) Attest(name string, nonce []byte) (*omgcrypto.AttestationReport, []*omgcrypto.Certificate, error) {
-	resp, err := m.mon.Call(m.osCore, trustzone.SvcEnclaveAttest, trustzone.AttestReq{Name: name, Nonce: nonce})
-	if err != nil {
-		return nil, nil, err
-	}
-	at := resp.(trustzone.AttestResp)
-	return at.Report, at.Chain, nil
+	return m.sos.Attest(m.osCore, name, nonce)
 }

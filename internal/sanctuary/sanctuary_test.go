@@ -46,7 +46,7 @@ func testManager(t *testing.T) (*hw.SoC, *Manager, *omgcrypto.Identity) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return soc, NewManager(soc, mon, sos, 0), root
+	return soc, NewManager(soc, sos, 0), root
 }
 
 func testImage(name string) Image {

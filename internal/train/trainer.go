@@ -150,16 +150,3 @@ func EvaluateFloat(m *TinyConv, samples []Sample) float64 {
 	}
 	return float64(correct) / float64(len(samples))
 }
-
-// ConfusionMatrix returns counts[actual][predicted] for the float model.
-func ConfusionMatrix(m *TinyConv, samples []Sample) [][]int {
-	n := m.Cfg.NumClasses
-	counts := make([][]int, n)
-	for i := range counts {
-		counts[i] = make([]int, n)
-	}
-	for _, s := range samples {
-		counts[s.Label][m.Predict(Normalize(s.Features))]++
-	}
-	return counts
-}

@@ -3,6 +3,7 @@ package trustzone
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"testing"
 
@@ -34,12 +35,11 @@ func platformKeys(t *testing.T) (*PlatformKeys, *omgcrypto.Identity) {
 	return testKeys, testRoot
 }
 
-func testPlatform(t *testing.T) (*hw.SoC, *Monitor, *SecureOS, *omgcrypto.Identity) {
+func testPlatform(t *testing.T) (*hw.SoC, *SecureOS, *omgcrypto.Identity) {
 	t.Helper()
 	keys, root := platformKeys(t)
 	soc := hw.NewSoC(hw.Config{BigCores: 2, LittleCores: 2, DRAMSize: 64 << 20})
-	mon := NewMonitor(soc)
-	sos, err := BootSecureOS(soc, mon, SecureOSConfig{
+	sos, err := BootSecureOS(soc, NewMonitor(soc), SecureOSConfig{
 		Keys:           keys,
 		Rand:           omgcrypto.NewDRBG("enclave-keys"),
 		EnclaveKeyBits: 1024, // keep the suite fast; cost model is unaffected
@@ -47,15 +47,7 @@ func testPlatform(t *testing.T) (*hw.SoC, *Monitor, *SecureOS, *omgcrypto.Identi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return soc, mon, sos, root
-}
-
-func TestMonitorUnknownService(t *testing.T) {
-	soc := hw.NewSoC(hw.Config{BigCores: 1, LittleCores: 0, DRAMSize: 1 << 20})
-	mon := NewMonitor(soc)
-	if _, err := mon.Call(soc.Core(0), "nope", nil); err == nil {
-		t.Fatal("unknown service call succeeded")
-	}
+	return soc, sos, root
 }
 
 func TestMonitorWorldSwitchSemantics(t *testing.T) {
@@ -63,20 +55,17 @@ func TestMonitorWorldSwitchSemantics(t *testing.T) {
 	mon := NewMonitor(soc)
 	core := soc.Core(0)
 	var sawWorld hw.World
-	mon.Register("echo", func(ctx SecureContext, req any) (any, error) {
-		sawWorld = ctx.Core.World()
-		return req, nil
-	})
+	sentinel := errors.New("secure-world error")
 	core.ResetCycles()
-	resp, err := mon.Call(core, "echo", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp != 42 {
-		t.Fatalf("resp = %v", resp)
+	err := mon.Call(core, func(ctx SecureContext) error {
+		sawWorld = ctx.Core.World()
+		return sentinel
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want the secure-world function's error", err)
 	}
 	if sawWorld != hw.SecureWorld {
-		t.Fatal("handler did not run in the secure world")
+		t.Fatal("fn did not run in the secure world")
 	}
 	if core.World() != hw.NormalWorld {
 		t.Fatal("world not restored after call")
@@ -94,17 +83,20 @@ func TestMonitorWorldSwitchSemantics(t *testing.T) {
 func TestMonitorOfflineCoreCannotCall(t *testing.T) {
 	soc := hw.NewSoC(hw.Config{BigCores: 2, LittleCores: 0, DRAMSize: 1 << 20})
 	mon := NewMonitor(soc)
-	mon.Register("noop", func(ctx SecureContext, req any) (any, error) { return nil, nil })
 	if err := soc.Core(1).PowerOff(soc.Core(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.Call(soc.Core(1), "noop", nil); err == nil {
+	ran := false
+	if err := mon.Call(soc.Core(1), func(SecureContext) error { ran = true; return nil }); err == nil || ran {
 		t.Fatal("offline core issued an SMC")
+	}
+	if mon.Switches() != 0 {
+		t.Fatalf("switches = %d after a refused SMC", mon.Switches())
 	}
 }
 
 func TestSecureOSBootAssignsMicrophone(t *testing.T) {
-	soc, _, _, _ := testPlatform(t)
+	soc, _, _ := testPlatform(t)
 	if got := soc.TZPC().WorldOf(hw.PeriphMicrophone); got != hw.SecureWorld {
 		t.Fatalf("microphone assigned to %v", got)
 	}
@@ -114,13 +106,13 @@ func TestSecureOSBootAssignsMicrophone(t *testing.T) {
 	}
 }
 
-func createTestEnclave(t *testing.T, soc *hw.SoC, mon *Monitor, name string, allowMic bool) CreateResp {
+func createTestEnclave(t *testing.T, soc *hw.SoC, sos *SecureOS, name string, allowMic bool) CreateResp {
 	t.Helper()
 	image := []byte("SL+" + name)
 	if err := soc.Write(soc.Core(0), 0x100000, image); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := mon.Call(soc.Core(0), SvcEnclaveCreate, CreateReq{
+	created, err := sos.Create(soc.Core(0), CreateReq{
 		Name: name, Base: 0x100000, PrivSize: 0x20000,
 		SWBase: 0x200000, SWSize: 0x10000,
 		Core: 1, AllowMic: allowMic,
@@ -128,12 +120,12 @@ func createTestEnclave(t *testing.T, soc *hw.SoC, mon *Monitor, name string, all
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.(CreateResp)
+	return created
 }
 
 func TestEnclaveCreateLocksAndMeasures(t *testing.T) {
-	soc, mon, _, root := testPlatform(t)
-	created := createTestEnclave(t, soc, mon, "kws", true)
+	soc, sos, root := testPlatform(t)
+	created := createTestEnclave(t, soc, sos, "kws", true)
 
 	// The enclave certificate chains to the device-vendor root.
 	chain := []*omgcrypto.Certificate{created.EnclaveCert, testKeys.PlatformCert, testKeys.RootCert}
@@ -160,7 +152,7 @@ func TestEnclaveCreateLocksAndMeasures(t *testing.T) {
 	}
 
 	// Duplicate names are refused.
-	if _, err := mon.Call(soc.Core(0), SvcEnclaveCreate, CreateReq{
+	if _, err := sos.Create(soc.Core(0), CreateReq{
 		Name: "kws", Base: 0x300000, PrivSize: 0x1000, SWBase: 0x400000, SWSize: 0x1000, Core: 2,
 	}); err == nil {
 		t.Fatal("duplicate enclave created")
@@ -168,41 +160,40 @@ func TestEnclaveCreateLocksAndMeasures(t *testing.T) {
 }
 
 func TestEnclaveAttestReportVerifies(t *testing.T) {
-	soc, mon, _, root := testPlatform(t)
-	created := createTestEnclave(t, soc, mon, "kws", false)
+	soc, sos, root := testPlatform(t)
+	created := createTestEnclave(t, soc, sos, "kws", false)
 	nonce := []byte("verifier-nonce")
-	resp, err := mon.Call(soc.Core(0), SvcEnclaveAttest, AttestReq{Name: "kws", Nonce: nonce})
+	report, chain, err := sos.Attest(soc.Core(0), "kws", nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := resp.(AttestResp)
-	pub, err := omgcrypto.VerifyReport(at.Report, at.Chain, root.Public(), created.Measurement, nonce)
+	pub, err := omgcrypto.VerifyReport(report, chain, root.Public(), created.Measurement, nonce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pub) == 0 {
 		t.Fatal("no enclave key in report")
 	}
-	if _, err := mon.Call(soc.Core(0), SvcEnclaveAttest, AttestReq{Name: "ghost"}); err == nil {
+	if _, _, err := sos.Attest(soc.Core(0), "ghost", nil); err == nil {
 		t.Fatal("attested unknown enclave")
 	}
 }
 
 func TestPeriphReadPermissions(t *testing.T) {
-	soc, mon, _, _ := testPlatform(t)
-	createTestEnclave(t, soc, mon, "kws", true)
+	soc, sos, _ := testPlatform(t)
+	createTestEnclave(t, soc, sos, "kws", true)
 	soc.Microphone().Feed(make([]int16, 256))
 
 	// From the wrong core: refused.
-	if _, err := mon.Call(soc.Core(0), SvcPeriphRead, PeriphReadReq{Name: "kws", Periph: hw.PeriphMicrophone, N: 16}); err == nil {
+	if _, err := sos.ReadPeriph(soc.Core(0), "kws", hw.PeriphMicrophone, 16); err == nil {
 		t.Fatal("peripheral read from non-enclave core succeeded")
 	}
 	// From the enclave core: works, deposits samples in the shared window.
-	resp, err := mon.Call(soc.Core(1), SvcPeriphRead, PeriphReadReq{Name: "kws", Periph: hw.PeriphMicrophone, N: 16})
+	got, err := sos.ReadPeriph(soc.Core(1), "kws", hw.PeriphMicrophone, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.(PeriphReadResp).N; got != 16 {
+	if got != 16 {
 		t.Fatalf("deposited %d samples", got)
 	}
 	buf := make([]byte, 32)
@@ -210,31 +201,31 @@ func TestPeriphReadPermissions(t *testing.T) {
 		t.Fatalf("enclave cannot read its shared-SW window: %v", err)
 	}
 	// Unknown peripheral and oversized requests are refused.
-	if _, err := mon.Call(soc.Core(1), SvcPeriphRead, PeriphReadReq{Name: "kws", Periph: "camera", N: 1}); err == nil {
+	if _, err := sos.ReadPeriph(soc.Core(1), "kws", "camera", 1); err == nil {
 		t.Fatal("unknown peripheral read succeeded")
 	}
-	if _, err := mon.Call(soc.Core(1), SvcPeriphRead, PeriphReadReq{Name: "kws", Periph: hw.PeriphMicrophone, N: 1 << 20}); err == nil {
+	if _, err := sos.ReadPeriph(soc.Core(1), "kws", hw.PeriphMicrophone, 1<<20); err == nil {
 		t.Fatal("oversized read succeeded")
 	}
 }
 
 func TestPeriphReadDeniedWithoutPermission(t *testing.T) {
-	soc, mon, _, _ := testPlatform(t)
-	createTestEnclave(t, soc, mon, "noaudio", false)
+	soc, sos, _ := testPlatform(t)
+	createTestEnclave(t, soc, sos, "noaudio", false)
 	soc.Microphone().Feed(make([]int16, 16))
-	if _, err := mon.Call(soc.Core(1), SvcPeriphRead, PeriphReadReq{Name: "noaudio", Periph: hw.PeriphMicrophone, N: 8}); err == nil {
+	if _, err := sos.ReadPeriph(soc.Core(1), "noaudio", hw.PeriphMicrophone, 8); err == nil {
 		t.Fatal("mic read without permission succeeded")
 	}
 }
 
 func TestEnclaveTeardownScrubsAndUnlocks(t *testing.T) {
-	soc, mon, _, _ := testPlatform(t)
-	createTestEnclave(t, soc, mon, "kws", false)
+	soc, sos, _ := testPlatform(t)
+	createTestEnclave(t, soc, sos, "kws", false)
 	secret := []byte("decrypted model weights")
 	if err := soc.Write(soc.Core(1), 0x100100, secret); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.Call(soc.Core(0), SvcEnclaveTeardown, TeardownReq{Name: "kws"}); err != nil {
+	if err := sos.Teardown(soc.Core(0), "kws"); err != nil {
 		t.Fatal(err)
 	}
 	// Memory is unlocked again — and contains only zeros.
@@ -250,15 +241,15 @@ func TestEnclaveTeardownScrubsAndUnlocks(t *testing.T) {
 	if soc.L2().Bypasses(0x100000) {
 		t.Fatal("L2 exclusion not removed at teardown")
 	}
-	if _, err := mon.Call(soc.Core(0), SvcEnclaveTeardown, TeardownReq{Name: "kws"}); err == nil {
+	if err := sos.Teardown(soc.Core(0), "kws"); err == nil {
 		t.Fatal("double teardown succeeded")
 	}
 }
 
 func TestEnclaveRebindMovesLock(t *testing.T) {
-	soc, mon, _, _ := testPlatform(t)
-	createTestEnclave(t, soc, mon, "kws", false)
-	if _, err := mon.Call(soc.Core(0), SvcEnclaveRebind, RebindReq{Name: "kws", NewCore: 2}); err != nil {
+	soc, sos, _ := testPlatform(t)
+	createTestEnclave(t, soc, sos, "kws", false)
+	if err := sos.Rebind(soc.Core(0), "kws", 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := soc.Read(soc.Core(1), 0x100000, make([]byte, 4)); err == nil {
@@ -270,13 +261,8 @@ func TestEnclaveRebindMovesLock(t *testing.T) {
 }
 
 func TestCreateRejectsBadRequests(t *testing.T) {
-	soc, mon, _, _ := testPlatform(t)
-	for _, svc := range []ServiceID{SvcEnclaveCreate, SvcEnclaveAttest, SvcEnclaveRebind, SvcEnclaveTeardown, SvcPeriphRead} {
-		if _, err := mon.Call(soc.Core(0), svc, "not-a-request"); err == nil {
-			t.Fatalf("service %q accepted a bad request type", svc)
-		}
-	}
-	if _, err := mon.Call(soc.Core(0), SvcEnclaveCreate, CreateReq{Name: "z", Base: 0x100000, PrivSize: 0, SWSize: 0, Core: 1}); err == nil {
+	soc, sos, _ := testPlatform(t)
+	if _, err := sos.Create(soc.Core(0), CreateReq{Name: "z", Base: 0x100000, PrivSize: 0, SWSize: 0, Core: 1}); err == nil {
 		t.Fatal("zero-size enclave created")
 	}
 }
@@ -295,8 +281,8 @@ func TestBootSecureOSRequiresKeys(t *testing.T) {
 // model ciphertexts provisioned to its previous identity.
 func TestEnclaveKeyGolden(t *testing.T) {
 	const want = "8e5fe96a04ed2d8e3b819cfedcf5ed8e09f01ff1df9d6597125501c4ba786bd3"
-	soc, mon, _, _ := testPlatform(t)
-	created := createTestEnclave(t, soc, mon, "kws", true)
+	soc, sos, _ := testPlatform(t)
+	created := createTestEnclave(t, soc, sos, "kws", true)
 	sum := sha256.Sum256(created.EnclaveCert.PublicKey)
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("SHA-256(enclave public key) = %s, want %s", got, want)
