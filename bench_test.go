@@ -46,7 +46,6 @@ import (
 	"repro/internal/speechcmd"
 	"repro/internal/tflm"
 	"repro/internal/train"
-	"repro/internal/trustzone"
 )
 
 // Shared expensive fixtures, built once per bench run.
@@ -200,7 +199,7 @@ func BenchmarkWorldSwitch(b *testing.B) {
 	c.ResetCycles()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dev.Monitor.Call(c, func(trustzone.SecureContext) error { return nil }); err != nil {
+		if err := dev.Monitor.Call(c, func() error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +261,7 @@ func BenchmarkTable1Phases(b *testing.B) {
 		})
 	}
 	phase("world_switch", func(env *sanctuary.Env) error {
-		return s.Device.Monitor.Call(env.Core(), func(trustzone.SecureContext) error { return nil })
+		return s.Device.Monitor.Call(env.Core(), func() error { return nil })
 	})
 	phase("mic_smc", func(env *sanctuary.Env) error {
 		s.Device.Speak(fixUtt)

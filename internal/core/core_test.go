@@ -26,7 +26,7 @@ var (
 	vendorID *omgcrypto.Identity
 )
 
-func identities(t *testing.T) (*omgcrypto.Identity, *omgcrypto.Identity) {
+func identities(t testing.TB) (*omgcrypto.Identity, *omgcrypto.Identity) {
 	t.Helper()
 	idOnce.Do(func() {
 		rng := omgcrypto.NewDRBG("core-test-ids")
@@ -41,7 +41,7 @@ func identities(t *testing.T) (*omgcrypto.Identity, *omgcrypto.Identity) {
 	return rootID, vendorID
 }
 
-func newTestDevice(t *testing.T, seed string) *Device {
+func newTestDevice(t testing.TB, seed string) *Device {
 	t.Helper()
 	root, _ := identities(t)
 	dev, err := NewDevice(DeviceConfig{
@@ -58,7 +58,7 @@ func newTestDevice(t *testing.T, seed string) *Device {
 
 // testTinyConv builds a paper-shaped tiny_conv with deterministic random
 // weights (seeded by version); protocol tests need no trained model.
-func testTinyConv(t *testing.T, version uint64) *tflm.Model {
+func testTinyConv(t testing.TB, version uint64) *tflm.Model {
 	t.Helper()
 	m, err := tflm.BuildRandomTinyConv(1, int64(version)+100)
 	if err != nil {
@@ -68,7 +68,7 @@ func testTinyConv(t *testing.T, version uint64) *tflm.Model {
 	return m
 }
 
-func newTestVendor(t *testing.T, version uint64) *Vendor {
+func newTestVendor(t testing.TB, version uint64) *Vendor {
 	t.Helper()
 	root, vid := identities(t)
 	v, err := NewVendor(omgcrypto.NewDRBG("vendor-rng"), root.Public(), vid, testTinyConv(t, version), version)
@@ -600,8 +600,7 @@ func TestOMGOverheadIsSmall(t *testing.T) {
 // Table I queries, Speak included: each reuses its capture, fingerprint,
 // probabilities and result, and the microphone FIFO its backing array, so
 // neither query allocates. The protected query's SMC is a typed call whose
-// secure-world closure, the enclave's Env and the monitor's SecureContext
-// all stay off the heap.
+// secure-world closure and the enclave's Env both stay off the heap.
 func TestTable1QueriesAllocationFree(t *testing.T) {
 	s := newTestSession(t, "allocs")
 	if err := s.Prepare(s.Vendor.Public()); err != nil {

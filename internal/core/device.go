@@ -45,7 +45,7 @@ type DeviceConfig struct {
 // the microphone for the secure world), and the SANCTUARY driver.
 func NewDevice(cfg DeviceConfig) (*Device, error) {
 	soc := hw.NewSoC(cfg.SoC)
-	mon := trustzone.NewMonitor(soc)
+	mon := trustzone.NewMonitor()
 	keys, err := trustzone.NewPlatformKeys(cfg.Rand, cfg.Root, "hikey960")
 	if err != nil {
 		return nil, err

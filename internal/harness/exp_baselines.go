@@ -92,6 +92,9 @@ func runE7(ctx *Ctx) (*Table, error) {
 		Claim:   "\"TEE architectures provide several orders of magnitude better performance\" (§II-B); SMPC is communication-bound (§I)",
 		Headers: []string{"Mechanism", "Latency", "Traffic", "Rounds", "Protects"},
 		Rows:    rows,
+		// The HE and 2PC latencies are measured host compute; so is the
+		// ratio note.
+		Wall: Wall{Cols: []int{1}, Rows: []int{2, 3, 4, 5}, Notes: []int{0}},
 		Notes: []string{
 			fmt.Sprintf("OMG beats projected 2048-bit HE by %.0fx and WAN 2PC by %.0fx on this workload", speedupHE, speedupMPC),
 			"HE/2PC latencies combine measured host compute with the simulated link model; plain/OMG are simulated device times",

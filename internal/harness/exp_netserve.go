@@ -146,6 +146,7 @@ func runE14(ctx *Ctx) (*Table, error) {
 		Claim:   "(engine property, no paper counterpart: the ML-as-a-service edge of §V driven by external connections)",
 		Headers: []string{"Path", "Utterances", "Throughput", "vs in-process"},
 		Rows:    rows,
+		Wall:    Wall{Cols: []int{2, 3}},
 		Notes: []string{
 			"loopback TCP, one-shot requests: each utterance pays framing + two socket hops + decode; stream chunking amortizes this, one-shots bound it",
 			"results are bit-exact with the direct path (netfront round-trip tests); BUSY replies are retried by the load generators",

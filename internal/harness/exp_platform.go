@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/omgcrypto"
-	"repro/internal/trustzone"
 )
 
 func init() {
@@ -32,7 +31,7 @@ func runE4(ctx *Ctx) (*Table, error) {
 	encCore.ResetCycles()
 	const switches = 16
 	for i := 0; i < switches; i++ {
-		if err := s.Device.Monitor.Call(encCore, func(trustzone.SecureContext) error { return nil }); err != nil {
+		if err := s.Device.Monitor.Call(encCore, func() error { return nil }); err != nil {
 			return nil, err
 		}
 	}

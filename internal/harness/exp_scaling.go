@@ -64,6 +64,7 @@ func runE10(ctx *Ctx) (*Table, error) {
 		Claim:   "\"our implementation has no inherent memory limitations … allows to securely run more complex end-to-end systems\"",
 		Headers: []string{"Width", "Model size", "Arena", "Simulated latency @2.4 GHz", "vs 1×", "Host eval time"},
 		Rows:    rows,
+		Wall:    Wall{Cols: []int{5}},
 		Notes: []string{
 			"latency scales linearly with MACs; a 16× model (~850 kB) still fits the 1 MiB enclave region and stays well under real time",
 			"Google's 80 MB all-neural recognizer would need a proportionally larger TZASC region — a configuration change, not an architectural limit",

@@ -259,6 +259,7 @@ func runE12(ctx *Ctx) (*Table, error) {
 		Claim:   "(engine property, no paper counterpart: steady-state streaming cost)",
 		Headers: []string{"Path", "Per-op (wall)", "Sim ms/op", "Throughput", "Speedup"},
 		Rows:    rows,
+		Wall:    Wall{Cols: []int{1, 3, 4}},
 		Notes: []string{
 			"frontend rows: one 20 ms hop; the streamer computes 1 FFT per hop vs 49 for full recomputation (bit-exact fingerprints)",
 			"server rows: persistent worker queue; streamed hops reuse 48/49 frames so per-item cost drops below a full utterance",

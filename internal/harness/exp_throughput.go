@@ -72,6 +72,7 @@ func runE11(ctx *Ctx) (*Table, error) {
 		Claim:   "(engine property, no paper counterpart: host-side serving throughput)",
 		Headers: []string{"Workers", "Batch", "Wall time", "Throughput", "Speedup"},
 		Rows:    rows,
+		Wall:    Wall{Cols: []int{2, 3, 4}},
 		Notes:   []string{"per-worker interpreters share weight tensors via tflm.Model.Clone; frontends and scratch are private"},
 	}, nil
 }

@@ -2,6 +2,13 @@
 // paper's evaluation (§VI) plus the reproduction's own ablations. Each
 // experiment produces a table with paper-reported values alongside measured
 // ones; cmd/omg-bench renders them as text or, with -md, as markdown.
+//
+// Every key, nonce and model in a run is seeded, so a quick run reproduces
+// every cell but the host wall times (Table.Wall). TestAllExperimentsQuick
+// masks those and compares each table with testdata/golden/<ID>.txt; after
+// a change meant to move a simulated or counted figure, regenerate with
+//
+//	go test ./internal/harness -run TestAllExperimentsQuick -update
 package harness
 
 import (
@@ -20,6 +27,16 @@ type Table struct {
 	Headers []string
 	Rows    [][]string
 	Notes   []string
+	// Wall marks the cells and notes that hold host wall time, or figures
+	// computed from it: the only ones that vary run to run.
+	Wall Wall
+}
+
+// Wall locates a table's host-wall-time cells and notes.
+type Wall struct {
+	Cols  []int // columns of wall time
+	Rows  []int // if set, Cols hold wall time in these rows only
+	Notes []int // notes computed from wall time
 }
 
 // Render writes a human-readable table.

@@ -2,13 +2,45 @@ package harness
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/golden/<ID>.txt from this run")
+
+// wallToken stands in for every host-wall-time cell and note in a golden
+// table. Masking before rendering keeps the columns aligned whatever width
+// the wall figures have.
+const wallToken = "<wall>"
+
+// masked returns a copy of t whose Wall cells and notes read wallToken.
+func masked(t *Table) *Table {
+	m := *t
+	m.Rows = make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		m.Rows[r] = slices.Clone(row)
+		if t.Wall.Rows != nil && !slices.Contains(t.Wall.Rows, r) {
+			continue
+		}
+		for _, c := range t.Wall.Cols {
+			m.Rows[r][c] = wallToken
+		}
+	}
+	m.Notes = slices.Clone(t.Notes)
+	for _, n := range t.Wall.Notes {
+		m.Notes[n] = wallToken
+	}
+	return &m
+}
+
 // TestAllExperimentsQuick executes every registered experiment in quick
 // mode against one shared fixture — the integration test of the whole
-// reproduction stack.
+// reproduction stack — and compares each table, wall cells masked, with its
+// golden file. -update rewrites the golden files instead.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments train a model; skipped in -short mode")
@@ -36,13 +68,28 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Fatalf("%s: row width %d != header width %d", e.ID, len(row), len(table.Headers))
 				}
 			}
-			var buf bytes.Buffer
-			table.Render(&buf)
-			if !strings.Contains(buf.String(), e.ID) {
-				t.Fatalf("%s: render missing ID", e.ID)
-			}
 			if md := table.Markdown(); !strings.HasPrefix(md, "### ") {
 				t.Fatalf("%s: bad markdown", e.ID)
+			}
+			var got bytes.Buffer
+			masked(table).Render(&got)
+			if !strings.Contains(got.String(), e.ID) {
+				t.Fatalf("%s: render missing ID", e.ID)
+			}
+			path := filepath.Join("testdata", "golden", e.ID+".txt")
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s differs from %s (regenerate with -update if the change is meant)\n--- want\n%s--- got\n%s",
+					e.ID, path, want, got.Bytes())
 			}
 		})
 	}

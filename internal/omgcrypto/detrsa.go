@@ -9,11 +9,14 @@ import (
 	"math/bits"
 )
 
-// DeterministicRSAKey derives an RSA key pair entirely from seed. The
-// platform uses it to give an enclave the *same* identity every time the
-// same image is measured on the same device (§V: the enclave key pair "is
-// derived from the platform certificate"), which is what keeps previously
-// provisioned model ciphertexts usable across enclave relaunches.
+// DeterministicRSAKey derives an RSA key pair entirely from seed. It is the
+// only RSA key generator in the module. The platform uses it to give an
+// enclave the *same* identity every time the same image is measured on the
+// same device (§V: the enclave key pair "is derived from the platform
+// certificate"), which is what keeps previously provisioned model
+// ciphertexts usable across enclave relaunches. NewIdentity uses it for
+// every other identity (the vendor root, platform keys, model vendors),
+// seeded with 32 bytes of its reader, so a seeded run reproduces its keys.
 //
 // The standard library's rsa.GenerateKey is deliberately non-deterministic
 // even with a deterministic reader (since Go 1.20), so each prime here is the

@@ -14,19 +14,24 @@ import (
 const IdentityKeySize = 2048
 
 // Identity is an RSA signing/decryption key pair with a human-readable
-// subject, used for the device-vendor root, the platform key, and per-enclave
-// keys.
+// subject, used for the device-vendor root, the platform key, model vendors
+// and per-enclave keys. Every one of them comes from DeterministicRSAKey.
 type Identity struct {
 	Subject string
 	Private *rsa.PrivateKey
 }
 
-// NewIdentity generates a fresh RSA identity using rng (Rand if nil).
+// NewIdentity creates an IdentityKeySize-bit RSA identity from exactly 32
+// bytes of rng (Rand if nil), through DeterministicRSAKey. A seeded reader
+// therefore always gives the same key, and the reader's later output does
+// not depend on how long the prime search ran. With Rand the key is as
+// strong as its 256-bit seed.
 func NewIdentity(rng io.Reader, subject string) (*Identity, error) {
-	if rng == nil {
-		rng = Rand
+	seed, err := RandomBytes(rng, 32)
+	if err != nil {
+		return nil, fmt.Errorf("omgcrypto: seeding identity %q: %w", subject, err)
 	}
-	key, err := rsa.GenerateKey(rng, IdentityKeySize)
+	key, err := DeterministicRSAKey(seed, IdentityKeySize)
 	if err != nil {
 		return nil, fmt.Errorf("omgcrypto: generating identity %q: %w", subject, err)
 	}

@@ -6,7 +6,9 @@
 //
 // All primitives come from the Go standard library. Randomness is injectable
 // so that simulations and tests are reproducible; production call sites use
-// crypto/rand.Reader.
+// crypto/rand.Reader. Every RSA key, enclave or not, is derived from a
+// 32-byte seed by DeterministicRSAKey, so a run seeded through NewDRBG
+// derives the same keys every time.
 package omgcrypto
 
 import (

@@ -164,6 +164,42 @@ func identities(t *testing.T) (root, platform, enclave *Identity) {
 	return testRoot, testPlatform, testEnclave
 }
 
+// TestNewIdentitySeeded pins the seeding contract of NewIdentity: readers
+// with the same seed give the same keys, and each key consumes exactly 32
+// bytes of its reader, so a key draw cannot shift the draws after it (the
+// nonces and device secrets a seeded simulation takes next).
+func TestNewIdentitySeeded(t *testing.T) {
+	a, b, ref := NewDRBG("seeded-identity"), NewDRBG("seeded-identity"), NewDRBG("seeded-identity")
+	for i, subject := range []string{"device-vendor", "model-vendor"} {
+		ka, err := NewIdentity(a, subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, err := NewIdentity(b, subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ka.Private.Equal(kb.Private) {
+			t.Fatalf("identity %d: same seed, different keys", i)
+		}
+		if ka.Private.N.BitLen() != IdentityKeySize {
+			t.Fatalf("identity %d: modulus is %d bits, want %d", i, ka.Private.N.BitLen(), IdentityKeySize)
+		}
+		// ref stands in for a NewIdentity that read exactly one seed.
+		ref.Read(make([]byte, 32))
+		na, nb, nref := draw32(a), draw32(b), draw32(ref)
+		if !bytes.Equal(na, nb) || !bytes.Equal(na, nref) {
+			t.Fatalf("identity %d: draws after the key differ: %x, %x, want %x", i, na, nb, nref)
+		}
+	}
+}
+
+func draw32(d *DRBG) []byte {
+	b := make([]byte, 32)
+	d.Read(b)
+	return b
+}
+
 func TestSignVerify(t *testing.T) {
 	root, _, _ := identities(t)
 	msg := []byte("attest me")

@@ -37,7 +37,7 @@ func testManager(t *testing.T) (*hw.SoC, *Manager, *omgcrypto.Identity) {
 	t.Helper()
 	keys, root := platformKeys(t)
 	soc := hw.NewSoC(hw.Config{BigCores: 2, LittleCores: 2, DRAMSize: 128 << 20})
-	mon := trustzone.NewMonitor(soc)
+	mon := trustzone.NewMonitor()
 	sos, err := trustzone.BootSecureOS(soc, mon, trustzone.SecureOSConfig{
 		Keys:           keys,
 		Rand:           omgcrypto.NewDRBG("enclave-keys"),

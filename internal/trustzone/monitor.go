@@ -12,43 +12,37 @@ import (
 	"repro/internal/hw"
 )
 
-// SecureContext is the execution context of secure-world code.
-type SecureContext struct {
-	Core *hw.Core
-	SoC  *hw.SoC
-}
-
 // Monitor is the secure monitor (EL3 firmware): the only component that
 // switches cores between worlds. Every call charges the measured SANCTUARY
 // world-switch cost to the calling core.
 type Monitor struct {
-	soc *hw.SoC
 	// switches counts completed SMC round trips, for experiments.
 	switches uint64
 }
 
-// NewMonitor installs a monitor on the SoC.
-func NewMonitor(soc *hw.SoC) *Monitor {
-	return &Monitor{soc: soc}
+// NewMonitor returns a monitor that has completed no SMC yet.
+func NewMonitor() *Monitor {
+	return &Monitor{}
 }
 
 // Switches returns the number of completed SMC round trips.
 func (m *Monitor) Switches() uint64 { return m.switches }
 
 // Call performs an SMC from core: it switches the core to the secure world,
-// runs fn there and returns the core to its original world. The full round
-// trip costs hw.WorldSwitchTime (≈0.3 ms, §VI), split evenly between entry
-// and exit; register and shared-memory marshalling is abstracted away, its
-// cost being dominated by the switch itself. fn is only called, never
-// kept, so a caller's closure does not escape to the heap.
-func (m *Monitor) Call(core *hw.Core, fn func(SecureContext) error) error {
+// runs fn there (fn charges its own work to core) and returns the core
+// to its original world. The full round trip costs hw.WorldSwitchTime
+// (≈0.3 ms, §VI), split evenly between entry and exit; register and
+// shared-memory marshalling is abstracted away, its cost being dominated by
+// the switch itself. fn is only called, never kept, so a caller's closure
+// does not escape to the heap.
+func (m *Monitor) Call(core *hw.Core, fn func() error) error {
 	if !core.Online() {
 		return fmt.Errorf("trustzone: SMC from offline core %d", core.ID())
 	}
 	prev := core.World()
 	core.ChargeDuration(hw.WorldSwitchTime / 2)
 	core.SetWorld(hw.SecureWorld)
-	err := fn(SecureContext{Core: core, SoC: m.soc})
+	err := fn()
 	core.SetWorld(prev)
 	core.ChargeDuration(hw.WorldSwitchTime / 2)
 	m.switches++

@@ -140,7 +140,7 @@ func (s *SecureOS) record(name string) (*enclaveRecord, error) {
 // identity. Caller: the commodity OS (SANCTUARY driver), from its core.
 func (s *SecureOS) Create(core *hw.Core, r CreateReq) (CreateResp, error) {
 	var resp CreateResp
-	err := s.mon.Call(core, func(ctx SecureContext) error {
+	err := s.mon.Call(core, func() error {
 		if _, exists := s.enclaves[r.Name]; exists {
 			return fmt.Errorf("trustzone: enclave %q already exists", r.Name)
 		}
@@ -165,13 +165,13 @@ func (s *SecureOS) Create(core *hw.Core, r CreateReq) (CreateResp, error) {
 			if off+n > r.PrivSize {
 				n = r.PrivSize - off
 			}
-			if err := s.soc.Read(ctx.Core, r.Base+hw.PhysAddr(off), buf[:n]); err != nil {
+			if err := s.soc.Read(core, r.Base+hw.PhysAddr(off), buf[:n]); err != nil {
 				_ = tz.Unprogram(hw.SecureWorld, "measure:"+r.Name)
 				return fmt.Errorf("trustzone: measuring enclave: %w", err)
 			}
 			digest.Write(buf[:n])
 		}
-		ctx.Core.Charge(uint64(r.PrivSize) * hw.CyclesPerByteHash)
+		core.Charge(uint64(r.PrivSize) * hw.CyclesPerByteHash)
 		var m omgcrypto.Measurement
 		copy(m[:], digest.Sum(nil))
 		if err := tz.Unprogram(hw.SecureWorld, "measure:"+r.Name); err != nil {
@@ -218,12 +218,12 @@ func (s *SecureOS) Create(core *hw.Core, r CreateReq) (CreateResp, error) {
 			return fmt.Errorf("trustzone: enclave key generation: %w", err)
 		}
 		identity := &omgcrypto.Identity{Subject: "enclave/" + r.Name, Private: key}
-		ctx.Core.ChargeDuration(hw.RSAKeygenTime)
+		core.ChargeDuration(hw.RSAKeygenTime)
 		cert, err := omgcrypto.IssueCertificate(s.keys.Platform, identity.Subject, identity.Public())
 		if err != nil {
 			return err
 		}
-		ctx.Core.Charge(hw.CyclesPerRSA2048Sign)
+		core.Charge(hw.CyclesPerRSA2048Sign)
 
 		s.enclaves[r.Name] = &enclaveRecord{
 			name: r.Name, base: r.Base, privSize: r.PrivSize,
@@ -241,7 +241,7 @@ func (s *SecureOS) Create(core *hw.Core, r CreateReq) (CreateResp, error) {
 // Caller: the commodity OS relaying a verifier, or the enclave itself.
 func (s *SecureOS) Attest(core *hw.Core, name string, nonce []byte) (*omgcrypto.AttestationReport, []*omgcrypto.Certificate, error) {
 	var report *omgcrypto.AttestationReport
-	err := s.mon.Call(core, func(ctx SecureContext) error {
+	err := s.mon.Call(core, func() error {
 		rec, err := s.record(name)
 		if err != nil {
 			return err
@@ -250,7 +250,7 @@ func (s *SecureOS) Attest(core *hw.Core, name string, nonce []byte) (*omgcrypto.
 		if err != nil {
 			return err
 		}
-		ctx.Core.Charge(hw.CyclesPerRSA2048Sign)
+		core.Charge(hw.CyclesPerRSA2048Sign)
 		return nil
 	})
 	if err != nil {
@@ -262,7 +262,7 @@ func (s *SecureOS) Attest(core *hw.Core, name string, nonce []byte) (*omgcrypto.
 // Rebind moves a suspended enclave's memory lock to newCore
 // (operation-phase core reallocation, §V). Caller: the commodity OS.
 func (s *SecureOS) Rebind(core *hw.Core, name string, newCore int) error {
-	return s.mon.Call(core, func(ctx SecureContext) error {
+	return s.mon.Call(core, func() error {
 		rec, err := s.record(name)
 		if err != nil {
 			return err
@@ -295,7 +295,7 @@ func (s *SecureOS) Rebind(core *hw.Core, name string, newCore int) error {
 // Teardown scrubs and unlocks the named enclave's memory. Caller: the
 // commodity OS.
 func (s *SecureOS) Teardown(core *hw.Core, name string) error {
-	return s.mon.Call(core, func(ctx SecureContext) error {
+	return s.mon.Call(core, func() error {
 		rec, err := s.record(name)
 		if err != nil {
 			return err
@@ -320,7 +320,7 @@ func (s *SecureOS) Teardown(core *hw.Core, name string) error {
 				return err
 			}
 			s.soc.Mem().Zero(part.base, part.size)
-			ctx.Core.Charge(part.size * hw.CyclesPerByteCopy)
+			core.Charge(part.size * hw.CyclesPerByteCopy)
 			if err := tz.Unprogram(hw.SecureWorld, "scrub:"+part.name); err != nil {
 				return err
 			}
@@ -337,7 +337,7 @@ func (s *SecureOS) Teardown(core *hw.Core, name string) error {
 // itself, from its bound core.
 func (s *SecureOS) ReadPeriph(core *hw.Core, name string, periph hw.PeriphID, n int) (int, error) {
 	got := 0
-	err := s.mon.Call(core, func(ctx SecureContext) error {
+	err := s.mon.Call(core, func() error {
 		rec, err := s.record(name)
 		if err != nil {
 			return err
@@ -345,9 +345,9 @@ func (s *SecureOS) ReadPeriph(core *hw.Core, name string, periph hw.PeriphID, n 
 		// Only the enclave itself — identified by its bound core — may pull
 		// its peripheral data ("After checking the permission rights of the
 		// SA", §III-B).
-		if ctx.Core.ID() != rec.core {
+		if core.ID() != rec.core {
 			return fmt.Errorf("trustzone: periph read for %q from core %d, enclave bound to core %d",
-				name, ctx.Core.ID(), rec.core)
+				name, core.ID(), rec.core)
 		}
 		if periph != hw.PeriphMicrophone {
 			return fmt.Errorf("trustzone: peripheral %q not available", periph)
@@ -368,7 +368,7 @@ func (s *SecureOS) ReadPeriph(core *hw.Core, name string, periph hw.PeriphID, n 
 			s.micSamples = make([]int16, micChunk)
 		}
 		for got < n {
-			moved, err := s.soc.ReadMicInto(ctx.Core, s.micSamples[:min(micChunk, n-got)])
+			moved, err := s.soc.ReadMicInto(core, s.micSamples[:min(micChunk, n-got)])
 			if err != nil {
 				return err
 			}
@@ -377,7 +377,7 @@ func (s *SecureOS) ReadPeriph(core *hw.Core, name string, periph hw.PeriphID, n 
 			}
 			// Deposit PCM16, packed from the window start.
 			s.micBytes = pcm.Append(s.micBytes[:0], s.micSamples[:moved])
-			if err := s.soc.Write(ctx.Core, rec.swBase+hw.PhysAddr(got*2), s.micBytes); err != nil {
+			if err := s.soc.Write(core, rec.swBase+hw.PhysAddr(got*2), s.micBytes); err != nil {
 				return fmt.Errorf("trustzone: depositing samples: %w", err)
 			}
 			got += moved

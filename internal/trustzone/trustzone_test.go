@@ -39,7 +39,7 @@ func testPlatform(t *testing.T) (*hw.SoC, *SecureOS, *omgcrypto.Identity) {
 	t.Helper()
 	keys, root := platformKeys(t)
 	soc := hw.NewSoC(hw.Config{BigCores: 2, LittleCores: 2, DRAMSize: 64 << 20})
-	sos, err := BootSecureOS(soc, NewMonitor(soc), SecureOSConfig{
+	sos, err := BootSecureOS(soc, NewMonitor(), SecureOSConfig{
 		Keys:           keys,
 		Rand:           omgcrypto.NewDRBG("enclave-keys"),
 		EnclaveKeyBits: 1024, // keep the suite fast; cost model is unaffected
@@ -52,13 +52,13 @@ func testPlatform(t *testing.T) (*hw.SoC, *SecureOS, *omgcrypto.Identity) {
 
 func TestMonitorWorldSwitchSemantics(t *testing.T) {
 	soc := hw.NewSoC(hw.Config{BigCores: 1, LittleCores: 0, DRAMSize: 1 << 20})
-	mon := NewMonitor(soc)
+	mon := NewMonitor()
 	core := soc.Core(0)
 	var sawWorld hw.World
 	sentinel := errors.New("secure-world error")
 	core.ResetCycles()
-	err := mon.Call(core, func(ctx SecureContext) error {
-		sawWorld = ctx.Core.World()
+	err := mon.Call(core, func() error {
+		sawWorld = core.World()
 		return sentinel
 	})
 	if !errors.Is(err, sentinel) {
@@ -82,12 +82,12 @@ func TestMonitorWorldSwitchSemantics(t *testing.T) {
 
 func TestMonitorOfflineCoreCannotCall(t *testing.T) {
 	soc := hw.NewSoC(hw.Config{BigCores: 2, LittleCores: 0, DRAMSize: 1 << 20})
-	mon := NewMonitor(soc)
+	mon := NewMonitor()
 	if err := soc.Core(1).PowerOff(soc.Core(0)); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := mon.Call(soc.Core(1), func(SecureContext) error { ran = true; return nil }); err == nil || ran {
+	if err := mon.Call(soc.Core(1), func() error { ran = true; return nil }); err == nil || ran {
 		t.Fatal("offline core issued an SMC")
 	}
 	if mon.Switches() != 0 {
@@ -269,7 +269,7 @@ func TestCreateRejectsBadRequests(t *testing.T) {
 
 func TestBootSecureOSRequiresKeys(t *testing.T) {
 	soc := hw.NewSoC(hw.Config{BigCores: 1, LittleCores: 0, DRAMSize: 1 << 20})
-	if _, err := BootSecureOS(soc, NewMonitor(soc), SecureOSConfig{}); err == nil {
+	if _, err := BootSecureOS(soc, NewMonitor(), SecureOSConfig{}); err == nil {
 		t.Fatal("secure OS booted without platform keys")
 	}
 }
