@@ -17,7 +17,9 @@ help:
 	@echo "make test-386    run the kernel package tests as GOARCH=386 (the non-amd64 kernels, executed)"
 	@echo "make race        run the core package tests under the race detector (workers, streams, registry)"
 	@echo "make fmt-check   fail if gofmt would change anything"
-	@echo "make docs-check  fail on undocumented exported identifiers (cmd/docscheck)"
+	@echo "make docs-check  fail on undocumented exported identifiers, dangling .md references, or an"
+	@echo "                 api.txt that differs from the exported surface (cmd/docscheck; rewrite the"
+	@echo "                 file with go run ./cmd/docscheck -update-api)"
 	@echo "make examples-check  build + vet the examples so they cannot rot silently"
 	@echo "make bce-check   fail if bounds checks reappear in the kernel hot loops (bce_clean.txt)"
 	@echo "make perfbench-check  vet + self-test the perfbench module (its own go.mod, consumes core's API)"
@@ -74,7 +76,10 @@ fmt-check:
 	fi
 
 # Godoc contract: every exported identifier in the audited engine packages
-# carries a doc comment (see cmd/docscheck for the exact rules).
+# carries a doc comment, and api.txt lists the module's exported surface
+# exactly (see cmd/docscheck for the exact rules). A change that adds or
+# removes an export runs `go run ./cmd/docscheck -update-api` and commits
+# the api.txt diff.
 docs-check:
 	$(GO) run ./cmd/docscheck
 

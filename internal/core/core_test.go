@@ -469,6 +469,55 @@ func TestInitializeRequiresRequest(t *testing.T) {
 	}
 }
 
+// TestInitializeRejectsEveryBitFlip: one bit flipped anywhere in a signed
+// KeyResponse (version, wrapped KU, nonce or vendor signature) makes
+// Initialize fail, and the genuine response still initializes afterwards,
+// so each refusal left the request pending rather than consuming it.
+func TestInitializeRejectsEveryBitFlip(t *testing.T) {
+	s := newTestSession(t, "bitflip")
+	if err := s.Prepare(s.Vendor.Public()); err != nil {
+		t.Fatal(err)
+	}
+	req, err := s.App.RequestKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Vendor.IssueKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := func(field string, bit int, forged KeyResponse) {
+		if err := s.App.Initialize(&forged); err == nil {
+			t.Fatalf("%s bit %d flipped: Initialize accepted the response", field, bit)
+		}
+	}
+	for bit := 0; bit < 64; bit++ {
+		forged := *resp
+		forged.Version ^= 1 << bit
+		refuse("version", bit, forged)
+	}
+	for _, f := range []struct {
+		name  string
+		field func(*KeyResponse) *[]byte
+	}{
+		{"wrapped KU", func(r *KeyResponse) *[]byte { return &r.WrappedKU }},
+		{"nonce", func(r *KeyResponse) *[]byte { return &r.Nonce }},
+		{"signature", func(r *KeyResponse) *[]byte { return &r.VendorSig }},
+	} {
+		genuine := *f.field(resp)
+		for bit := 0; bit < 8*len(genuine); bit++ {
+			forged := *resp
+			flipped := bytes.Clone(genuine)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			*f.field(&forged) = flipped
+			refuse(f.name, bit, forged)
+		}
+	}
+	if err := s.App.Initialize(resp); err != nil {
+		t.Fatalf("genuine response after the flips: %v", err)
+	}
+}
+
 func TestQueryBeforeInitializeFails(t *testing.T) {
 	s := newTestSession(t, "early")
 	if err := s.Prepare(s.Vendor.Public()); err != nil {

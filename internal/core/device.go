@@ -37,8 +37,6 @@ type DeviceConfig struct {
 	EnclaveKeyBits int
 	// SoC overrides the hardware config (zero = HiKey 960).
 	SoC hw.Config
-	// OSCore selects the commodity-OS core (default 0).
-	OSCore int
 }
 
 // NewDevice boots a device: SoC, secure monitor, trusted OS (which claims
@@ -58,7 +56,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr := sanctuary.NewManager(soc, sos, cfg.OSCore)
+	mgr := sanctuary.NewManager(soc, sos)
 	return &Device{SoC: soc, Monitor: mon, SecureOS: sos, Sanctuary: mgr, Keys: keys}, nil
 }
 

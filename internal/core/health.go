@@ -18,7 +18,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -61,10 +60,6 @@ type BreakerConfig struct {
 	// engine errors — deadline sheds count toward the failure rate only)
 	// trip a closed breaker. <= 0 means DefaultBreakerThreshold.
 	Threshold int
-	// FailureRate is the failure-rate EWMA level in (0, 1] that trips a
-	// closed breaker even without a consecutive run — the intermittent-
-	// failure detector. <= 0 means DefaultBreakerFailureRate.
-	FailureRate float64
 	// Cooldown is the first open→half-open wait; it doubles per consecutive
 	// trip. <= 0 means DefaultBreakerCooldown.
 	Cooldown time.Duration
@@ -82,8 +77,6 @@ const (
 	// DefaultBreakerThreshold trips after this many consecutive hard
 	// failures.
 	DefaultBreakerThreshold = 5
-	// DefaultBreakerFailureRate trips when the outcome EWMA crosses it.
-	DefaultBreakerFailureRate = 0.5
 	// DefaultBreakerCooldown is the first open→half-open wait.
 	DefaultBreakerCooldown = 50 * time.Millisecond
 	// DefaultBreakerCooldownMax caps the per-trip cooldown doubling.
@@ -98,9 +91,6 @@ func (b BreakerConfig) withDefaults() BreakerConfig {
 	if b.Threshold <= 0 {
 		b.Threshold = DefaultBreakerThreshold
 	}
-	if b.FailureRate <= 0 {
-		b.FailureRate = DefaultBreakerFailureRate
-	}
 	if b.Cooldown <= 0 {
 		b.Cooldown = DefaultBreakerCooldown
 	}
@@ -112,6 +102,11 @@ func (b BreakerConfig) withDefaults() BreakerConfig {
 	}
 	return b
 }
+
+// breakerFailureRate is the failure-rate EWMA level that trips a closed
+// breaker even without a consecutive run — the intermittent-failure
+// detector.
+const breakerFailureRate = 0.5
 
 // ewmaScale is the fixed-point unit of the failure-rate EWMA (1.0).
 const ewmaScale = 1 << 16
@@ -251,7 +246,6 @@ func (r *Registry) Health() []ModelHealth {
 		}
 		out = append(out, mh)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
 	return out
 }
 
@@ -329,7 +323,7 @@ func (r *Registry) recordOutcome(sh *shard, err error) {
 // a trip (enough samples, level at or above the configured rate).
 func (r *Registry) rateTripped(sh *shard) bool {
 	return sh.samples.Load() >= ewmaMinSamples &&
-		sh.failureRate() >= r.breaker.FailureRate
+		sh.failureRate() >= breakerFailureRate
 }
 
 // tripShard moves a shard from the given state to open, arming the cooldown
@@ -437,27 +431,21 @@ type OverloadConfig struct {
 	// Target is the acceptable queue sojourn time (CoDel-style): dispatch
 	// delay at or below it is healthy. <= 0 means DefaultOverloadTarget.
 	Target time.Duration
-	// Window is how long sojourn must stay above Target before the
-	// controller declares overload and starts shedding over-share tenants.
-	// <= 0 means DefaultOverloadWindow.
-	Window time.Duration
 }
 
-// Overload-controller defaults; see OverloadConfig.
-const (
-	// DefaultOverloadTarget is the acceptable queue sojourn.
-	DefaultOverloadTarget = 5 * time.Millisecond
-	// DefaultOverloadWindow is the above-target persistence before shedding.
-	DefaultOverloadWindow = 25 * time.Millisecond
-)
+// DefaultOverloadTarget is the acceptable queue sojourn when
+// OverloadConfig.Target is unset.
+const DefaultOverloadTarget = 5 * time.Millisecond
+
+// defaultOverloadWindow is how long sojourn must stay above Target before
+// the controller declares overload and starts shedding over-share tenants
+// (Registry.overloadWindow).
+const defaultOverloadWindow = 25 * time.Millisecond
 
 // withDefaults resolves unset overload knobs.
 func (o OverloadConfig) withDefaults() OverloadConfig {
 	if o.Target <= 0 {
 		o.Target = DefaultOverloadTarget
-	}
-	if o.Window <= 0 {
-		o.Window = DefaultOverloadWindow
 	}
 	return o
 }
@@ -582,7 +570,7 @@ func (r *Registry) overloadObserveLocked(sojourn time.Duration, now time.Time) {
 		r.aboveSince = now
 		return
 	}
-	if !r.overloaded && now.Sub(r.aboveSince) >= r.overload.Window {
+	if !r.overloaded && now.Sub(r.aboveSince) >= r.overloadWindow {
 		r.overloaded = true
 	}
 }

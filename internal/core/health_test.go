@@ -344,14 +344,12 @@ func TestOverloadShedsOverShareTenant(t *testing.T) {
 		Shards:        1,
 		Engine:        fleet.factory,
 		DefaultTenant: TenantConfig{MaxQueue: 1024},
-		Overload: OverloadConfig{
-			Target: 500 * time.Microsecond,
-			Window: 2 * time.Millisecond,
-		},
+		Overload:      OverloadConfig{Target: 500 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg.overloadWindow = 2 * time.Millisecond
 	defer reg.Close()
 
 	var admitted sync.WaitGroup
@@ -505,7 +503,7 @@ func (g *gatedEngine) SubmitFuncDeadline(samples []int16, deadline time.Time, fn
 
 // TestOverloadShedsOnFakeClock drives the queue-delay controller on a fake
 // clock: sojourn above Target sheds nothing until it has lasted a full
-// Window; then the over-share tenant is refused at admission with
+// overload window; then the over-share tenant is refused at admission with
 // ErrOverloaded, the light tenant is still admitted, and every admitted job
 // completes without error.
 func TestOverloadShedsOnFakeClock(t *testing.T) {
@@ -521,13 +519,14 @@ func TestOverloadShedsOnFakeClock(t *testing.T) {
 		Shards:        1,
 		Engine:        func(*tflm.Model, ServerConfig) (Engine, error) { return eng, nil },
 		DefaultTenant: TenantConfig{MaxQueue: 64},
-		Overload:      OverloadConfig{Target: target, Window: window},
+		Overload:      OverloadConfig{Target: target},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk := &fakeClock{t: time.Unix(1, 0)}
 	reg.now = clk.now
+	reg.overloadWindow = window
 	defer reg.Close()
 	openGate := sync.OnceFunc(func() { close(eng.gate) })
 	defer openGate() // runs before Close, which drains through the engine

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dsp"
@@ -123,10 +124,26 @@ func TestPipelineDefaults(t *testing.T) {
 // TestPipelineRejectsIncompatibleModel: NewServer must refuse a model whose
 // input does not match the frontend's fingerprint geometry.
 func TestPipelineRejectsIncompatibleModel(t *testing.T) {
-	model, _, _ := pipelineFixture(t, 0)
-	small := dsp.DefaultFrontend()
-	small.NumFrames = 7 // fingerprint no longer matches the model input
-	if _, err := NewServer(model, ServerConfig{Workers: 1, Frontend: small}); err == nil {
+	b := tflm.NewBuilder("7-frame input", 1)
+	q := tflm.QuantParams{Scale: 1.0 / 128}
+	in := b.Tensor(&tflm.Tensor{Name: "fingerprint", Type: tflm.Int8, Shape: []int{1, 7, 43, 1}, Quant: &q})
+	b.Input(in)
+	out := b.Tensor(&tflm.Tensor{Name: "flat", Type: tflm.Int8, Shape: []int{1, 7 * 43}, Quant: &q})
+	b.Node(tflm.OpReshape, tflm.ReshapeParams{NewShape: []int{1, 7 * 43}}, []int{in}, []int{out})
+	b.Output(out)
+	model, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tflm.NewInterpreter(model.Clone()); err != nil {
+		t.Fatalf("fixture must be a valid model: %v", err)
+	}
+	srv, err := NewServer(model, ServerConfig{Workers: 1})
+	if err == nil {
+		srv.Close()
 		t.Fatal("expected incompatible-fingerprint error")
+	}
+	if !strings.Contains(err.Error(), "incompatible") {
+		t.Fatalf("err = %v, want the fingerprint-geometry rejection", err)
 	}
 }

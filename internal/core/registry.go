@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -260,6 +261,9 @@ type Registry struct {
 	// cooldowns and the supervisor's rebuild backoff. time.Now outside
 	// tests, which swap in a fake clock before the first Submit.
 	now func() time.Time
+	// overloadWindow is defaultOverloadWindow outside tests, which shorten
+	// it before the first Submit.
+	overloadWindow time.Duration
 
 	// Overload-controller state, guarded by amu.
 	backlog    int           // admitted-but-undispatched jobs across all tenants
@@ -272,7 +276,6 @@ type Registry struct {
 	superKick      chan struct{} // breaker trip -> supervisor wakeup
 	superStop      chan struct{}
 	superDone      chan struct{}
-	swaps          atomic.Uint64
 }
 
 // NewRegistry builds the serving tier over the given models. Each model
@@ -297,6 +300,7 @@ func NewRegistry(models map[string]ModelConfig, cfg RegistryConfig) (*Registry, 
 		overload:       cfg.Overload.withDefaults(),
 		tenants:        make(map[string]*tenantState),
 		now:            time.Now,
+		overloadWindow: defaultOverloadWindow,
 		dispatcherDone: make(chan struct{}),
 		superKick:      make(chan struct{}, 1),
 		superStop:      make(chan struct{}),
@@ -368,14 +372,7 @@ func (r *Registry) releaseAll() {
 }
 
 // Models returns the served model ids, sorted.
-func (r *Registry) Models() []string {
-	ids := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func (r *Registry) Models() []string { return slices.Clone(r.ids) }
 
 // ModelVersion returns the current version of model id, and whether the
 // registry serves it.
@@ -387,51 +384,11 @@ func (r *Registry) ModelVersion(id string) (uint64, bool) {
 	return e.cur.Load().version, true
 }
 
-// ShardHealth reports the current shard set of model id: shard count, the
-// configured worker total, and the live worker total. A healthy model has
-// live == workers; the chaos gate asserts exactly that across swaps and
-// injected panics.
-func (r *Registry) ShardHealth(id string) (shards, workers, live int) {
-	e, ok := r.entries[id]
-	if !ok {
-		return 0, 0, 0
-	}
-	set := e.cur.Load()
-	for _, sh := range set.shards {
-		eng := sh.engine()
-		workers += eng.Workers()
-		live += eng.LiveWorkers()
-	}
-	return len(set.shards), workers, live
-}
-
-// Swaps returns how many hot swaps have completed over the registry's
-// lifetime.
-func (r *Registry) Swaps() uint64 { return r.swaps.Load() }
-
-// InjectPanic arms the worker-panic chaos hook on one current shard engine
-// of model id, when the engine exposes one (core.Server does). It reports
-// whether a hook was armed — false for unknown models or engines without
-// the hook.
-func (r *Registry) InjectPanic(id string) bool {
-	e, ok := r.entries[id]
-	if !ok {
-		return false
-	}
-	set := e.cur.Load()
-	for _, sh := range set.shards {
-		if chaos, ok := sh.engine().(interface{ InjectPanic() }); ok {
-			chaos.InjectPanic()
-			return true
-		}
-	}
-	return false
-}
-
-// InjectPanicShard arms the worker-panic chaos hook on one specific shard
-// of model id — the targeted form of InjectPanic that panic-storm chaos
-// uses to concentrate failures on a single shard until its breaker trips.
-// It reports whether a hook was armed.
+// InjectPanicShard arms the worker-panic chaos hook on one shard of model
+// id, when its engine exposes one (core.Server does); panic-storm chaos
+// uses it to concentrate failures on a single shard until its breaker
+// trips. It reports whether a hook was armed — false for unknown models,
+// out-of-range shards or engines without the hook.
 func (r *Registry) InjectPanicShard(id string, shard int) bool {
 	e, ok := r.entries[id]
 	if !ok {
@@ -468,19 +425,6 @@ func (r *Registry) tenantFor(name string) *tenantState {
 	t = &tenantState{name: name, weight: tc.Weight, cap: tc.MaxQueue}
 	r.tenants[name] = t
 	return t
-}
-
-// Tenants returns every tenant that has submitted (or was pre-declared and
-// has submitted), sorted.
-func (r *Registry) Tenants() []string {
-	r.amu.Lock()
-	defer r.amu.Unlock()
-	names := make([]string, 0, len(r.tenants))
-	for name := range r.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // TenantCounters returns the tenant's admission counters; zero counters
@@ -738,9 +682,6 @@ func (r *Registry) OpenStream(model, tenant string) (*RegistryStream, error) {
 	return &RegistryStream{set: set, sh: sh, gen: gen, st: st}, nil
 }
 
-// Stream returns the underlying core.Stream.
-func (rs *RegistryStream) Stream() *Stream { return rs.st }
-
 // OnResult switches the stream to callback delivery (core.Stream.OnResult).
 func (rs *RegistryStream) OnResult(fn func(hop uint64, r Result)) { rs.st.OnResult(fn) }
 
@@ -898,7 +839,6 @@ func (r *Registry) Swap(id string, pkg *SwapPackage) error {
 	for _, sh := range old.shards {
 		sh.engine().Close()
 	}
-	r.swaps.Add(1)
 	return nil
 }
 

@@ -296,14 +296,20 @@ func TestRegistrySwapUnderLoad(t *testing.T) {
 	if completed.Load() == 0 {
 		t.Fatal("no requests completed")
 	}
-	if reg.Swaps() == 0 {
+	v, _ := reg.ModelVersion("kws")
+	if v < 2 {
 		t.Fatal("swap loop never completed a swap")
 	}
-	shards, workers, live := reg.ShardHealth("kws")
-	if shards != 2 || workers == 0 || live != workers {
-		t.Fatalf("shard health after storm: shards=%d live=%d/%d", shards, live, workers)
+	mh := reg.Health()[0]
+	var workers, live int
+	for _, sh := range mh.Shards {
+		workers += sh.Workers
+		live += sh.Live
 	}
-	t.Logf("%d completed across %d swaps", completed.Load(), reg.Swaps())
+	if len(mh.Shards) != 2 || workers == 0 || live != workers {
+		t.Fatalf("shard health after storm: shards=%d live=%d/%d", len(mh.Shards), live, workers)
+	}
+	t.Logf("%d completed across %d swaps", completed.Load(), v-1)
 }
 
 // fakeEngine is a deterministic Engine double for fairness tests: one
@@ -572,8 +578,8 @@ func TestRegistryAdmission(t *testing.T) {
 	if _, err := reg.OpenStream("kws", "t"); !errors.Is(err, ErrRegistryClosed) {
 		t.Fatalf("closed registry stream: %v", err)
 	}
-	if got := reg.Tenants(); len(got) != 1 || got[0] != "t" {
-		t.Fatalf("tenants: %v", got)
+	if len(reg.tenants) != 1 || reg.tenants["t"] == nil {
+		t.Fatalf("tenants: %v", reg.tenants)
 	}
 }
 

@@ -59,9 +59,6 @@ type ServerConfig struct {
 	// queue blocks Submit and fails TrySubmitFuncDeadline, bounding the
 	// memory a burst of submissions can pin.
 	Queue int
-	// Frontend configures feature extraction; the zero value means
-	// dsp.DefaultFrontend().
-	Frontend dsp.FrontendConfig
 }
 
 // Result is the outcome of one utterance.
@@ -80,15 +77,16 @@ type pipeWorker struct {
 }
 
 // newPipeWorker builds one worker over a clone of model. The worker stages
-// one int8 fingerprint into the model's only input and reads the label off
-// its only output, so a model with more than one input or output tensor,
-// an input that does not match the frontend's fingerprint geometry or a
-// non-int8 output cannot be served.
-func newPipeWorker(model *tflm.Model, feCfg dsp.FrontendConfig) (*pipeWorker, error) {
+// one int8 fingerprint from dsp.DefaultFrontend into the model's only input
+// and reads the label off its only output, so a model with more than one
+// input or output tensor, an input that does not match that fingerprint
+// geometry or a non-int8 output cannot be served.
+func newPipeWorker(model *tflm.Model) (*pipeWorker, error) {
 	ip, err := tflm.NewInterpreter(model.Clone())
 	if err != nil {
 		return nil, err
 	}
+	feCfg := dsp.DefaultFrontend()
 	fe, err := dsp.NewFrontend(feCfg)
 	if err != nil {
 		return nil, err
@@ -218,7 +216,6 @@ func (q *seqDelivery) fire(r Result) {
 // then stops the workers.
 type Server struct {
 	workers []*pipeWorker
-	feCfg   dsp.FrontendConfig
 	jobs    chan job
 
 	mu     sync.RWMutex // guards closed vs. sends on jobs
@@ -251,20 +248,13 @@ func newServer(model *tflm.Model, cfg ServerConfig) (*Server, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	feCfg := cfg.Frontend
-	if feCfg == (dsp.FrontendConfig{}) {
-		feCfg = dsp.DefaultFrontend()
-	}
 	queue := cfg.Queue
 	if queue <= 0 {
 		queue = 2 * n
 	}
-	s := &Server{
-		feCfg: feCfg,
-		jobs:  make(chan job, queue),
-	}
+	s := &Server{jobs: make(chan job, queue)}
 	for i := 0; i < n; i++ {
-		w, err := newPipeWorker(model, feCfg)
+		w, err := newPipeWorker(model)
 		if err != nil {
 			return nil, fmt.Errorf("core: server worker %d: %w", i, err)
 		}
@@ -364,9 +354,6 @@ func (s *Server) Shed() uint64 { return s.shed.Load() }
 
 // Workers returns the pool size.
 func (s *Server) Workers() int { return len(s.workers) }
-
-// QueueDepth returns the submission-queue capacity.
-func (s *Server) QueueDepth() int { return cap(s.jobs) }
 
 // LiveWorkers returns the number of worker goroutines currently running: 0
 // after Close returns, Workers() while the server is healthy. Because
@@ -556,9 +543,10 @@ func (h *hopSlot) complete(r Result) {
 }
 
 // OpenStream creates a stream over a private frontend with the server's
-// geometry.
+// geometry, dsp.DefaultFrontend.
 func (s *Server) OpenStream() (*Stream, error) {
-	fe, err := dsp.NewFrontend(s.feCfg)
+	feCfg := dsp.DefaultFrontend()
+	fe, err := dsp.NewFrontend(feCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -568,7 +556,7 @@ func (s *Server) OpenStream() (*Stream, error) {
 		free: make(chan *hopSlot, s.streamScratch()),
 	}
 	for i := 0; i < cap(st.free); i++ {
-		st.free <- &hopSlot{free: st.free, fp: make([]uint8, s.feCfg.FingerprintLen())}
+		st.free <- &hopSlot{free: st.free, fp: make([]uint8, feCfg.FingerprintLen())}
 	}
 	return st, nil
 }

@@ -129,8 +129,8 @@ func TestServerBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.QueueDepth() != len(utts) {
-		t.Fatalf("queue depth %d, want %d", srv.QueueDepth(), len(utts))
+	if cap(srv.jobs) != len(utts) {
+		t.Fatalf("queue depth %d, want %d", cap(srv.jobs), len(utts))
 	}
 	tickets := make([]*Pending, len(utts))
 	for i, u := range utts {

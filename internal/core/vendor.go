@@ -56,9 +56,6 @@ func NewVendor(rng io.Reader, rootPub []byte, identity *omgcrypto.Identity, mode
 // Public returns the vendor's public key (the image pin).
 func (v *Vendor) Public() []byte { return v.identity.Public() }
 
-// Version returns the current licensed model version.
-func (v *Vendor) Version() uint64 { return v.version }
-
 // verifyEnclave validates an attestation report (step 2) and returns the
 // enclave key.
 func (v *Vendor) verifyEnclave(report *omgcrypto.AttestationReport, chain []*omgcrypto.Certificate, nonce []byte) ([]byte, error) {

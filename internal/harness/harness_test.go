@@ -7,10 +7,17 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden/<ID>.txt from this run")
+
+// quickCtx is the package's one quick-mode context, built on first use so
+// the tests that need the trained fixture train it once between them. The
+// fixture is immutable once built and every experiment derives its own
+// seeded devices and sessions from it, so sharing changes no table.
+var quickCtx = sync.OnceValue(func() *Ctx { return NewCtx(true, nil) })
 
 // wallToken stands in for every host-wall-time cell and note in a golden
 // table. Masking before rendering keeps the columns aligned whatever width
@@ -45,7 +52,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments train a model; skipped in -short mode")
 	}
-	ctx := NewCtx(true, nil)
+	ctx := quickCtx()
 	exps := Experiments()
 	if len(exps) != 15 { // E1..E12, E14, F1, F2
 		t.Fatalf("registered experiments = %d, want 15", len(exps))
@@ -101,8 +108,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	ctx := NewCtx(true, nil)
-	r, err := runTable1(ctx)
+	r, err := runTable1(quickCtx())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,9 @@ import "fmt"
 // PeriphID identifies a peripheral on the simulated bus.
 type PeriphID string
 
-// Standard peripherals of the simulated board.
-const (
-	PeriphMicrophone PeriphID = "microphone"
-	PeriphFlash      PeriphID = "flash"
-)
+// PeriphMicrophone is the board microphone, the one peripheral whose world
+// assignment OMG changes.
+const PeriphMicrophone PeriphID = "microphone"
 
 // PeriphController models the TrustZone Protection Controller (TZPC): it
 // records, per peripheral, which world may access it. OMG assigns the
@@ -125,15 +123,6 @@ func (f *Flash) Load(name string) ([]byte, bool) {
 
 // Delete removes a named blob.
 func (f *Flash) Delete(name string) { delete(f.blobs, name) }
-
-// Names returns the stored blob names (order unspecified).
-func (f *Flash) Names() []string {
-	names := make([]string, 0, len(f.blobs))
-	for n := range f.blobs {
-		names = append(names, n)
-	}
-	return names
-}
 
 // Corrupt flips one bit of a stored blob, for tamper-detection tests.
 func (f *Flash) Corrupt(name string, byteIndex int) bool {

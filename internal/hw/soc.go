@@ -240,18 +240,6 @@ func (s *SoC) ReadMicInto(c *Core, dst []int16) (int, error) {
 	return got, nil
 }
 
-// Elapsed returns the largest per-core simulated time, a convenient
-// "wall clock" for multi-core protocol measurements.
-func (s *SoC) Elapsed() time.Duration {
-	var max time.Duration
-	for _, c := range s.cores {
-		if e := c.Elapsed(); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // TotalBusy returns the sum of all cores' simulated busy time. Protocol
 // phases execute mostly sequentially across cores, so deltas of TotalBusy
 // approximate phase latency regardless of which core did the work.

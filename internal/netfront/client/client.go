@@ -398,9 +398,6 @@ func newClientConn(c *Client, nc net.Conn) *clientConn {
 	return cc
 }
 
-// jitter draws from the client's deterministic jitter source.
-func (c *Client) jitter() *rand.Rand { return c.rng }
-
 // backoffSleep applies the attempt'th backoff of pol, bounded by deadline;
 // it reports false when the deadline would pass before the wait ends.
 func (c *Client) backoffSleep(pol RetryPolicy, attempt int, deadline time.Time, floor time.Duration) bool {

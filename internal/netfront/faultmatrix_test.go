@@ -243,7 +243,7 @@ func runSwapStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, utt
 	go fe.Serve(l)
 	addr := l.Addr().String()
 
-	reg.InjectPanic("kws") // consumed by whichever submission runs next
+	reg.InjectPanicShard("kws", 0) // consumed by whichever submission shard 0 runs next
 
 	// The storm: swap as fast as the registry drains, each generation the
 	// same weights under a fresh version and signature.
@@ -361,10 +361,15 @@ func runSwapStormRound(t *testing.T, p faultconn.Profile, model *tflm.Model, utt
 	close(stopSwaps)
 	swapWG.Wait()
 
-	if reg.Swaps() == 0 {
+	if v, _ := reg.ModelVersion("kws"); v < 2 {
 		t.Fatal("swap storm landed zero swaps during the traffic")
 	}
-	if _, workers, live := reg.ShardHealth("kws"); live != workers {
+	var workers, live int
+	for _, sh := range reg.Health()[0].Shards {
+		workers += sh.Workers
+		live += sh.Live
+	}
+	if live != workers {
 		t.Fatalf("shard workers shrank under swap storm: %d live of %d", live, workers)
 	}
 

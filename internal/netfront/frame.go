@@ -69,7 +69,7 @@
 // each other.
 //
 // Resource caps (failure semantics, ARCHITECTURE.md): a frame body beyond
-// the receiver's MaxBody, a frame that does not parse, or an unknown frame
+// DefaultMaxBody, a frame that does not parse, or an unknown frame
 // type closes the connection (a length-prefixed stream cannot resync);
 // exceeding the per-connection open-stream cap is a per-request
 // CodeLimitExceeded error, not a connection error; a connection idle beyond
@@ -181,7 +181,7 @@ func DecodeWireError(b []byte) (WireError, error) {
 	}, nil
 }
 
-// DefaultMaxBody caps a frame body when Config.MaxBody is unset: 4 MiB
+// DefaultMaxBody caps a received frame body on both ends: 4 MiB
 // holds two minutes of 16 kHz PCM16 audio in one utterance or stream chunk,
 // while bounding what one connection can force the peer to buffer.
 const DefaultMaxBody = 4 << 20

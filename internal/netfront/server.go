@@ -13,20 +13,11 @@ import (
 
 // Config parameterizes a FrontEnd.
 type Config struct {
-	// MaxBody caps a received frame's body; <= 0 means DefaultMaxBody. A
-	// frame declaring more closes its connection.
-	MaxBody int
-	// WriteTimeout bounds every response write; <= 0 means
-	// DefaultWriteTimeout. Completion callbacks run on core.Server worker
-	// goroutines, so a peer that stops reading would otherwise park workers
-	// in socket writes until the whole pool wedges — on timeout the
-	// connection is closed instead and the slow peer pays, not the pool.
-	WriteTimeout time.Duration
 	// ReadIdleTimeout bounds how long a connection may go without
-	// completing a frame before it is closed: the read-side twin of
-	// WriteTimeout, covering both silent peers (idle-connection reaping)
-	// and peers that trickle a frame byte-by-byte (a slowloris cannot pin
-	// the handler goroutine forever). 0 means DefaultReadIdleTimeout;
+	// completing a frame before it is closed: the read-side twin of the
+	// response-write bound, covering both silent peers (idle-connection
+	// reaping) and peers that trickle a frame byte-by-byte (a slowloris
+	// cannot pin the handler goroutine forever). 0 means DefaultReadIdleTimeout;
 	// negative disables the deadline.
 	ReadIdleTimeout time.Duration
 	// MaxStreams caps concurrently open streams per connection, so one
@@ -35,9 +26,6 @@ type Config struct {
 	// the cap is a per-request CodeLimitExceeded error, not a connection
 	// error. <= 0 means DefaultMaxStreams.
 	MaxStreams int
-	// BusyRetryAfter is the retry hint carried by BUSY and other transient
-	// failures; <= 0 means DefaultBusyRetryAfter.
-	BusyRetryAfter time.Duration
 	// DefaultModel is the model id served to connections that never send a
 	// FrameHello (or hello with an empty model name). Only meaningful for
 	// a registry front end (NewFrontEndRegistry); empty means the
@@ -46,9 +34,12 @@ type Config struct {
 	DefaultModel string
 }
 
-// DefaultWriteTimeout is the response-write bound when Config.WriteTimeout
-// is unset: generous for any live peer, finite for a stalled one.
-const DefaultWriteTimeout = 30 * time.Second
+// writeTimeout bounds every response write: generous for any live peer,
+// finite for a stalled one. Completion callbacks run on core.Server worker
+// goroutines, so a peer that stops reading would otherwise park workers in
+// socket writes until the whole pool wedges — on timeout the connection is
+// closed instead and the slow peer pays, not the pool.
+const writeTimeout = 30 * time.Second
 
 // DefaultReadIdleTimeout is the between-frame read bound when
 // Config.ReadIdleTimeout is unset: generous for any live client (streams
@@ -60,10 +51,10 @@ const DefaultReadIdleTimeout = 5 * time.Minute
 // Config.MaxStreams is unset.
 const DefaultMaxStreams = 64
 
-// DefaultBusyRetryAfter is the BUSY retry hint when Config.BusyRetryAfter
-// is unset: long enough for a queue slot to open at typical service rates,
-// short enough not to idle a loaded client.
-const DefaultBusyRetryAfter = 5 * time.Millisecond
+// busyRetryAfter is the retry hint carried by BUSY and other transient
+// failures that compute none: long enough for a queue slot to open at
+// typical service rates, short enough not to idle a loaded client.
+const busyRetryAfter = 5 * time.Millisecond
 
 // backend abstracts what a FrontEnd serves: a single core.Server
 // (NewFrontEnd, (model, tenant) ignored) or a multi-model multi-tenant
@@ -205,20 +196,11 @@ func NewFrontEndRegistry(reg *core.Registry, cfg Config) *FrontEnd {
 }
 
 func newFrontEnd(be backend, cfg Config) *FrontEnd {
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = DefaultMaxBody
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
-	}
 	if cfg.ReadIdleTimeout == 0 {
 		cfg.ReadIdleTimeout = DefaultReadIdleTimeout
 	}
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = DefaultMaxStreams
-	}
-	if cfg.BusyRetryAfter <= 0 {
-		cfg.BusyRetryAfter = DefaultBusyRetryAfter
 	}
 	return &FrontEnd{
 		be:    be,
@@ -500,7 +482,7 @@ func (c *conn) serve() {
 		if d := c.fe.cfg.ReadIdleTimeout; d > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(d))
 		}
-		typ, body, err := ReadFrame(c.nc, &c.hdr, c.body, c.fe.cfg.MaxBody)
+		typ, body, err := ReadFrame(c.nc, &c.hdr, c.body, DefaultMaxBody)
 		c.body = body[:cap(body)]
 		if err != nil {
 			// io.EOF between frames is the clean shutdown; everything else
@@ -700,7 +682,7 @@ func (c *conn) handleHealth(body []byte) bool {
 // the read loop — fails fast instead of parking worker goroutines: workers
 // must never be hostage to a peer that stopped reading.
 func (c *conn) send() {
-	c.nc.SetWriteDeadline(time.Now().Add(c.fe.cfg.WriteTimeout))
+	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if _, err := c.nc.Write(c.wbuf); err != nil {
 		c.nc.Close()
 	}
@@ -716,8 +698,8 @@ func (c *conn) writeFrame(typ byte, payload []byte) {
 }
 
 // writeBusy sends a FrameBusy carrying the given retry-after hint —
-// computed from the backend's measured backlog when available, the
-// configured constant otherwise.
+// computed from the backend's measured backlog when available,
+// busyRetryAfter otherwise.
 func (c *conn) writeBusy(id uint32, retryAfter time.Duration) {
 	var p [8]byte
 	binary.LittleEndian.PutUint32(p[0:4], id)
@@ -727,7 +709,7 @@ func (c *conn) writeBusy(id uint32, retryAfter time.Duration) {
 
 // hintFor extracts the computed retry-after a core admission error carries
 // (*core.TenantBusyError, *core.OverloadError), falling back to the
-// configured BusyRetryAfter constant — the pre-self-healing behavior.
+// busyRetryAfter constant — the pre-self-healing behavior.
 func (c *conn) hintFor(err error) time.Duration {
 	var tb *core.TenantBusyError
 	if errors.As(err, &tb) && tb.RetryAfter > 0 {
@@ -737,7 +719,7 @@ func (c *conn) hintFor(err error) time.Duration {
 	if errors.As(err, &oe) && oe.RetryAfter > 0 {
 		return oe.RetryAfter
 	}
-	return c.fe.cfg.BusyRetryAfter
+	return busyRetryAfter
 }
 
 // writeResult sends an id + int32 frame (FrameResult).
@@ -766,17 +748,17 @@ func (c *conn) writeStreamResult(id uint32, hop uint64, label int32) {
 }
 
 // codeFor maps a core-layer error onto its wire code and retry hint:
-// transient failures (backpressure, shedding, a recovered panic) carry the
-// configured retry-after so clients back off instead of hammering; terminal
+// transient failures (backpressure, shedding, a recovered panic) carry
+// busyRetryAfter so clients back off instead of hammering; terminal
 // ones carry zero.
 func (c *conn) codeFor(err error) (code uint16, retryAfter time.Duration) {
 	switch {
 	case errors.Is(err, core.ErrQueueFull):
-		return CodeBusy, c.fe.cfg.BusyRetryAfter
+		return CodeBusy, busyRetryAfter
 	case errors.Is(err, core.ErrDeadlineExceeded):
-		return CodeDeadlineExceeded, c.fe.cfg.BusyRetryAfter
+		return CodeDeadlineExceeded, busyRetryAfter
 	case errors.Is(err, core.ErrWorkerPanic):
-		return CodePanic, c.fe.cfg.BusyRetryAfter
+		return CodePanic, busyRetryAfter
 	case errors.Is(err, core.ErrTenantBusy):
 		return CodeBusy, c.hintFor(err)
 	case errors.Is(err, core.ErrOverloaded):
@@ -787,7 +769,7 @@ func (c *conn) codeFor(err error) (code uint16, retryAfter time.Duration) {
 	case errors.Is(err, core.ErrModelSwapped):
 		// The generation this request was bound to is gone but its
 		// successor is live: worth retrying after the hint.
-		return CodeModelSwapped, c.fe.cfg.BusyRetryAfter
+		return CodeModelSwapped, busyRetryAfter
 	case errors.Is(err, core.ErrUnknownModel):
 		return CodeBadRequest, 0
 	case errors.Is(err, core.ErrServerClosed), errors.Is(err, core.ErrRegistryClosed):

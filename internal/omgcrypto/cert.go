@@ -85,57 +85,3 @@ func VerifyChain(chain []*Certificate, rootPub []byte) ([]byte, error) {
 	}
 	return chain[0].PublicKey, nil
 }
-
-// Marshal serializes the certificate.
-func (c *Certificate) Marshal() []byte {
-	var buf bytes.Buffer
-	writeBytes := func(b []byte) {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(b)))
-		buf.Write(l[:])
-		buf.Write(b)
-	}
-	writeBytes([]byte(c.Subject))
-	writeBytes(c.PublicKey)
-	writeBytes([]byte(c.Issuer))
-	writeBytes(c.Signature)
-	return buf.Bytes()
-}
-
-// UnmarshalCertificate parses the output of Marshal.
-func UnmarshalCertificate(data []byte) (*Certificate, error) {
-	rd := bytes.NewReader(data)
-	readBytes := func() ([]byte, error) {
-		var l [4]byte
-		if _, err := rd.Read(l[:]); err != nil {
-			return nil, err
-		}
-		n := binary.BigEndian.Uint32(l[:])
-		if uint64(n) > uint64(rd.Len()) {
-			return nil, errors.New("omgcrypto: truncated certificate field")
-		}
-		b := make([]byte, n)
-		if _, err := rd.Read(b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	c := &Certificate{}
-	subject, err := readBytes()
-	if err != nil {
-		return nil, fmt.Errorf("omgcrypto: parsing certificate subject: %w", err)
-	}
-	c.Subject = string(subject)
-	if c.PublicKey, err = readBytes(); err != nil {
-		return nil, fmt.Errorf("omgcrypto: parsing certificate key: %w", err)
-	}
-	issuer, err := readBytes()
-	if err != nil {
-		return nil, fmt.Errorf("omgcrypto: parsing certificate issuer: %w", err)
-	}
-	c.Issuer = string(issuer)
-	if c.Signature, err = readBytes(); err != nil {
-		return nil, fmt.Errorf("omgcrypto: parsing certificate signature: %w", err)
-	}
-	return c, nil
-}

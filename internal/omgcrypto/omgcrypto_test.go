@@ -274,25 +274,6 @@ func TestCertificateChain(t *testing.T) {
 	}
 }
 
-func TestCertificateMarshalRoundTrip(t *testing.T) {
-	root, platform, _ := identities(t)
-	cert, err := IssueCertificate(root, platform.Subject, platform.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := UnmarshalCertificate(cert.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Subject != cert.Subject || parsed.Issuer != cert.Issuer ||
-		!bytes.Equal(parsed.PublicKey, cert.PublicKey) || !bytes.Equal(parsed.Signature, cert.Signature) {
-		t.Fatal("marshal round trip mismatch")
-	}
-	if _, err := UnmarshalCertificate([]byte{0, 0, 0, 200, 1}); err == nil {
-		t.Fatal("truncated certificate parsed")
-	}
-}
-
 func TestAttestationReport(t *testing.T) {
 	root, platform, enclave := identities(t)
 	rootCert, _ := SelfSign(root)

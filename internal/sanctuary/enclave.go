@@ -32,9 +32,6 @@ type Enclave struct {
 	env Env
 }
 
-// Name returns the enclave's name (the image name).
-func (e *Enclave) Name() string { return e.name }
-
 // State returns the current life-cycle state.
 func (e *Enclave) State() State { return e.state }
 

@@ -105,13 +105,13 @@ type span struct {
 	size uint64
 }
 
-// NewManager creates a SANCTUARY driver whose OS runs on core osCore.
+// NewManager creates a SANCTUARY driver whose OS runs on core 0.
 // Physical memory from heapBase upward is managed by the driver's allocator.
-func NewManager(soc *hw.SoC, sos *trustzone.SecureOS, osCore int) *Manager {
+func NewManager(soc *hw.SoC, sos *trustzone.SecureOS) *Manager {
 	return &Manager{
 		soc:      soc,
 		sos:      sos,
-		osCore:   soc.Core(osCore),
+		osCore:   soc.Core(0),
 		nextBase: 16 << 20, // leave the bottom 16 MiB to the "OS"
 		enclaves: make(map[string]*Enclave),
 	}

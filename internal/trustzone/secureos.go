@@ -113,9 +113,6 @@ func BootSecureOS(soc *hw.SoC, mon *Monitor, cfg SecureOSConfig) (*SecureOS, err
 	return os, nil
 }
 
-// Keys exposes the platform certificate chain (public material only).
-func (s *SecureOS) Keys() *PlatformKeys { return s.keys }
-
 // EnclaveIdentity returns the private identity of a running enclave. Only
 // the SANCTUARY Library calls this during enclave boot, modelling SANCTUARY
 // provisioning the key pair it "assigns to this enclave" (§V) directly into
